@@ -26,7 +26,8 @@ class SearchCertificate:
     """Outcome record for one exhaustive scan at fixed instance size.
 
     kind "exhaustive": every instance described by ``parameters`` reaches
-    ``value`` (the target), and ``scanned_count`` instances were inspected.
+    ``value`` (the target), and ``scanned_count`` instances are accounted
+    for (a search that prunes a subtree counts it without visiting it).
     kind "witness": the recorded instance scores only ``value``, below the
     target in ``parameters``; exactly one of witness_graph6 /
     witness_coloring is set.
@@ -130,8 +131,8 @@ def revalidate(cert: SearchCertificate, deep: bool = False) -> bool:
 
     Witness certificates are always fully recomputed: the recorded instance
     is parsed, rescored, and must land on the recorded value strictly below
-    the target.  Exhaustive certificates are checked against the expected
-    enumeration count; ``deep=True`` additionally reruns the whole scan.
+    the target.  Exhaustive certificates must claim their target and the
+    expected enumeration count; ``deep=True`` additionally reruns the scan.
     """
     from . import exact, scores, vdw
     from .graphs import (EdgeColoring, coloring_count, labeled_graph_count,
@@ -159,19 +160,19 @@ def revalidate(cert: SearchCertificate, deep: bool = False) -> bool:
             value = _coloring_value(exact, scores, mode, c, p, target)
         return value == cert.value and value < target
 
-    # Exhaustive: the scanned count must match the full enumeration (or the
-    # recorded representative count when symmetry pruning was switched on).
+    # Exhaustive: the scanned count must match the full enumeration, or its
+    # orbit count when symmetry pruning was switched on.
     if mode in ("rprime", "ramsey"):
         expected = labeled_graph_count(p["n_vertices"])
-        if p.get("pruned"):
-            expected = cert.scanned_count  # representative count, checked deep
+        if p.get("pruned"):  # complement pairs; only n <= 1 has a fixed point
+            expected = max(1, expected // 2)
     elif mode == "wprime":
         expected = p["m"] ** p["length"]
         if p.get("pruned"):
-            expected = cert.scanned_count
+            expected = vdw.orbit_count(p["m"], p["length"])
     else:
         expected = coloring_count(p["n_vertices"], p["m"])
-    if cert.scanned_count != expected:
+    if cert.scanned_count != expected or cert.value != target:
         return False
     if not deep:
         return True

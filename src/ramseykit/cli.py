@@ -15,7 +15,8 @@ import sys
 import time
 
 from . import __version__, exact, greedy, scores, vdw
-from .certificates import UndecidedError, canonical_json
+from .certificates import (EXHAUSTIVE, WITNESS, SearchCertificate,
+                           UndecidedError, canonical_json, revalidate)
 from .graphs import (BudgetError, Graph, Graph6ParseError, bits,
                      labeled_graph_count, pair_count, parse_graph6,
                      write_graph6)
@@ -129,10 +130,34 @@ def _find_cached(path: str, query: dict):
                 rec = json.loads(line)
             except json.JSONDecodeError:
                 continue
-            if (rec.get("schema") == SCHEMA and rec.get("engine") == ENGINE
-                    and rec.get("query") == query):
+            if (isinstance(rec, dict) and rec.get("schema") == SCHEMA
+                    and rec.get("engine") == ENGINE and rec.get("query") == query):
                 hit = rec
     return hit
+
+
+def _replay_ok(rec: dict, query: dict) -> bool:
+    """Does a cached record stand on its certificates?  Each must revalidate
+    (shallow) for the query: the upper one exhaustive at size ``value``, the
+    lower one a witness at ``value - 1`` (absent only at value 1)."""
+    try:
+        value, certs = rec["value"], rec["certificates"]
+        claims = [(certs["upper"], EXHAUSTIVE, value)]
+        if value != 1 or certs["lower"] is not None:
+            claims.append((certs["lower"], WITNESS, value - 1))
+        for d, kind, size in claims:
+            cert = SearchCertificate.from_json_dict(d)  # TypeError if absent
+            p = cert.parameters
+            if (cert.kind != kind or p["mode"] != query["kind"]
+                    or p.get("length", p.get("n_vertices")) != size
+                    or any(p.get(k) != query[k] for k in query
+                           if k not in ("command", "kind"))
+                    or not revalidate(cert)):
+                return False
+        return (rec["exact"] is True and rec["exhaustive"] is True
+                and rec["bracket"] == [value, value])
+    except (KeyError, TypeError, ValueError):
+        return False
 
 
 def _print_record(rec: dict, as_json: bool, cached: bool, cache_path: str):
@@ -160,9 +185,11 @@ def cmd_search(args) -> int:
     query = _search_query(args)
     if args.resume:
         hit = _find_cached(args.cache, query)
-        if hit is not None:
+        if hit is not None and _replay_ok(hit, query):
             _print_record(hit, args.json, True, args.cache)
             return 0
+        if hit is not None:
+            print("cached record fails its certificates; recomputing", file=sys.stderr)
     t0 = time.perf_counter()
     try:
         result = _run_search(args)
@@ -254,8 +281,8 @@ def _check_rprime_m(t, seed):
 
 
 def _check_wprime(t, seed):
-    vals = [vdw.ap_sum_threshold(2, n, threads=t).value for n in (1, 2, 3, 4)]
-    r4 = vdw.ap_sum_threshold(2, 4, threads=t)
+    results = [vdw.ap_sum_threshold(2, n, threads=t) for n in (1, 2, 3, 4)]
+    vals, r4 = [r.value for r in results], results[-1]
     example = vdw.IntervalColoring.from_text("bbwbb", 2)
     s = vdw.ap_sum(example)[0]
     ok = (vals == [1, 2, 3, 6] and s == 3

@@ -3,8 +3,10 @@
 The quantity mirroring the clique/independent pair sum is the sum over
 colours of the longest monochromatic arithmetic progression.  Thresholds
 ("from which interval length onward does every m-colouring have AP lengths
-summing to n?") are settled by exhaustive scans with certificates, alongside
-the classical single-colour check.
+summing to n?") are settled with certificates, alongside the classical
+single-colour check.  Both are decided by a prefix search that colours
+N, N-1, ... and extends only prefixes still missing the target, instead of
+enumerating all m^N colourings; pruned counts are Burnside orbit counts.
 
 Positions are bitmasks, and an AP chain is grown by one term per step with
 ``cur &= cur >> d``: after k steps, set bits mark the starts of (k+1)-term
@@ -14,16 +16,16 @@ progressions of difference d.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ._parallel import chunk_ranges, run_chunks
 from .certificates import (EXHAUSTIVE, WITNESS, SearchCertificate,
                            SearchResult, UndecidedError)
 from .exact import CheckOutcome
 from .graphs import ENUMERATION_CAP, COLOR_LETTERS, BudgetError
 
-# One scan of every m-colouring of an N-interval touches m^N instances.
+# A check at length N accounts for all m^N colourings of the interval.
 DEFAULT_INTERVAL_BUDGET = 1 << 26
 
 MAX_INTERVAL_COLORS = 8
@@ -52,13 +54,11 @@ class IntervalColoring:
     @classmethod
     def from_code(cls, m: int, length: int, code: int) -> "IntervalColoring":
         """Decode base-m digits, least significant digit = position 1."""
-        total = m**length
-        if not 0 <= code < total:
+        if not 0 <= code < m**length:
             raise ValueError(f"code {code} outside 0..{m}^{length}-1")
         digits = []
-        c = code
         for _ in range(length):
-            c, d = divmod(c, m)
+            code, d = divmod(code, m)
             digits.append(d)
         return cls(m, tuple(digits))
 
@@ -73,11 +73,7 @@ class IntervalColoring:
         """Bitmask of the positions (bit i = integer i + 1) of one colour."""
         if not 0 <= color < self.m:
             raise ValueError(f"colour {color} outside 0..{self.m - 1}")
-        mask = 0
-        for i, c in enumerate(self.colors):
-            if c == color:
-                mask |= 1 << i
-        return mask
+        return sum(1 << i for i, c in enumerate(self.colors) if c == color)
 
     def to_text(self) -> str:
         return "".join(COLOR_LETTERS[c] for c in self.colors)
@@ -105,13 +101,10 @@ def _longest_ap_mask(mask: int, length: int) -> int:
         return 0
     best = 1
     for d in range(1, length):
-        cur = mask
+        cur = mask & (mask >> d)
         ln = 1
-        while True:
-            nxt = cur & (cur >> d)
-            if not nxt:
-                break
-            cur = nxt
+        while cur:
+            cur &= cur >> d
             ln += 1
         if ln > best:
             best = ln
@@ -129,80 +122,82 @@ def ap_sum(c: IntervalColoring) -> tuple[int, tuple[int, ...]]:
     return sum(per), per
 
 
-def _orbit_min_code(m: int, length: int, digits: list[int]) -> int:
-    """Least code over interval reversal and colour permutation."""
-    best = None
+def orbit_count(m: int, length: int) -> int:
+    """m-colourings of 1..length up to reversal and colour permutation, by
+    Burnside's lemma: a permutation pi fixes fix(pi)^N colourings, and
+    fix(pi^2)^(N // 2) * fix(pi)^(N % 2) when composed with reversal."""
+    half, odd = divmod(length, 2)
+    total = 0
     for perm in itertools.permutations(range(m)):
-        for seq in (digits, digits[::-1]):
-            code = 0
-            for d in reversed(seq):
-                code = code * m + perm[d]
-            if best is None or code < best:
-                best = code
-    return best
+        fix = sum(perm[c] == c for c in range(m))
+        fix2 = sum(perm[perm[c]] == c for c in range(m))
+        total += fix**length + fix2**half * fix**odd
+    return total // (2 * math.factorial(m))
+
+
+def _least_failing(m: int, length: int, target: int, single: bool,
+                   budget: Optional[int]) -> Optional[tuple[int, ...]]:
+    """Colours of the least-code colouring of 1..length whose longest
+    monochromatic APs miss ``target`` (in every colour when ``single``, in
+    sum otherwise), or None.  Positions are coloured from ``length`` down,
+    most significant digit first, so leaves arrive in code order; a prefix
+    (a sub-interval, whose AP lengths the whole interval can only exceed) is
+    extended only while it misses the target."""
+    if target < 1 or length < 1:
+        raise ValueError("target and interval length must be positive")
+    if not 1 <= m <= MAX_INTERVAL_COLORS:
+        raise ValueError(f"colour count {m} outside 1..{MAX_INTERVAL_COLORS}")
+    count = m**length
+    if count > min(DEFAULT_INTERVAL_BUDGET if budget is None else budget,
+                   ENUMERATION_CAP):
+        raise BudgetError(f"length {length} needs {count} colourings, over the budget")
+    masks = [0] * m  # bit j = position length - j; AP lengths ignore reversal
+    best = [0] * m   # longest AP per colour among the coloured positions
+    stack = []       # (colour, its previous best) per coloured position
+    total = c = 0
+    while True:  # iterative: with m = 1 the depth is unbounded
+        depth = len(stack)
+        if c < m:
+            grown = _longest_ap_mask(masks[c] | 1 << depth, depth + 1)
+            if (grown if single else total - best[c] + grown) >= target:
+                c += 1
+                continue
+            stack.append((c, best[c]))
+            masks[c] |= 1 << depth
+            total += grown - best[c]
+            best[c] = grown
+            if depth + 1 == length:
+                return tuple(entry[0] for entry in reversed(stack))
+            c = 0
+        elif stack:
+            c, previous = stack.pop()
+            masks[c] ^= 1 << len(stack)
+            total += previous - best[c]
+            best[c] = previous
+            c += 1
+        else:
+            return None
 
 
 def check_universal_ap_sum(target: int, length: int, m: int,
                            threads: int = 1, budget: Optional[int] = None,
                            prune: bool = False) -> CheckOutcome:
     """Does every m-colouring of 1..length have AP lengths summing to
-    ``target``?  Failures report the minimum-code colouring.
-
-    ``prune`` scans only orbit representatives under reversal and colour
-    permutation; the AP sum is invariant under both, and the least failing
-    code is always its own representative, so verdict and witness match the
-    unpruned scan (the certificate notes the representative count).
-    """
-    if target < 1:
-        raise ValueError(f"target {target} must be positive")
-    if length < 1:
-        raise ValueError("the interval must be nonempty")
-    if not 1 <= m <= MAX_INTERVAL_COLORS:
-        raise ValueError(f"colour count {m} outside 1..{MAX_INTERVAL_COLORS}")
-    total = m**length
-    cap = DEFAULT_INTERVAL_BUDGET if budget is None else budget
-    if total > min(cap, ENUMERATION_CAP):
-        raise BudgetError(
-            f"AP-sum scan at length {length} needs {total} colourings, over the budget"
-        )
-    chunks = [(m, length, target, prune, lo, hi)
-              for lo, hi in chunk_ranges(total, threads)]
-    results = run_chunks(_scan_ap_chunk, chunks, threads)
-    scanned = sum(r[2] for r in results)
-    fails = [(r[0], r[1]) for r in results if r[0] is not None]
+    ``target``?  Failures report the minimum-code colouring.  ``threads`` is
+    unused (the search is serial).  With ``prune`` the exhaustive count is of
+    orbits under reversal and colour permutation, not of all m^length."""
+    colors = _least_failing(m, length, target, False, budget)
     params = {"mode": "wprime", "target": target, "length": length, "m": m}
     if prune:
         params["pruned"] = True
-    if not fails:
+    if colors is None:
+        scanned = orbit_count(m, length) if prune else m**length
         cert = SearchCertificate(EXHAUSTIVE, params, target, scanned_count=scanned)
         return CheckOutcome(True, cert)
-    code, value = min(fails)
-    cert = SearchCertificate(
-        WITNESS, params, value,
-        witness_coloring=IntervalColoring.from_code(m, length, code).to_text(),
-    )
+    witness = IntervalColoring(m, colors)
+    cert = SearchCertificate(WITNESS, params, ap_sum(witness)[0],
+                             witness_coloring=witness.to_text())
     return CheckOutcome(False, cert)
-
-
-def _scan_ap_chunk(args):
-    m, length, target, prune, start, stop = args
-    scanned = 0
-    for code in range(start, stop):
-        masks = [0] * m
-        digits = [0] * length if prune else None
-        c = code
-        for pos in range(length):
-            c, d = divmod(c, m)
-            masks[d] |= 1 << pos
-            if prune:
-                digits[pos] = d
-        if prune and _orbit_min_code(m, length, digits) < code:
-            continue
-        scanned += 1
-        value = sum(_longest_ap_mask(mask, length) for mask in masks)
-        if value < target:
-            return code, value, scanned
-    return None, None, scanned
 
 
 def ap_sum_threshold(m: int, target: int, threads: int = 1,
@@ -230,30 +225,6 @@ def ap_sum_threshold(m: int, target: int, threads: int = 1,
 def classical_ap_check(m: int, n: int, length: int, threads: int = 1,
                        budget: Optional[int] = None) -> bool:
     """True iff every m-colouring of 1..length has an n-term progression in
-    a single colour (the classical van der Waerden property)."""
-    if not 1 <= m <= MAX_INTERVAL_COLORS:
-        raise ValueError(f"colour count {m} outside 1..{MAX_INTERVAL_COLORS}")
-    if n < 1 or length < 1:
-        raise ValueError("n and length must be positive")
-    total = m**length
-    cap = DEFAULT_INTERVAL_BUDGET if budget is None else budget
-    if total > min(cap, ENUMERATION_CAP):
-        raise BudgetError(
-            f"classical check at length {length} needs {total} colourings, over the budget"
-        )
-    chunks = [(m, length, n, lo, hi) for lo, hi in chunk_ranges(total, threads)]
-    results = run_chunks(_scan_classical_chunk, chunks, threads)
-    return all(results)
-
-
-def _scan_classical_chunk(args) -> bool:
-    m, length, n, start, stop = args
-    for code in range(start, stop):
-        masks = [0] * m
-        c = code
-        for pos in range(length):
-            c, d = divmod(c, m)
-            masks[d] |= 1 << pos
-        if not any(_longest_ap_mask(mask, length) >= n for mask in masks):
-            return False
-    return True
+    a single colour (the classical van der Waerden property).  ``threads``
+    is unused here: the prefix search is serial."""
+    return _least_failing(m, length, n, True, budget) is None

@@ -81,6 +81,37 @@ class TestSearch:
         assert second == first
         assert len(cache.read_text().splitlines()) == 1
 
+    @pytest.mark.parametrize("edit", [
+        lambda rec: rec.update(value=99),
+        lambda rec: rec.update(bracket=[5, 5]),
+        lambda rec: rec["certificates"]["lower"].update(witness_coloring="aaaaa"),
+        lambda rec: rec["certificates"]["upper"].update(scanned_count=63),
+        lambda rec: rec["certificates"].update(lower=None),
+    ])
+    def test_resume_recomputes_an_edited_record(self, workdir, capsys, edit):
+        code, first, _ = run(capsys, "search", "wprime", "--n", "4", "--json")
+        assert code == 0
+        cache = workdir / "results.jsonl"
+        rec = json.loads(cache.read_text())
+        edit(rec)
+        cache.write_text(json.dumps(rec) + "\n")
+
+        code, out, err = run(capsys, "search", "wprime", "--n", "4",
+                             "--resume", "--json")
+        assert code == 0
+        assert "recomputing" in err
+        again = json.loads(out)
+        assert again["value"] == 6
+        assert again["certificates"] == json.loads(first)["certificates"]
+        assert len(cache.read_text().splitlines()) == 2
+
+    def test_resume_skips_cache_lines_that_are_not_records(self, workdir, capsys):
+        (workdir / "results.jsonl").write_text("[1]\n\"text\"\n")
+        code, out, _ = run(capsys, "search", "rprime", "--n", "3",
+                           "--resume", "--json")
+        assert code == 0
+        assert json.loads(out)["value"] == 2
+
     def test_resume_misses_on_different_query(self, workdir, capsys):
         run(capsys, "search", "rprime", "--n", "4", "--json")
         code, out, _ = run(capsys, "search", "rprime", "--n", "3",

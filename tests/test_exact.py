@@ -310,3 +310,17 @@ def test_revalidate_rejects_tampering():
     met = SearchCertificate(lower.kind, dict(lower.parameters, target=4), 4,
                             witness_graph6=lower.witness_graph6)
     assert not revalidate(met)
+
+
+@pytest.mark.parametrize("mode", ["rprime", "ramsey"])
+def test_revalidate_checks_pruned_count_in_closed_form(mode):
+    # complement pairing leaves 2^(pairs-1) representatives for n >= 2
+    for n, count in ((1, 1), (2, 1), (3, 4), (4, 32)):
+        cert = check_universal(1, n, mode, prune=True).certificate
+        assert cert.scanned_count == count
+        assert revalidate(cert)
+    cert = check_universal(1, 4, mode, prune=True).certificate
+    forged = SearchCertificate(cert.kind, cert.parameters, cert.value,
+                               scanned_count=cert.scanned_count + 1)
+    assert not revalidate(forged)
+

@@ -1,5 +1,6 @@
 """Interval colorings, monochromatic progressions, and threshold search."""
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from ramseykit import (
     BudgetError,
     IntervalColoring,
+    SearchCertificate,
     UndecidedError,
     ap_sum,
     ap_sum_threshold,
@@ -191,6 +193,78 @@ class TestPairSumThresholds:
             check_universal_ap_sum(3, 0, 2)
 
 
+def _profiles(m, length):
+    """AP profiles of every m-colouring of 1..length, in code order."""
+    out = []
+    for digits in itertools.product(range(m), repeat=length):
+        # product varies the last digit fastest; position 1 is least significant
+        out.append(ap_sum(IntervalColoring(m, digits[::-1]))[1])
+    return out
+
+
+def _orbits(m, length):
+    """Colourings up to reversal and colour permutation, by listing them."""
+    keys = set()
+    for digits in itertools.product(range(m), repeat=length):
+        keys.add(min(tuple(perm[d] for d in seq)
+                     for perm in itertools.permutations(range(m))
+                     for seq in (digits, digits[::-1])))
+    return len(keys)
+
+
+def _ap_sum_oracle(target, length, m, prune, profiles, orbits):
+    params = {"mode": "wprime", "target": target, "length": length, "m": m}
+    if prune:
+        params["pruned"] = True
+    for code, profile in enumerate(profiles):
+        if sum(profile) < target:
+            text = IntervalColoring.from_code(m, length, code).to_text()
+            return SearchCertificate("witness", params, sum(profile),
+                                     witness_coloring=text)
+    return SearchCertificate("exhaustive", params, target,
+                             scanned_count=orbits if prune else m**length)
+
+
+class TestPrefixSearchAgainstEnumeration:
+    CASES = [(1, 10), (2, 10), (3, 6), (4, 5)]
+
+    @pytest.mark.parametrize("m, max_length", CASES)
+    def test_ap_sum_certificates_match_enumeration(self, m, max_length):
+        for length in range(1, max_length + 1):
+            profiles = _profiles(m, length)
+            orbits = _orbits(m, length)
+            for target in range(1, m * 6 + 2):
+                for prune in (False, True):
+                    got = check_universal_ap_sum(target, length, m, prune=prune)
+                    want = _ap_sum_oracle(target, length, m, prune,
+                                          profiles, orbits)
+                    assert got.certificate.to_json() == want.to_json()
+                    assert got.ok == (want.kind == "exhaustive")
+
+    @pytest.mark.parametrize("m, max_length", CASES)
+    def test_classical_matches_enumeration(self, m, max_length):
+        for length in range(1, max_length + 1):
+            profiles = _profiles(m, length)
+            for n in range(1, length + 2):
+                want = all(max(profile) >= n for profile in profiles)
+                assert classical_ap_check(m, n, length) is want
+
+    def test_pruned_count_is_checked_in_closed_form(self):
+        cert = check_universal_ap_sum(3, 5, 3, prune=True).certificate
+        assert cert.scanned_count == _orbits(3, 5)
+        assert revalidate(cert)
+        for forged in (
+                SearchCertificate(cert.kind, cert.parameters, cert.value,
+                                  scanned_count=cert.scanned_count + 1),
+                SearchCertificate(cert.kind, cert.parameters, cert.value + 1,
+                                  scanned_count=cert.scanned_count)):
+            assert not revalidate(forged)
+
+    def test_one_color_runs_past_the_recursion_limit(self):
+        # m = 1 admits any length within the budget; the search is iterative
+        assert check_universal_ap_sum(1100, 1100, 1).ok
+
+
 class TestClassicalCheck:
     def test_two_colors_three_terms(self):
         # 9 integers force a monochromatic 3-term progression; 8 do not
@@ -210,3 +284,9 @@ class TestClassicalCheck:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             classical_ap_check(2, 3, 40)
+
+    def test_w_2_4_is_35(self):
+        # Chvatal (1970): every 2-colouring of 1..35 has a monochromatic
+        # 4-term progression, and some 2-colouring of 1..34 has none.
+        assert classical_ap_check(2, 4, 35, budget=1 << 35) is True
+        assert classical_ap_check(2, 4, 34, budget=1 << 34) is False
