@@ -1,0 +1,265 @@
+"""Golden gate: every check and search emits the same canonical bytes.
+
+Each case runs one public call (a check, a threshold search, a `verify`
+claim or a CLI `search`) and reduces its outcome to canonical JSON: the
+certificate or search result, or the exception it raised with the bracket an
+UndecidedError carries.  The sha256 of that JSON must equal the digest frozen
+in ``golden_certificates.json``.  Threads 1 and 2 share one digest, so the
+gate also pins thread-count independence.
+
+Regenerate the data file only when a change of output is intended:
+
+    PYTHONPATH=src python3 tests/test_golden_certificates.py --freeze
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from ramseykit import cli, exact, scores, vdw
+from ramseykit.certificates import SearchResult, UndecidedError, canonical_json
+
+DATA = Path(__file__).with_name("golden_certificates.json")
+
+
+def _outcome_json(thunk) -> str:
+    try:
+        out = thunk()
+    except Exception as e:  # noqa: BLE001 - the exception type is part of the outcome
+        rec = {"raises": type(e).__name__}
+        if isinstance(e, UndecidedError):
+            rec.update(kind=e.kind, parameters=e.parameters, low=e.low, high=e.high,
+                       lower=e.lower.to_json_dict() if e.lower else None)
+        return canonical_json(rec)
+    if isinstance(out, exact.CheckOutcome):
+        return canonical_json({"ok": out.ok, "certificate": out.certificate.to_json_dict()})
+    if isinstance(out, SearchResult):
+        return out.to_json()
+    return canonical_json(out)
+
+
+def _cli(argv: list[str]) -> dict:
+    """Run the CLI in-process; the record without its wall time, plus the
+    exit code and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            cache = ["--cache", str(Path(tmp) / "r.jsonl")] if argv[0] == "search" else []
+            rc = cli.main(argv + cache)
+    text = out.getvalue()
+    rec = json.loads(text) if text else None
+    if isinstance(rec, dict):
+        rec.pop("wall_ms", None)
+        for row in rec.get("checks", []):
+            row.pop("ms", None)
+    return {"rc": rc, "out": rec, "err": err.getvalue()}
+
+
+# --- cases: (group, id, thunk, thread counts) ---------------------------------
+
+
+def _check_cases():
+    for mode in ("rprime", "ramsey"):
+        for n in range(1, 7):
+            for target in range(1, 8):
+                if n == 6 and target not in (5, 6):
+                    continue  # n=6 passes are 2^15-instance scans; keep two
+                for prune in (False, True):
+                    threads = (1, 2) if n in (5, 6) else (1,)
+                    yield ("check_graph", f"{mode} n={n} t={target} prune={prune}",
+                           lambda t, mo=mode, n=n, tg=target, p=prune:
+                           exact.check_universal(tg, n, mo, threads=t, prune=p), threads)
+    for mode in ("rprime_m", "ramsey_m"):
+        for m, top in ((2, 5), (3, 4), (4, 3)):
+            for n in range(1, top + 1):
+                for target in range(1, m + 4):
+                    threads = (1, 2) if n == top else (1,)
+                    yield ("check_coloring", f"{mode} m={m} n={n} t={target}",
+                           lambda t, mo=mode, n=n, m=m, tg=target:
+                           exact.check_universal(tg, n, mo, m=m, threads=t), threads)
+    for kind in ("clique", "cycle", "path"):
+        for m, top in ((2, 5), (3, 4), (4, 3)):
+            for j in range(1, m + 1):
+                for n in range(1, top + 1):
+                    for target in range(1, 7):
+                        threads = (1, 2) if n == top and target == 3 else (1,)
+                        yield ("check_score", f"{kind} m={m} j={j} n={n} t={target}",
+                               lambda t, k=kind, n=n, m=m, j=j, tg=target:
+                               scores.check_universal_score(tg, n, k, m=m, j=j, threads=t),
+                               threads)
+    for m, top in ((1, 12), (2, 12), (3, 8), (4, 6)):
+        for length in range(1, top + 1):
+            for target in range(1, 2 * m + 4):
+                for prune in (False, True):
+                    yield ("check_interval", f"wprime m={m} len={length} t={target} prune={prune}",
+                           lambda t, m=m, ln=length, tg=target, p=prune:
+                           vdw.check_universal_ap_sum(tg, ln, m, threads=t, prune=p), (1,))
+    for m, n, top in ((1, 3, 4), (2, 3, 10), (2, 4, 28), (3, 3, 12)):
+        for length in range(1, top + 1):
+            yield ("check_interval", f"classical m={m} n={n} len={length}",
+                   lambda t, m=m, n=n, ln=length: vdw.classical_ap_check(m, n, ln), (1,))
+
+
+def _search_cases():
+    for kind, targets in (("rprime", range(1, 6)), ("ramsey", range(1, 4))):
+        for target in targets:
+            for prune in (False, True):
+                yield ("search_graph", f"{kind} t={target} prune={prune}",
+                       lambda t, k=kind, tg=target, p=prune:
+                       exact.search_threshold(k, tg, threads=t, prune=p),
+                       (1, 2) if target == 4 else (1,))
+        for budget in (0, 1, 8, 64, 1024):
+            yield ("search_graph", f"{kind} t=6 budget={budget}",
+                   lambda t, k=kind, b=budget: exact.search_threshold(k, 6, threads=t, budget=b),
+                   (1,))
+    for kind in ("rprime_m", "ramsey_m"):
+        for m, targets in ((2, range(1, 6)), (3, range(1, 6)), (4, range(1, 6))):
+            for target in targets:
+                yield ("search_coloring", f"{kind} m={m} t={target}",
+                       lambda t, k=kind, m=m, tg=target:
+                       exact.search_threshold(k, tg, m=m, threads=t, budget=1 << 12),
+                       (1, 2) if target == 3 else (1,))
+        for budget in (0, 1, 2, 64):
+            yield ("search_coloring", f"{kind} m=3 t=4 budget={budget}",
+                   lambda t, k=kind, b=budget: exact.search_threshold(k, 4, m=3, threads=t, budget=b),
+                   (1,))
+    for kind in ("clique", "cycle", "path"):
+        for m in (2, 3):
+            for j in range(1, m + 1):
+                for target in range(1, 6):
+                    yield ("search_score", f"{kind} m={m} j={j} t={target}",
+                           lambda t, k=kind, m=m, j=j, tg=target:
+                           scores.search_threshold_score(k, m, j, tg, threads=t, budget=1 << 12),
+                           (1, 2) if target == 3 else (1,))
+    for m, targets in ((1, range(1, 6)), (2, range(1, 7)), (3, range(1, 7)), (4, range(1, 6))):
+        for target in targets:
+            for prune in (False, True):
+                yield ("search_interval", f"wprime m={m} t={target} prune={prune}",
+                       lambda t, m=m, tg=target, p=prune:
+                       vdw.ap_sum_threshold(m, tg, threads=t, prune=p), (1,))
+    for budget in (0, 1, 64, 1 << 10):
+        yield ("search_interval", f"wprime m=2 t=6 budget={budget}",
+               lambda t, b=budget: vdw.ap_sum_threshold(2, 6, threads=t, budget=b), (1,))
+
+
+def _invalid_cases():
+    calls = {
+        "rprime m=3": lambda: exact.check_universal(3, 3, "rprime", m=3),
+        "ramsey t=0": lambda: exact.check_universal(0, 3, "ramsey"),
+        "rprime n=8": lambda: exact.check_universal(3, 8, "rprime"),
+        "rprime n=5 budget=1023": lambda: exact.check_universal(3, 5, "rprime", budget=1023),
+        "rprime n=5 budget=1024": lambda: exact.check_universal(3, 5, "rprime", budget=1024),
+        "ramsey n=5 prune budget=1023":
+            lambda: exact.check_universal(3, 5, "ramsey", prune=True, budget=1023),
+        "rprime_m prune": lambda: exact.check_universal(3, 3, "rprime_m", prune=True),
+        "rprime_m m=1": lambda: exact.check_universal(3, 3, "rprime_m", m=1),
+        "ramsey_m m=9": lambda: exact.check_universal(3, 3, "ramsey_m", m=9),
+        "ramsey_m t=0": lambda: exact.check_universal(0, 3, "ramsey_m", m=3),
+        "rprime_m n=5 m=4 budget=2^20-1":
+            lambda: exact.check_universal(3, 5, "rprime_m", m=4, budget=(1 << 20) - 1),
+        "rprime_m n=6 m=3": lambda: exact.check_universal(3, 6, "rprime_m", m=3),
+        "check mode score": lambda: exact.check_universal(3, 3, "score"),
+        "check mode wprime": lambda: exact.check_universal(3, 3, "wprime"),
+        "check mode bogus": lambda: exact.check_universal(3, 3, "bogus"),
+        "search kind score": lambda: exact.search_threshold("score", 3),
+        "search kind wprime": lambda: exact.search_threshold("wprime", 3),
+        "search rprime m=3": lambda: exact.search_threshold("rprime", 3, m=3),
+        "search rprime_m m=9": lambda: exact.search_threshold("rprime_m", 3, m=9),
+        "search ramsey t=0": lambda: exact.search_threshold("ramsey", 0),
+        "score kind bogus": lambda: scores.check_universal_score(3, 3, "bogus"),
+        "score j=0": lambda: scores.check_universal_score(3, 3, "clique", m=2, j=0),
+        "score j=3 m=2": lambda: scores.check_universal_score(3, 3, "clique", m=2, j=3),
+        "score m=1": lambda: scores.check_universal_score(3, 3, "path", m=1, j=1),
+        "score t=0": lambda: scores.check_universal_score(0, 3, "cycle"),
+        "score n=6 m=3": lambda: scores.check_universal_score(3, 6, "path", m=3),
+        "score search j=5": lambda: scores.search_threshold_score("clique", 2, 5, 3),
+        "score search j=5 budget=0":
+            lambda: scores.search_threshold_score("clique", 2, 5, 3, budget=0),
+        "wprime t=0": lambda: vdw.check_universal_ap_sum(0, 3, 2),
+        "wprime len=0": lambda: vdw.check_universal_ap_sum(3, 0, 2),
+        "wprime m=9": lambda: vdw.check_universal_ap_sum(3, 3, 9),
+        "wprime len=27": lambda: vdw.check_universal_ap_sum(3, 27, 2),
+        "wprime search m=9": lambda: vdw.ap_sum_threshold(9, 3),
+        "wprime search m=0 budget=0": lambda: vdw.ap_sum_threshold(0, 3, budget=0),
+        "wprime search t=0": lambda: vdw.ap_sum_threshold(2, 0),
+        "classical len=0": lambda: vdw.classical_ap_check(2, 3, 0),
+    }
+    for name, call in calls.items():
+        yield ("invalid", name, lambda t, c=call: c(), (1,))
+
+
+def _cli_cases():
+    argvs = [["rprime", "--n", str(t)] for t in range(1, 6)]
+    argvs += [["ramsey", "--n", str(t)] for t in range(1, 4)]
+    argvs += [["rprime_m", "--n", str(t), "--m", str(m)] for m in (2, 3) for t in range(1, 6)]
+    argvs += [["wprime", "--n", str(t), "--m", str(m)] for m in (1, 2, 3) for t in range(1, 6)]
+    argvs += [["score", "--n", str(t), "--m", str(m), "--j", str(j), "--score", k]
+              for k in ("clique", "cycle", "path") for m in (2, 3)
+              for j in range(1, m + 1) for t in (2, 3, 4)]
+    argvs += [["rprime", "--n", "6", "--budget", "1024"], ["score", "--n", "3"],
+              ["wprime", "--n", "6", "--budget", "100"],
+              ["rprime_m", "--n", "4", "--m", "3", "--budget", "10"]]
+    for argv in argvs:
+        yield ("cli_search", " ".join(argv),
+               lambda t, a=argv: _cli(["search"] + a + ["--threads", str(t), "--json"]),
+               (1, 2) if argv[:3] in (["rprime", "--n", "4"], ["rprime_m", "--n", "3"])
+               else (1,))
+    # The claim table's threshold checks (the greedy sweep, subset oracle and
+    # eight-thread determinism check emit no certificates).
+    for name in ("rprime4", "rprime5", "ramsey3", "rprime_m", "wprime", "inequalities"):
+        yield ("cli_verify", name,
+               lambda t, nm=name: _cli(["verify", "--only", nm, "--threads", str(t), "--json"]),
+               (1,))
+
+
+def _cases():
+    for gen in (_check_cases, _search_cases, _invalid_cases, _cli_cases):
+        yield from gen()
+
+
+GROUPS = ("check_graph", "check_coloring", "check_score", "check_interval",
+          "search_graph", "search_coloring", "search_score", "search_interval",
+          "invalid", "cli_search", "cli_verify")
+
+
+def _digest(thunk, threads: int) -> str:
+    return hashlib.sha256(_outcome_json(lambda: thunk(threads)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_golden_certificates(group):
+    golden = json.loads(DATA.read_text())[group]
+    seen = set()
+    wrong = []
+    for grp, case, thunk, threads in _cases():
+        if grp != group:
+            continue
+        seen.add(case)
+        for t in threads:
+            if _digest(thunk, t) != golden.get(case):
+                wrong.append(f"{case} (threads={t})")
+    assert seen == set(golden), "case list differs from the frozen data"
+    assert not wrong, f"{len(wrong)} outcomes differ: {wrong[:10]}"
+
+
+def _freeze():
+    data = {g: {} for g in GROUPS}
+    for grp, case, thunk, _ in _cases():
+        assert case not in data[grp], f"duplicate case {grp}/{case}"
+        data[grp][case] = _digest(thunk, 1)
+    DATA.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"froze {sum(map(len, data.values()))} digests in {DATA}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--freeze"]:
+        sys.exit("usage: test_golden_certificates.py --freeze")
+    _freeze()
