@@ -129,94 +129,44 @@ class UndecidedError(RuntimeError):
 def revalidate(cert: SearchCertificate, deep: bool = False) -> bool:
     """Recheck a certificate against a fresh computation.
 
+    The parameters must be exactly those a check records for their mode.
     Witness certificates are always fully recomputed: the recorded instance
     is parsed, rescored, and must land on the recorded value strictly below
     the target.  Exhaustive certificates must claim their target and the
-    expected enumeration count; ``deep=True`` additionally reruns the scan.
+    expected enumeration count (its closed form under ``pruned``);
+    ``deep=True`` additionally reruns the scan, within the default budget.
+    A malformed certificate is rejected (False), never raised on.
     """
-    from . import exact, scores, vdw
-    from .graphs import (EdgeColoring, coloring_count, labeled_graph_count,
-                         parse_graph6)
+    from .engine import MODES, check
+    from .graphs import ENUMERATION_CAP, MAX_VERTICES
 
     p = cert.parameters
-    mode = p["mode"]
-    target = p["target"]
-
-    if cert.kind == WITNESS:
-        if cert.witness_graph6 is not None:
-            g = parse_graph6(cert.witness_graph6)
-            if g.n != p["n_vertices"]:
+    try:
+        mode = MODES[p["mode"]]
+        target, size = p["target"], p[mode.size_key]
+        m, j, score = p.get("m", 2), p.get("j", 1), p.get("score", "clique")
+        prune = p.get("pruned", False)
+        if (any(type(x) is not int for x in (target, size, m, j))
+                or canonical_json(p) != canonical_json(
+                    mode.params(target, size, m, j, score, prune))):
+            return False
+        if cert.kind == WITNESS:
+            text = getattr(cert, mode.field)
+            if not isinstance(text, str) or cert.scanned_count is not None:
                 return False
-            value = _graph_value(exact, mode, g, target)
-        elif mode == "wprime":
-            c = vdw.IntervalColoring.from_text(cert.witness_coloring, p["m"])
-            if c.length != p["length"]:
-                return False
-            value = vdw.ap_sum(c)[0]
-        else:
-            c = EdgeColoring.from_text(cert.witness_coloring, p["m"])
-            if c.n != p["n_vertices"]:
-                return False
-            value = _coloring_value(exact, scores, mode, c, p, target)
-        return value == cert.value and value < target
-
-    # Exhaustive: the scanned count must match the full enumeration, or its
-    # orbit count when symmetry pruning was switched on.
-    if mode in ("rprime", "ramsey"):
-        expected = labeled_graph_count(p["n_vertices"])
-        if p.get("pruned"):  # complement pairs; only n <= 1 has a fixed point
-            expected = max(1, expected // 2)
-    elif mode == "wprime":
-        expected = p["m"] ** p["length"]
-        if p.get("pruned"):
-            expected = vdw.orbit_count(p["m"], p["length"])
-    else:
-        expected = coloring_count(p["n_vertices"], p["m"])
-    if cert.scanned_count != expected or cert.value != target:
+            instance = mode.read(text, m)
+            value = mode.value(instance, p)
+            return (mode.size_of(instance) == size and value == cert.value
+                    and value < target)
+        # No check accounts for more than ENUMERATION_CAP instances.
+        if (size > MAX_VERTICES and m > 1) or mode.count(size, m) > ENUMERATION_CAP:
+            return False
+        expected = mode.pruned(size, m) if prune else mode.count(size, m)
+        if cert.scanned_count != expected or cert.value != target:
+            return False
+    except (LookupError, TypeError, ValueError):
         return False
     if not deep:
         return True
-    return _rerun(cert).to_json() == cert.to_json()
-
-
-def _graph_value(exact, mode: str, g, target: int) -> int:
-    if mode == "rprime":
-        return exact.clique_indep_pair(g).value
-    if mode == "ramsey":
-        return max(exact.clique_number(g), exact.independence_number(g))
-    raise ValueError(f"graph witness with colouring mode {mode!r}")
-
-
-def _coloring_value(exact, scores, mode: str, c, p: dict, target: int) -> int:
-    if mode == "rprime_m":
-        return exact.mono_clique_family(c).value
-    if mode == "ramsey_m":
-        return max(exact.clique_number(c.color_class(i)) for i in range(c.m))
-    if mode == "score":
-        return scores.score_sum(c, scores.ScoreKind(p["score"]), p["j"])[0]
-    raise ValueError(f"colouring witness with mode {mode!r}")
-
-
-def _rerun(cert: SearchCertificate):
-    from . import exact, scores, vdw
-
-    p = cert.parameters
-    mode = p["mode"]
-    if mode in ("rprime", "ramsey", "rprime_m", "ramsey_m"):
-        outcome = exact.check_universal(
-            p["target"], p["n_vertices"], mode, m=p.get("m", 2),
-            prune=bool(p.get("pruned")),
-        )
-        return outcome.certificate
-    if mode == "score":
-        outcome = scores.check_universal_score(
-            p["target"], p["n_vertices"], scores.ScoreKind(p["score"]),
-            m=p["m"], j=p["j"],
-        )
-        return outcome.certificate
-    if mode == "wprime":
-        outcome = vdw.check_universal_ap_sum(
-            p["target"], p["length"], p["m"], prune=bool(p.get("pruned"))
-        )
-        return outcome.certificate
-    raise ValueError(f"cannot rerun certificates for mode {mode!r}")
+    rerun = check(mode.name, target, size, m=m, j=j, score=score, prune=prune)
+    return rerun.certificate.to_json() == cert.to_json()

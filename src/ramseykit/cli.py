@@ -14,7 +14,7 @@ import random
 import sys
 import time
 
-from . import __version__, exact, greedy, scores, vdw
+from . import __version__, engine, exact, greedy, scores, vdw
 from .certificates import (EXHAUSTIVE, WITNESS, SearchCertificate,
                            UndecidedError, canonical_json, revalidate)
 from .graphs import (BudgetError, Graph, Graph6ParseError, bits,
@@ -93,28 +93,16 @@ def cmd_rho(args) -> int:
 
 def _search_query(args) -> dict:
     q = {"command": "search", "kind": args.kind, "target": args.n}
-    if args.kind in ("rprime_m", "wprime", "score"):
-        q["m"] = args.m
-    if args.kind == "score":
-        q["score"] = args.score
-        q["j"] = args.j
+    given = {"m": args.m, "j": args.j, "score": args.score}
+    q.update((k, given[k]) for k in engine.MODES[args.kind].keys)
     return q
 
 
-def _run_search(args):
-    t = args.threads
-    b = args.budget
-    if args.kind in ("rprime", "ramsey"):
-        return exact.search_threshold(args.kind, args.n, threads=t, budget=b)
-    if args.kind == "rprime_m":
-        return exact.search_threshold("rprime_m", args.n, m=args.m, threads=t,
-                                      budget=b)
-    if args.kind == "wprime":
-        return vdw.ap_sum_threshold(args.m, args.n, threads=t, budget=b)
-    if args.score is None:
+def _run_search(args, query: dict):
+    if args.kind == "score" and args.score is None:
         raise ValueError("kind 'score' needs --score clique|cycle|path")
-    return scores.search_threshold_score(scores.ScoreKind(args.score), args.m,
-                                         args.j, args.n, threads=t, budget=b)
+    return engine.search(args.kind, args.n, threads=args.threads, budget=args.budget,
+                         **{k: query[k] for k in engine.MODES[args.kind].keys})
 
 
 def _find_cached(path: str, query: dict):
@@ -149,7 +137,7 @@ def _replay_ok(rec: dict, query: dict) -> bool:
             cert = SearchCertificate.from_json_dict(d)  # TypeError if absent
             p = cert.parameters
             if (cert.kind != kind or p["mode"] != query["kind"]
-                    or p.get("length", p.get("n_vertices")) != size
+                    or p[engine.MODES[query["kind"]].size_key] != size
                     or any(p.get(k) != query[k] for k in query
                            if k not in ("command", "kind"))
                     or not revalidate(cert)):
@@ -192,7 +180,7 @@ def cmd_search(args) -> int:
             print("cached record fails its certificates; recomputing", file=sys.stderr)
     t0 = time.perf_counter()
     try:
-        result = _run_search(args)
+        result = _run_search(args, query)
     except (ValueError,) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2

@@ -12,12 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._parallel import chunk_ranges, run_chunks
-from .certificates import (EXHAUSTIVE, WITNESS, SearchCertificate,
-                           SearchResult, UndecidedError)
-from .graphs import (ENUMERATION_CAP, BudgetError, EdgeColoring, Graph, bits,
-                     coloring_count, labeled_graph_count, pair_count,
-                     pair_table, write_graph6, _decode_adj)
+from .certificates import SearchCertificate, SearchResult
+from .graphs import EdgeColoring, Graph, bits
 
 # Per-probe instance budgets for the certified scans; the graph budget is the
 # full n=7 exhaustion, the colouring budget keeps a single probe near a
@@ -257,131 +253,15 @@ def check_universal(target: int, n_vertices: int, mode: str, m: int = 2,
     independent set of the target size), "rprime_m" (sum over colours of the
     largest monochromatic clique), "ramsey_m" (a monochromatic clique of
     target size).  Failures report the minimum-code instance.  ``prune``
-    switches on complement pairing for the graph modes: both predicates are
-    complement-invariant, and the least failing code is always its own orbit
-    representative, so verdict and witness are unchanged.
+    (graph modes only) records the number of complement pairs instead of all
+    labeled graphs; the scan, verdict and witness are the same either way
+    (see ``engine``).
     """
-    if mode in GRAPH_MODES:
-        if m != 2:
-            raise ValueError(f"mode {mode!r} is two-colour only")
-        total = labeled_graph_count(n_vertices)
-        cap = DEFAULT_GRAPH_BUDGET if budget is None else budget
-        worker = _scan_graph_chunk
-        args = (mode, n_vertices, target, prune)
-    elif mode in COLORING_MODES:
-        if not 2 <= m <= 8:
-            raise ValueError(f"colour count {m} outside 2..8")
-        if prune:
-            raise ValueError("complement pairing applies to graph modes only")
-        total = coloring_count(n_vertices, m)
-        cap = DEFAULT_COLORING_BUDGET if budget is None else budget
-        worker = _scan_coloring_chunk
-        args = (mode, n_vertices, m, target)
-    else:
+    if mode not in GRAPH_MODES + COLORING_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if target < 1:
-        raise ValueError(f"target {target} must be positive")
-    if total > min(cap, ENUMERATION_CAP):
-        raise BudgetError(
-            f"{mode} scan at n={n_vertices} needs {total} instances, over the budget"
-        )
-
-    results = run_chunks(worker, [args + rng for rng in chunk_ranges(total, threads)],
-                         threads)
-    scanned = sum(r[2] for r in results)
-    fails = [(r[0], r[1]) for r in results if r[0] is not None]
-
-    params = {"mode": mode, "target": target, "n_vertices": n_vertices}
-    if mode in COLORING_MODES:
-        params["m"] = m
-    if prune:
-        params["pruned"] = True
-
-    if not fails:
-        cert = SearchCertificate(EXHAUSTIVE, params, target, scanned_count=scanned)
-        return CheckOutcome(True, cert)
-    code, value = min(fails)
-    if mode in GRAPH_MODES:
-        cert = SearchCertificate(
-            WITNESS, params, value,
-            witness_graph6=write_graph6(Graph.from_code(n_vertices, code)),
-        )
-    else:
-        cert = SearchCertificate(
-            WITNESS, params, value,
-            witness_coloring=EdgeColoring.from_code(n_vertices, m, code).to_text(),
-        )
-    return CheckOutcome(False, cert)
-
-
-def _scan_graph_chunk(args) -> tuple[Optional[int], Optional[int], int]:
-    """Scan graph codes [start, stop); return (first fail, its value, scanned)."""
-    mode, n, target, prune, start, stop = args
-    full = (1 << n) - 1
-    emask = (1 << pair_count(n)) - 1
-    # Memoize clique numbers so each graph/complement pair is solved once;
-    # skipped for huge chunks to keep memory flat.
-    memo: Optional[dict] = {} if stop - start <= (1 << 17) else None
-    scanned = 0
-    for code in range(start, stop):
-        comp = emask ^ code
-        if prune and comp < code:
-            continue
-        scanned += 1
-        adj = _decode_adj(n, code)
-        if mode == "rprime":
-            if memo is not None:
-                w = memo.get(code)
-                if w is None:
-                    w = _omega(adj, full)
-                    memo[code] = w
-                a = memo.get(comp)
-                if a is None:
-                    a = _omega(_complement_adj(adj, n, full), full)
-                    memo[comp] = a
-            else:
-                w = _omega(adj, full)
-                a = _omega(_complement_adj(adj, n, full), full)
-            if w + a < target:
-                return code, w + a, scanned
-        else:
-            if not _has_clique(adj, full, target):
-                cadj = _complement_adj(adj, n, full)
-                if not _has_clique(cadj, full, target):
-                    value = max(_omega(adj, full), _omega(cadj, full))
-                    return code, value, scanned
-    return None, None, scanned
-
-
-def _complement_adj(adj, n: int, full: int) -> list[int]:
-    return [(full & ~row) & ~(1 << v) for v, row in enumerate(adj)]
-
-
-def _scan_coloring_chunk(args) -> tuple[Optional[int], Optional[int], int]:
-    """Scan colouring codes [start, stop); merge-compatible with graph scans."""
-    mode, n, m, target, start, stop = args
-    full = (1 << n) - 1
-    table = pair_table(n)
-    np = len(table)
-    scanned = 0
-    for code in range(start, stop):
-        rows = [[0] * n for _ in range(m)]
-        c = code
-        for k in range(np):
-            c, d = divmod(c, m)
-            i, j = table[k]
-            rows[d][i] |= 1 << j
-            rows[d][j] |= 1 << i
-        scanned += 1
-        if mode == "rprime_m":
-            value = sum(_omega(r, full) for r in rows)
-            if value < target:
-                return code, value, scanned
-        else:
-            if not any(_has_clique(r, full, target) for r in rows):
-                value = max(_omega(r, full) for r in rows)
-                return code, value, scanned
-    return None, None, scanned
+    from .engine import check
+    return check(mode, target, n_vertices, m=m, threads=threads, budget=budget,
+                 prune=prune)
 
 
 # --- threshold searches -----------------------------------------------------
@@ -400,41 +280,8 @@ def search_threshold(kind: str, target: int, m: int = 2, threads: int = 1,
     """
     if kind not in GRAPH_MODES + COLORING_MODES:
         raise ValueError(f"unknown search kind {kind!r}")
-    per_probe = (DEFAULT_GRAPH_BUDGET if kind in GRAPH_MODES
-                 else DEFAULT_COLORING_BUDGET) if budget is None else budget
-    count = (lambda nv: labeled_graph_count(nv)) if kind in GRAPH_MODES \
-        else (lambda nv: coloring_count(nv, m))
-
-    params = {"kind": kind, "target": target}
-    if kind in COLORING_MODES:
-        params["m"] = m
-    last_fail: Optional[SearchCertificate] = None
-    nv = 1
-    while nv <= 64 and count(nv) <= min(per_probe, ENUMERATION_CAP):
-        outcome = check_universal(target, nv, kind, m=m, threads=threads,
-                                  budget=per_probe, prune=prune)
-        if outcome.ok:
-            return SearchResult(kind, params, nv, True, (nv, nv),
-                                lower=last_fail, upper=outcome.certificate)
-        last_fail = outcome.certificate
-        nv += 1
-
-    high = _closed_form_bound(kind, target, m)
-    if kind == "ramsey_m" and high is not None:
-        return SearchResult(kind, params, high, False, (nv, high), lower=last_fail)
-    raise UndecidedError(kind, params, nv, high, lower=last_fail)
-
-
-def _closed_form_bound(kind: str, target: int, m: int) -> Optional[int]:
-    if kind == "rprime" and target >= 2:
-        return pair_sum_bound(target)
-    if kind == "ramsey" and target >= 2:
-        return two_color_ramsey_bound(target)
-    if kind == "rprime_m" and target >= m:
-        return family_sum_bound(m, target - m)
-    if kind == "ramsey_m" and target >= 2:
-        return multicolor_ramsey_bound(target, m)
-    return None
+    from .engine import search
+    return search(kind, target, m=m, threads=threads, budget=budget, prune=prune)
 
 
 # --- closed-form bounds ------------------------------------------------------

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from ._parallel import chunk_ranges, run_chunks
+from .engine import chunk_ranges, run_chunks
 from .exact import WitnessFamily, WitnessPair
 from .graphs import (BudgetError, EdgeColoring, Graph, bits,
                      labeled_graph_count, pair_index, _decode_adj)

@@ -13,12 +13,9 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from ._parallel import chunk_ranges, run_chunks
-from .certificates import (EXHAUSTIVE, WITNESS, SearchCertificate,
-                           SearchResult, UndecidedError)
-from .exact import (DEFAULT_COLORING_BUDGET, CheckOutcome, _omega)
-from .graphs import (ENUMERATION_CAP, BudgetError, EdgeColoring, bits,
-                     coloring_count, pair_table)
+from .certificates import SearchResult
+from .exact import CheckOutcome, _omega
+from .graphs import EdgeColoring, bits
 
 
 class ScoreKind(str, enum.Enum):
@@ -105,57 +102,9 @@ def check_universal_score(target: int, n_vertices: int, kind: ScoreKind,
                           budget: Optional[int] = None) -> CheckOutcome:
     """Does every m-colouring on ``n_vertices`` reach ``target`` with its j
     best class scores?  Failures report the minimum-code colouring."""
-    kind = ScoreKind(kind)
-    if not 2 <= m <= 8:
-        raise ValueError(f"colour count {m} outside 2..8")
-    if not 1 <= j <= m:
-        raise ValueError(f"j={j} outside 1..{m}")
-    if target < 1:
-        raise ValueError(f"target {target} must be positive")
-    total = coloring_count(n_vertices, m)
-    cap = DEFAULT_COLORING_BUDGET if budget is None else budget
-    if total > min(cap, ENUMERATION_CAP):
-        raise BudgetError(
-            f"score scan at n={n_vertices} needs {total} colourings, over the budget"
-        )
-    chunks = [(n_vertices, m, kind.value, j, target, lo, hi)
-              for lo, hi in chunk_ranges(total, threads)]
-    results = run_chunks(_scan_score_chunk, chunks, threads)
-    scanned = sum(r[2] for r in results)
-    fails = [(r[0], r[1]) for r in results if r[0] is not None]
-    params = {"mode": "score", "score": kind.value, "j": j, "m": m,
-              "target": target, "n_vertices": n_vertices}
-    if not fails:
-        cert = SearchCertificate(EXHAUSTIVE, params, target, scanned_count=scanned)
-        return CheckOutcome(True, cert)
-    code, value = min(fails)
-    cert = SearchCertificate(
-        WITNESS, params, value,
-        witness_coloring=EdgeColoring.from_code(n_vertices, m, code).to_text(),
-    )
-    return CheckOutcome(False, cert)
-
-
-def _scan_score_chunk(args):
-    n, m, kind_value, j, target, start, stop = args
-    kind = ScoreKind(kind_value)
-    full = (1 << n) - 1
-    table = pair_table(n)
-    np = len(table)
-    scanned = 0
-    for code in range(start, stop):
-        rows = [[0] * n for _ in range(m)]
-        c = code
-        for k in range(np):
-            c, d = divmod(c, m)
-            i, jj = table[k]
-            rows[d][i] |= 1 << jj
-            rows[d][jj] |= 1 << i
-        scanned += 1
-        scores = sorted((_score_rows(r, full, kind) for r in rows), reverse=True)
-        if sum(scores[:j]) < target:
-            return code, sum(scores[:j]), scanned
-    return None, None, scanned
+    from .engine import check
+    return check("score", target, n_vertices, m=m, j=j, score=kind,
+                 threads=threads, budget=budget)
 
 
 def search_threshold_score(kind: ScoreKind, m: int, j: int, target: int,
@@ -163,18 +112,6 @@ def search_threshold_score(kind: ScoreKind, m: int, j: int, target: int,
                            ) -> SearchResult:
     """Least vertex count from which every m-colouring reaches ``target``
     with its j best class scores; raises UndecidedError past the budget."""
-    kind = ScoreKind(kind)
-    per_probe = DEFAULT_COLORING_BUDGET if budget is None else budget
-    params = {"kind": "score", "score": kind.value, "j": j, "m": m,
-              "target": target}
-    last_fail: Optional[SearchCertificate] = None
-    nv = 1
-    while nv <= 64 and coloring_count(nv, m) <= min(per_probe, ENUMERATION_CAP):
-        outcome = check_universal_score(target, nv, kind, m=m, j=j,
-                                        threads=threads, budget=per_probe)
-        if outcome.ok:
-            return SearchResult("score", params, nv, True, (nv, nv),
-                                lower=last_fail, upper=outcome.certificate)
-        last_fail = outcome.certificate
-        nv += 1
-    raise UndecidedError("score", params, nv, None, lower=last_fail)
+    from .engine import search
+    return search("score", target, m=m, j=j, score=kind,
+                  threads=threads, budget=budget)

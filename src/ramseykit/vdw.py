@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .certificates import (EXHAUSTIVE, WITNESS, SearchCertificate,
-                           SearchResult, UndecidedError)
+from .certificates import SearchResult
 from .exact import CheckOutcome
 from .graphs import ENUMERATION_CAP, COLOR_LETTERS, BudgetError
 
@@ -184,20 +183,11 @@ def check_universal_ap_sum(target: int, length: int, m: int,
                            prune: bool = False) -> CheckOutcome:
     """Does every m-colouring of 1..length have AP lengths summing to
     ``target``?  Failures report the minimum-code colouring.  ``threads`` is
-    unused (the search is serial).  With ``prune`` the exhaustive count is of
-    orbits under reversal and colour permutation, not of all m^length."""
-    colors = _least_failing(m, length, target, False, budget)
-    params = {"mode": "wprime", "target": target, "length": length, "m": m}
-    if prune:
-        params["pruned"] = True
-    if colors is None:
-        scanned = orbit_count(m, length) if prune else m**length
-        cert = SearchCertificate(EXHAUSTIVE, params, target, scanned_count=scanned)
-        return CheckOutcome(True, cert)
-    witness = IntervalColoring(m, colors)
-    cert = SearchCertificate(WITNESS, params, ap_sum(witness)[0],
-                             witness_coloring=witness.to_text())
-    return CheckOutcome(False, cert)
+    unused (the search is serial).  ``prune`` changes only the exhaustive
+    count: orbits under reversal and colour permutation, not all m^length."""
+    from .engine import check
+    return check("wprime", target, length, m=m, threads=threads, budget=budget,
+                 prune=prune)
 
 
 def ap_sum_threshold(m: int, target: int, threads: int = 1,
@@ -205,21 +195,8 @@ def ap_sum_threshold(m: int, target: int, threads: int = 1,
                      ) -> SearchResult:
     """Least interval length from which every m-colouring reaches an AP sum
     of ``target``; raises UndecidedError past the budget (no closed form)."""
-    if not 1 <= m <= MAX_INTERVAL_COLORS:
-        raise ValueError(f"colour count {m} outside 1..{MAX_INTERVAL_COLORS}")
-    per_probe = DEFAULT_INTERVAL_BUDGET if budget is None else budget
-    params = {"kind": "wprime", "target": target, "m": m}
-    last_fail: Optional[SearchCertificate] = None
-    length = 1
-    while m**length <= min(per_probe, ENUMERATION_CAP):
-        outcome = check_universal_ap_sum(target, length, m, threads=threads,
-                                         budget=per_probe, prune=prune)
-        if outcome.ok:
-            return SearchResult("wprime", params, length, True, (length, length),
-                                lower=last_fail, upper=outcome.certificate)
-        last_fail = outcome.certificate
-        length += 1
-    raise UndecidedError("wprime", params, length, None, lower=last_fail)
+    from .engine import search
+    return search("wprime", target, m=m, threads=threads, budget=budget, prune=prune)
 
 
 def classical_ap_check(m: int, n: int, length: int, threads: int = 1,

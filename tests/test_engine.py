@@ -1,0 +1,205 @@
+"""The mode registry and its one check/search pair.
+
+The labeled scan visits only codes with a most significant base-m digit of 0
+and records the full count; here it is compared with a loop over every code
+that scores instances with the public value functions only.  Certificates
+the engine emits must revalidate deeply and stop revalidating under any
+one-step change, and malformed certificates are rejected without raising.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ramseykit import (EdgeColoring, Graph, SearchCertificate, ScoreKind,
+                       check_universal, check_universal_ap_sum,
+                       check_universal_score, clique_number, family_sum_value,
+                       independence_number, pair_sum_value, revalidate,
+                       score_sum, write_graph6)
+from ramseykit.engine import MODES, check
+from ramseykit.graphs import pair_count
+
+
+def _full_scan(mode, target, n, m=2, j=1, score="clique", prune=False):
+    """(value, witness text, count) of the least failing code, visiting
+    every code in order; (target, None, count) when none fails."""
+    codes = range(m ** pair_count(n))
+    for code in codes:
+        if mode in ("rprime", "ramsey"):
+            g = Graph.from_code(n, code)
+            text = write_graph6(g)
+            if mode == "rprime":
+                value = pair_sum_value(g)
+            else:
+                value = max(clique_number(g), independence_number(g))
+        else:
+            c = EdgeColoring.from_code(n, m, code)
+            text = c.to_text()
+            if mode == "rprime_m":
+                value = family_sum_value(c)
+            elif mode == "ramsey_m":
+                value = max(clique_number(c.color_class(i)) for i in range(m))
+            else:
+                value = score_sum(c, ScoreKind(score), j)[0]
+        if value < target:
+            return value, text, None
+    if prune:  # one representative per complement pair
+        full = (1 << pair_count(n)) - 1
+        return target, None, sum(1 for c in codes if c <= full ^ c)
+    return target, None, len(codes)
+
+
+def _as_triple(cert: SearchCertificate):
+    return (cert.value, cert.witness_graph6 or cert.witness_coloring,
+            cert.scanned_count)
+
+
+@pytest.mark.parametrize("mode", ["rprime", "ramsey"])
+@pytest.mark.parametrize("prune", [False, True])
+def test_graph_scan_matches_full_scan(mode, prune):
+    for n in range(1, 6):
+        for target in range(1, 8):
+            cert = check_universal(target, n, mode, prune=prune).certificate
+            assert _as_triple(cert) == _full_scan(mode, target, n, prune=prune), (n, target)
+
+
+@pytest.mark.parametrize("mode", ["rprime_m", "ramsey_m"])
+def test_coloring_scan_matches_full_scan(mode):
+    for m, top in ((2, 5), (3, 4), (4, 3)):
+        for n in range(1, top + 1):
+            for target in range(1, m + 4):
+                cert = check_universal(target, n, mode, m=m).certificate
+                assert _as_triple(cert) == _full_scan(mode, target, n, m), (m, n, target)
+
+
+@pytest.mark.parametrize("score", ["clique", "cycle", "path"])
+def test_score_scan_matches_full_scan(score):
+    for m, top in ((2, 4), (3, 4)):
+        for j in range(1, m + 1):
+            for n in range(1, top + 1):
+                for target in range(1, 7):
+                    cert = check_universal_score(target, n, score, m=m, j=j).certificate
+                    assert _as_triple(cert) == _full_scan("score", target, n, m, j, score), \
+                        (m, j, n, target)
+
+
+def test_registry_rows():
+    assert sorted(MODES) == sorted(["rprime", "ramsey", "rprime_m", "ramsey_m",
+                                    "score", "wprime"])
+    assert [name for name, mode in MODES.items() if mode.fallback] == ["ramsey_m"]
+    assert MODES["wprime"].count(5, 3) == 3**5
+    assert MODES["score"].count(4, 3) == 3**6
+    assert MODES["rprime"].pruned(1, 2) == 1 and MODES["rprime"].pruned(4, 2) == 32
+
+
+# --- revalidate on malformed certificates ---------------------------------------
+
+
+def _witness(params, value, **witness):
+    return SearchCertificate("witness", params, value, **witness)
+
+
+def _exhaustive(params, value, count):
+    return SearchCertificate("exhaustive", params, value, scanned_count=count)
+
+
+MALFORMED = {
+    "graph6 witness on rprime_m":
+        _witness({"mode": "rprime_m", "target": 3, "n_vertices": 3, "m": 2}, 2,
+                 witness_graph6="Bw"),
+    "colouring witness on rprime":
+        _witness({"mode": "rprime", "target": 5, "n_vertices": 3}, 4,
+                 witness_coloring="3:aab"),
+    "unknown mode":
+        _witness({"mode": "bogus", "target": 5, "n_vertices": 3}, 4, witness_graph6="Bw"),
+    "missing mode": _exhaustive({"target": 1, "n_vertices": 1}, 1, 1),
+    "missing m":
+        _witness({"mode": "rprime_m", "target": 3, "n_vertices": 3}, 2,
+                 witness_coloring="3:aab"),
+    "missing size": _exhaustive({"mode": "wprime", "target": 1, "m": 2}, 1, 2),
+    "unparseable graph6":
+        _witness({"mode": "rprime", "target": 5, "n_vertices": 3}, 4, witness_graph6="!!"),
+    "bad colour letter":
+        _witness({"mode": "rprime_m", "target": 3, "n_vertices": 3, "m": 2}, 2,
+                 witness_coloring="3:abz"),
+    "bad interval letter":
+        _witness({"mode": "wprime", "target": 4, "length": 3, "m": 2}, 3,
+                 witness_coloring="abz"),
+    "j out of range":
+        _witness({"mode": "score", "score": "clique", "j": 5, "m": 2, "target": 3,
+                  "n_vertices": 3}, 2, witness_coloring="3:aab"),
+    "unknown score, deep": _exhaustive({"mode": "score", "score": "bogus", "j": 1,
+                                        "m": 2, "target": 1, "n_vertices": 2}, 1, 2),
+    "m on a graph mode":
+        _exhaustive({"mode": "rprime", "target": 2, "n_vertices": 2, "m": 2}, 2, 2),
+    "stray parameter":
+        _exhaustive({"mode": "ramsey", "target": 1, "n_vertices": 2, "x": 0}, 1, 2),
+    "pruned false": _exhaustive({"mode": "rprime", "target": 2, "n_vertices": 2,
+                                 "pruned": False}, 2, 2),
+    "prune on a colouring mode":
+        _exhaustive({"mode": "rprime_m", "target": 2, "n_vertices": 2, "m": 2,
+                     "pruned": True}, 2, 1),
+    "m out of range": _exhaustive({"mode": "wprime", "target": 1, "length": 1, "m": 9},
+                                  1, 9),
+    "target as text": _exhaustive({"mode": "rprime", "target": "2", "n_vertices": 2},
+                                  "2", 2),
+    "size as bool": _exhaustive({"mode": "rprime", "target": 1, "n_vertices": True}, 1, 1),
+    "zero target": _exhaustive({"mode": "rprime", "target": 0, "n_vertices": 2}, 0, 2),
+    "witness with a count":
+        SearchCertificate("witness", {"mode": "rprime", "target": 5, "n_vertices": 3}, 4,
+                          witness_graph6="Bw", scanned_count=8),
+    "witness text not a string":
+        _witness({"mode": "rprime", "target": 5, "n_vertices": 3}, 4, witness_graph6=7),
+    "count past the cap": _exhaustive({"mode": "rprime", "target": 1, "n_vertices": 65},
+                                      1, 2 ** pair_count(65)),
+    "parameters not a dict": _exhaustive(["rprime"], 1, 1),
+}
+
+
+@pytest.mark.parametrize("deep", [False, True])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_revalidate_rejects_malformed_certificates(case, deep):
+    assert revalidate(MALFORMED[case], deep=deep) is False
+
+
+# --- mutation ---------------------------------------------------------------------
+
+
+@st.composite
+def emitted(draw):
+    """A certificate from one small check of any mode."""
+    mode = draw(st.sampled_from(sorted(MODES)))
+    target = draw(st.integers(1, 7))
+    if mode in ("rprime", "ramsey"):
+        return check(mode, target, draw(st.integers(1, 5)), prune=draw(st.booleans()))
+    if mode == "wprime":
+        m = draw(st.integers(1, 3))
+        return check_universal_ap_sum(target, draw(st.integers(1, 8)), m,
+                                      prune=draw(st.booleans()))
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 4 if m == 2 else 3))
+    if mode == "score":
+        return check(mode, target, n, m=m, j=draw(st.integers(1, m)),
+                     score=draw(st.sampled_from(["clique", "cycle", "path"])))
+    return check(mode, target, n, m=m)
+
+
+def _mutants(cert: SearchCertificate):
+    d = cert.to_json_dict()
+    for delta in (-1, 1):
+        yield SearchCertificate.from_json_dict(dict(d, value=d["value"] + delta))
+        if d["scanned_count"] is not None:
+            yield SearchCertificate.from_json_dict(
+                dict(d, scanned_count=d["scanned_count"] + delta))
+
+
+@settings(max_examples=150)
+@given(emitted())
+def test_emitted_certificates_revalidate_and_mutants_do_not(outcome):
+    cert = outcome.certificate
+    assert revalidate(cert, deep=True)
+    for mutant in _mutants(cert):
+        assert not revalidate(mutant)
+        assert not revalidate(mutant, deep=True)
