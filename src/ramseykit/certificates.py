@@ -158,11 +158,14 @@ def revalidate(cert: SearchCertificate, deep: bool = False) -> bool:
             value = mode.value(instance, p)
             return (mode.size_of(instance) == size and value == cert.value
                     and value < target)
-        # No check accounts for more than ENUMERATION_CAP instances.
-        if (size > MAX_VERTICES and m > 1) or mode.count(size, m) > ENUMERATION_CAP:
+        # No check accounts for more than ENUMERATION_CAP instances; the size
+        # test keeps a forged size from building a huge power.
+        if size > MAX_VERTICES and m > 1:
             return False
-        expected = mode.pruned(size, m) if prune else mode.count(size, m)
-        if cert.scanned_count != expected or cert.value != target:
+        total = mode.count(size, m)
+        expected = mode.pruned(size, m) if prune else total
+        if (total > ENUMERATION_CAP or cert.scanned_count != expected
+                or cert.value != target):
             return False
     except (LookupError, TypeError, ValueError):
         return False

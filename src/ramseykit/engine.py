@@ -5,8 +5,9 @@ Each row of ``MODES`` says what an instance is, how many there are, how a
 witness is written and scored, and which closed form brackets the search.
 ``check`` settles one size: the least-code failing instance as a witness, or
 an exhaustive certificate counting every instance.  ``search`` probes sizes
-1, 2, ... until a check passes; passing is monotone upward (an instance
-restricts to failing instances below it), so the first pass is the threshold.
+1, 2, ... until a check passes; passing is monotone upward (a failing
+instance restricts to a failing one a size down), so the first pass is the
+threshold.
 
 Labeled scans (every mode but "wprime") visit only codes whose most
 significant base-m digit is 0.  Each predicate is invariant under permuting
