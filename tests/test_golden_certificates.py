@@ -1,9 +1,9 @@
 """Golden gate: every check and search emits the same canonical bytes.
 
 Each case runs one public call (a check, a threshold search, a `verify`
-claim or a CLI `search`) and reduces its outcome to canonical JSON: the
-certificate or search result, or the exception it raised with the bracket an
-UndecidedError carries.  The sha256 of that JSON must equal the digest frozen
+claim, a CLI `search`, or a batch of greedy runs) and reduces its outcome to
+canonical JSON: the certificate, search result or greedy traces, or the
+exception it raised with the bracket an UndecidedError carries.  The sha256 of that JSON must equal the digest frozen
 in ``golden_certificates.json``.  Threads 1 and 2 share one digest, so the
 gate also pins thread-count independence.
 
@@ -18,13 +18,16 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from ramseykit import cli, exact, scores, vdw
+from helpers import random_graph
+from ramseykit import cli, exact, greedy, scores, vdw
+from ramseykit.graphs import EdgeColoring, enumerate_edge_colorings, enumerate_labeled_graphs
 from ramseykit.certificates import SearchResult, UndecidedError, canonical_json
 
 DATA = Path(__file__).with_name("golden_certificates.json")
@@ -220,14 +223,55 @@ def _cli_cases():
                (1,))
 
 
+def _greedy_cases():
+    rng = random.Random(2016)
+    seeded_graphs = [random_graph(rng, rng.randint(2, 64)) for _ in range(100)]
+    seeded_colorings = []
+    for _ in range(20):
+        m = rng.randint(2, 8)
+        seeded_colorings.append(EdgeColoring(64, m, tuple(rng.randrange(m) for _ in range(2016))))
+    # Each seeded rule is fresh per run; "shared" reuses one rule across the
+    # batch, which also pins how many picks each run draws.
+    rules = [("lowest", lambda: greedy.pick_lowest),
+             ("highest-degree", lambda: greedy.pick_highest_degree)]
+    rules += [(f"seeded({s})", lambda s=s: greedy.seeded_pick(s)) for s in range(4)]
+
+    def batch(run, hosts, rule, shared):
+        one = rule()
+        return [run(h, one if shared else rule())[1].to_json_dict() for h in hosts]
+
+    pair_hosts = [(f"n={n}", lambda n=n: list(enumerate_labeled_graphs(n))) for n in range(1, 6)]
+    pair_hosts.append(("seeded", lambda: seeded_graphs))
+    for variant in ("disjoint", "overlap"):
+        run = getattr(greedy, f"greedy_pair_{variant}")
+        for host, hosts in pair_hosts:
+            for (rule_name, rule), shared in [(r, False) for r in rules] + [(rules[-1], True)]:
+                name = f"{variant} {host} pick={rule_name}{' shared' if shared else ''}"
+                yield ("greedy", name,
+                       lambda t, run=run, hosts=hosts, rule=rule, sh=shared:
+                       batch(run, hosts(), rule, sh), (1,))
+    family_hosts = [(f"m={m} n={n}", lambda n=n, m=m: list(enumerate_edge_colorings(n, m)))
+                    for m, top in ((2, 4), (3, 3)) for n in range(1, top + 1)]
+    family_hosts.append(("seeded n=64", lambda: seeded_colorings))
+    for host, hosts in family_hosts:
+        for (rule_name, rule), shared in [(r, False) for r in rules] + [(rules[-1], True)]:
+            yield ("greedy", f"family {host} pick={rule_name}{' shared' if shared else ''}",
+                   lambda t, hosts=hosts, rule=rule, sh=shared:
+                   batch(greedy.greedy_family, hosts(), rule, sh), (1,))
+    for n in range(2, 7):
+        yield ("greedy", f"sweep n={n}",
+               lambda t, n=n: greedy.pair_guarantee_sweep(n, threads=t),
+               (1, 2) if n >= 5 else (1,))
+
+
 def _cases():
-    for gen in (_check_cases, _search_cases, _invalid_cases, _cli_cases):
+    for gen in (_check_cases, _search_cases, _invalid_cases, _cli_cases, _greedy_cases):
         yield from gen()
 
 
 GROUPS = ("check_graph", "check_coloring", "check_score", "check_interval",
           "search_graph", "search_coloring", "search_score", "search_interval",
-          "invalid", "cli_search", "cli_verify")
+          "invalid", "cli_search", "cli_verify", "greedy")
 
 
 def _digest(thunk, threads: int) -> str:
