@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .certificates import SearchCertificate, SearchResult
-from .graphs import EdgeColoring, Graph, bits
+from .graphs import EdgeColoring, Graph, bits, _mask_is_clique, _mask_is_independent
 
 # Per-probe instance budgets for the certified scans; the graph budget is the
 # full n=7 exhaustion, the colouring budget keeps a single probe near a
@@ -142,7 +142,8 @@ class WitnessPair:
         return self.a.bit_count() + self.b.bit_count()
 
     def validate(self, g: Graph) -> bool:
-        return g.is_clique(self.a) and g.is_independent(self.b)
+        return (not (self.a | self.b) & ~g.full_mask  # no vertex outside g
+                and _mask_is_clique(g.adj, self.a) and _mask_is_independent(g.adj, self.b))
 
     def to_json_dict(self) -> dict:
         return {"a": sorted(bits(self.a)), "b": sorted(bits(self.b))}
@@ -203,21 +204,10 @@ class WitnessFamily:
         return sum(p.bit_count() for p in self.parts)
 
     def validate(self, c: EdgeColoring) -> bool:
-        if len(self.parts) != c.m:
-            return False
         full = (1 << c.n) - 1
-        for color, part in enumerate(self.parts):
-            if part & ~full:
-                return False
-            rest = part
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                for u in bits(rest):
-                    if c.color_of(v, u) != color:
-                        return False
-        return True
+        return len(self.parts) == c.m and all(
+            not part & ~full and _mask_is_clique(c.color_class(i).adj, part)
+            for i, part in enumerate(self.parts))
 
     def to_json_dict(self) -> dict:
         return {"parts": [sorted(bits(p)) for p in self.parts]}

@@ -185,25 +185,34 @@ class Graph:
         """True iff every two vertices of ``mask`` are adjacent (empty set: yes)."""
         if mask & ~self.full_mask:
             raise ValueError("selection names vertices outside the graph")
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if rest & ~self.adj[low.bit_length() - 1]:
-                return False
-        return True
+        return _mask_is_clique(self.adj, mask)
 
     def is_independent(self, mask: int) -> bool:
         """True iff no two vertices of ``mask`` are adjacent (empty set: yes)."""
         if mask & ~self.full_mask:
             raise ValueError("selection names vertices outside the graph")
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if rest & self.adj[low.bit_length() - 1]:
-                return False
-        return True
+        return _mask_is_independent(self.adj, mask)
+
+
+def _mask_is_clique(adj, mask: int) -> bool:
+    """Clique test on raw adjacency rows; shared by Graph, witnesses and sweeps."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if rest & ~adj[low.bit_length() - 1]:
+            return False
+    return True
+
+
+def _mask_is_independent(adj, mask: int) -> bool:
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if rest & adj[low.bit_length() - 1]:
+            return False
+    return True
 
 
 def _decode_adj(n: int, code: int) -> list[int]:

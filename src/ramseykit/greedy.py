@@ -10,9 +10,10 @@ tie-toward-clique form that lets the final vertex join both sets.  For edge
 colourings, the same halving over the m colour classes of the pivot vertex
 yields one monochromatic clique per colour.
 
-Every run can record a replayable trace, and every witness carries a
-guarantee floor that exhaustive sweeps (all graphs on up to 7 vertices)
-confirm is never violated.
+Every run records its steps as a trace; replay reruns the same core with the
+recorded pivots and rejects any step the rule would not take.  Every witness
+carries a guarantee floor that exhaustive sweeps (all graphs on up to 7
+vertices) confirm is never violated.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Callable, Optional, Union
 
 from .engine import chunk_ranges, run_chunks
 from .exact import WitnessFamily, WitnessPair
-from .graphs import (BudgetError, EdgeColoring, Graph, bits,
-                     labeled_graph_count, pair_index, _decode_adj)
+from .graphs import (BudgetError, EdgeColoring, Graph, bits, labeled_graph_count,
+                     pair_index, _decode_adj, _mask_is_clique, _mask_is_independent)
 
 NEIGHBOR_SIDE = "neighbor-side"
 NONNEIGHBOR_SIDE = "nonneighbor-side"
@@ -96,97 +97,57 @@ class GreedyTrace:
 
 
 # --- cores ------------------------------------------------------------------
-# The cores work on raw adjacency rows so exhaustive sweeps can skip Graph
-# construction; pick=None is the inlined lowest-index rule.
+# One pair core (``overlap`` picks the tie rule and the ending) and one
+# colour-class core.  They work on raw adjacency rows so exhaustive sweeps
+# can skip Graph construction; replay reruns them on recorded pivots.
 
 
-def _pair_disjoint_core(adj, n: int, pick: Optional[PickRule], record):
-    a = 0
-    b = 0
+def _pair_core(adj, n: int, pick: PickRule, record, overlap: bool):
+    """Halve while 4 or more vertices remain, then settle one edge or
+    non-edge among the last two or three; with ``overlap``, ties go to the
+    neighbour side, halving goes on down to one vertex, and that vertex
+    joins both sets."""
+    a = b = 0
     cur = (1 << n) - 1
     cnt = n
-    while cnt >= 4:
-        if pick is None:
-            v = (cur & -cur).bit_length() - 1
-        else:
-            v = pick(cur, adj)
-        vb = 1 << v
-        nbrs = adj[v] & cur
-        others = (cur ^ vb) & ~adj[v]
-        if nbrs.bit_count() > others.bit_count():
-            if record is not None:
-                record.append(GreedyStep(v, NEIGHBOR_SIDE, cnt))
-            a |= vb
-            cur = nbrs
-        else:
-            if record is not None:
-                record.append(GreedyStep(v, NONNEIGHBOR_SIDE, cnt))
-            b |= vb
-            cur = others
-        cnt = cur.bit_count()
-    # Two or three vertices left: settle on a pair of them directly.
-    if pick is None:
-        v = (cur & -cur).bit_length() - 1
-    else:
+    stop = 2 if overlap else 4
+    while cnt >= stop:
         v = pick(cur, adj)
-    rest = cur ^ (1 << v)
-    if pick is None:
-        w = (rest & -rest).bit_length() - 1
-    else:
-        w = pick(rest, adj)
+        vb = 1 << v
+        row = adj[v]
+        nbrs = row & cur
+        others = (cur ^ vb) & ~row
+        if nbrs.bit_count() + overlap > others.bit_count():  # ties: overlap only
+            branch, a, cur = NEIGHBOR_SIDE, a | vb, nbrs
+        else:
+            branch, b, cur = NONNEIGHBOR_SIDE, b | vb, others
+        if record is not None:
+            record.append(GreedyStep(v, branch, cnt))
+        cnt = cur.bit_count()
+    if overlap:
+        v = cur.bit_length() - 1
+        if record is not None:
+            record.append(GreedyStep(v, BASE_BOTH, 1))
+        return a | (1 << v), b | (1 << v)
+    v = pick(cur, adj)
+    w = pick(cur ^ (1 << v), adj)
+    ends = (1 << v) | (1 << w)
     if adj[v] >> w & 1:
-        if record is not None:
-            record.append(GreedyStep(v, TERMINAL_CLIQUE, cnt))
-            record.append(GreedyStep(w, TERMINAL_CLIQUE, cnt - 1))
-        a |= (1 << v) | (1 << w)
+        branch, a = TERMINAL_CLIQUE, a | ends
     else:
-        if record is not None:
-            record.append(GreedyStep(v, TERMINAL_INDEPENDENT, cnt))
-            record.append(GreedyStep(w, TERMINAL_INDEPENDENT, cnt - 1))
-        b |= (1 << v) | (1 << w)
+        branch, b = TERMINAL_INDEPENDENT, b | ends
+    if record is not None:
+        record.append(GreedyStep(v, branch, cnt))
+        record.append(GreedyStep(w, branch, cnt - 1))
     return a, b
 
 
-def _pair_overlap_core(adj, n: int, pick: Optional[PickRule], record):
-    a = 0
-    b = 0
-    cur = (1 << n) - 1
-    cnt = n
-    while cnt >= 2:
-        if pick is None:
-            v = (cur & -cur).bit_length() - 1
-        else:
-            v = pick(cur, adj)
-        vb = 1 << v
-        nbrs = adj[v] & cur
-        others = (cur ^ vb) & ~adj[v]
-        if nbrs.bit_count() >= others.bit_count():
-            if record is not None:
-                record.append(GreedyStep(v, NEIGHBOR_SIDE, cnt))
-            a |= vb
-            cur = nbrs
-        else:
-            if record is not None:
-                record.append(GreedyStep(v, NONNEIGHBOR_SIDE, cnt))
-            b |= vb
-            cur = others
-        cnt = cur.bit_count()
-    # A single vertex remains and extends both sides at once.
-    v = cur.bit_length() - 1
-    if record is not None:
-        record.append(GreedyStep(v, BASE_BOTH, 1))
-    return a | (1 << v), b | (1 << v)
-
-
-def _family_core(n: int, m: int, colors, pick: Optional[PickRule], record):
+def _family_core(n: int, m: int, colors, pick: PickRule, record):
     choices = []
     cur = (1 << n) - 1
     cnt = n
     while cnt >= 2:
-        if pick is None:
-            v = (cur & -cur).bit_length() - 1
-        else:
-            v = pick(cur, None)
+        v = pick(cur, None)
         classes = [0] * m
         for u in bits(cur ^ (1 << v)):
             classes[colors[pair_index(u, v)]] |= 1 << u
@@ -199,10 +160,7 @@ def _family_core(n: int, m: int, colors, pick: Optional[PickRule], record):
         choices.append((v, best))
         cur = classes[best]
         cnt = cur.bit_count()
-    if pick is None:
-        v = cur.bit_length() - 1
-    else:
-        v = pick(cur, None)
+    v = pick(cur, None)
     if record is not None:
         record.append(GreedyStep(v, BASE_FAMILY, 1))
     # The last vertex survived every chosen class, so it completes all m
@@ -226,7 +184,7 @@ def greedy_pair_disjoint(g: Graph, pick: Optional[PickRule] = None
     if g.n < 2:
         raise ValueError("the disjoint variant needs at least 2 vertices")
     record: list[GreedyStep] = []
-    a, b = _pair_disjoint_core(g.adj, g.n, pick, record)
+    a, b = _pair_core(g.adj, g.n, pick or pick_lowest, record, False)
     pair = WitnessPair(a, b)
     return pair, GreedyTrace(tuple(record), pair)
 
@@ -238,7 +196,7 @@ def greedy_pair_overlap(g: Graph, pick: Optional[PickRule] = None
     and guarantees |A| + |B| >= floor(log2 n) + 2.
     """
     record: list[GreedyStep] = []
-    a, b = _pair_overlap_core(g.adj, g.n, pick, record)
+    a, b = _pair_core(g.adj, g.n, pick or pick_lowest, record, True)
     pair = WitnessPair(a, b)
     return pair, GreedyTrace(tuple(record), pair)
 
@@ -250,7 +208,7 @@ def greedy_family(c: EdgeColoring, pick: Optional[PickRule] = None
     total size >= family_guarantee_floor(n, m).
     """
     record: list[GreedyStep] = []
-    parts = _family_core(c.n, c.m, c.colors, pick, record)
+    parts = _family_core(c.n, c.m, c.colors, pick or pick_lowest, record)
     fam = WitnessFamily(parts)
     return fam, GreedyTrace(tuple(record), fam)
 
@@ -282,92 +240,47 @@ def family_guarantee_floor(n: int, m: int) -> int:
 # --- trace replay -------------------------------------------------------------
 
 
-def replay_pair_trace(g: Graph, trace: GreedyTrace) -> WitnessPair:
-    """Re-execute a recorded pair run against ``g`` and return the witness.
+def _rerun(trace: GreedyTrace, core):
+    """Run ``core(pick, record)`` with a rule that serves the recorded pivots
+    in order; ValueError unless the run records exactly the trace's steps."""
+    pivots = iter(trace.steps)
 
-    Raises ValueError as soon as a step disagrees with the graph (wrong
-    remaining-count or an unknown branch token), so a trace recorded on one
-    graph cannot silently validate against another.
+    def pick(mask: int, adj=None) -> int:
+        step = next(pivots, None)
+        if step is None or not mask >> step.vertex & 1:
+            raise ValueError(f"recorded pivot {step} is not a remaining vertex")
+        return step.vertex
+
+    record: list[GreedyStep] = []
+    out = core(pick, record)
+    if record != list(trace.steps):
+        raise ValueError("the trace records steps the greedy rule does not take")
+    return out
+
+
+def replay_pair_trace(g: Graph, trace: GreedyTrace) -> WitnessPair:
+    """Rerun the pair rule on ``g`` with the recorded pivots and return the
+    witness; the variant is the one whose ending the trace records.
+
+    Raises ValueError unless the rerun records exactly the trace's steps: a
+    pivot outside the remaining set, a branch, count or terminal label the
+    rule would not take, or a missing or extra step is rejected, so a trace
+    recorded on one graph cannot silently validate against another.
     """
-    a = 0
-    b = 0
-    cur = g.full_mask
-    for step in trace.steps:
-        v = step.vertex
-        vb = 1 << v
-        if not cur & vb or step.remaining != cur.bit_count():
-            raise ValueError(f"step {step} does not match the remaining set")
-        if step.branch == NEIGHBOR_SIDE:
-            a |= vb
-            cur &= g.adj[v]
-        elif step.branch == NONNEIGHBOR_SIDE:
-            b |= vb
-            cur = (cur ^ vb) & ~g.adj[v]
-        elif step.branch == TERMINAL_CLIQUE:
-            a |= vb
-            cur ^= vb
-        elif step.branch == TERMINAL_INDEPENDENT:
-            b |= vb
-            cur ^= vb
-        elif step.branch == BASE_BOTH:
-            a |= vb
-            b |= vb
-            cur ^= vb
-        else:
-            raise ValueError(f"unknown pair branch {step.branch!r}")
-    return WitnessPair(a, b)
+    overlap = bool(trace.steps) and trace.steps[-1].branch == BASE_BOTH
+    return WitnessPair(*_rerun(trace, lambda pick, record:
+                               _pair_core(g.adj, g.n, pick, record, overlap)))
 
 
 def replay_family_trace(c: EdgeColoring, trace: GreedyTrace) -> WitnessFamily:
-    """Re-execute a recorded family run against ``c`` and return the witness."""
-    cur = (1 << c.n) - 1
-    choices = []
-    base = None
-    for step in trace.steps:
-        v = step.vertex
-        vb = 1 << v
-        if not cur & vb or step.remaining != cur.bit_count():
-            raise ValueError(f"step {step} does not match the remaining set")
-        if step.branch == BASE_FAMILY:
-            base = v
-            break
-        if not isinstance(step.branch, int):
-            raise ValueError(f"unknown family branch {step.branch!r}")
-        kept = 0
-        for u in bits(cur ^ vb):
-            if c.color_of(u, v) == step.branch:
-                kept |= 1 << u
-        choices.append((v, step.branch))
-        cur = kept
-    if base is None:
-        raise ValueError("trace ended without a base step")
-    parts = [1 << base] * c.m
-    for u, i in reversed(choices):
-        parts[i] |= 1 << u
-    return WitnessFamily(tuple(parts))
+    """Rerun the colour-class rule on ``c`` with the recorded pivots and
+    return the witness; raises ValueError unless the rerun records exactly
+    the trace's steps."""
+    return WitnessFamily(_rerun(trace, lambda pick, record:
+                                _family_core(c.n, c.m, c.colors, pick, record)))
 
 
 # --- exhaustive guarantee sweep -------------------------------------------------
-
-
-def _mask_is_clique(adj, mask: int) -> bool:
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if rest & ~adj[low.bit_length() - 1]:
-            return False
-    return True
-
-
-def _mask_is_independent(adj, mask: int) -> bool:
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if rest & adj[low.bit_length() - 1]:
-            return False
-    return True
 
 
 def _sweep_chunk(args) -> tuple[int, Optional[int]]:
@@ -385,11 +298,11 @@ def _sweep_chunk(args) -> tuple[int, Optional[int]]:
     for code in range(start, stop):
         adj = _decode_adj(n, code)
         checked += 1
-        a, b = _pair_disjoint_core(adj, n, None, None)
+        a, b = _pair_core(adj, n, pick_lowest, None, False)
         if (a & b or a.bit_count() + b.bit_count() < dfloor
                 or not _mask_is_clique(adj, a) or not _mask_is_independent(adj, b)):
             return checked, code
-        a, b = _pair_overlap_core(adj, n, None, None)
+        a, b = _pair_core(adj, n, pick_lowest, None, True)
         if ((a & b).bit_count() > 1 or a.bit_count() + b.bit_count() < ofloor
                 or not _mask_is_clique(adj, a) or not _mask_is_independent(adj, b)):
             return checked, code

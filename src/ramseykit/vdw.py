@@ -15,7 +15,6 @@ progressions of difference d.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -123,15 +122,28 @@ def ap_sum(c: IntervalColoring) -> tuple[int, tuple[int, ...]]:
 
 def orbit_count(m: int, length: int) -> int:
     """m-colourings of 1..length up to reversal and colour permutation, by
-    Burnside's lemma: a permutation pi fixes fix(pi)^N colourings, and
-    fix(pi^2)^(N // 2) * fix(pi)^(N % 2) when composed with reversal."""
+    Burnside's lemma over cycle types (partitions of m): m! / prod(k^c_k c_k!)
+    permutations with f fixed colours and t 2-cycles each fix f^N colourings,
+    and (f + 2t)^(N // 2) * f^(N % 2) when composed with reversal."""
     half, odd = divmod(length, 2)
     total = 0
-    for perm in itertools.permutations(range(m)):
-        fix = sum(perm[c] == c for c in range(m))
-        fix2 = sum(perm[perm[c]] == c for c in range(m))
-        total += fix**length + fix2**half * fix**odd
+    for parts in _partitions(m, m):
+        share = math.factorial(m)
+        for k in set(parts):
+            share //= k**parts.count(k) * math.factorial(parts.count(k))
+        fix = parts.count(1)
+        fix2 = fix + 2 * parts.count(2)
+        total += share * (fix**length + fix2**half * fix**odd)
     return total // (2 * math.factorial(m))
+
+
+def _partitions(m: int, top: int):
+    """Partitions of m into parts of at most ``top``, largest first."""
+    if m == 0:
+        yield ()
+    for k in range(min(m, top), 0, -1):
+        for rest in _partitions(m - k, k):
+            yield (k,) + rest
 
 
 def _least_failing(m: int, length: int, target: int, single: bool,

@@ -8,6 +8,7 @@ fast implementation.
 from __future__ import annotations
 
 import itertools
+import math
 
 from hypothesis import strategies as st
 
@@ -107,3 +108,14 @@ def longest_ap_oracle(positions: set[int]) -> int:
                 best = ln
             d += 1
     return best
+
+
+def orbit_count_oracle(m: int, length: int) -> int:
+    """Burnside over reversal x S_m, summed over every colour permutation."""
+    half, odd = divmod(length, 2)
+    total = 0
+    for perm in itertools.permutations(range(m)):
+        fix = sum(perm[c] == c for c in range(m))
+        fix2 = sum(perm[perm[c]] == c for c in range(m))
+        total += fix**length + fix2**half * fix**odd
+    return total // (2 * math.factorial(m))

@@ -87,6 +87,8 @@ def test_witness_pair_validate():
     assert not WitnessPair(0, mask_of([0, 1])).validate(c5)  # not independent
     assert WitnessPair(0, 0).value == 0
     assert pair.to_json_dict() == {"a": [0, 1], "b": [0, 2]}
+    for a, b in ((1 << 10, 0), (0, 1 << 5), (-1, 0)):  # vertices outside c5
+        assert not WitnessPair(a, b).validate(c5)
 
 
 def test_mono_clique_family_on_known_coloring():
@@ -98,6 +100,7 @@ def test_mono_clique_family_on_known_coloring():
     bad = WitnessFamily((mask_of([0, 1]), mask_of([0, 1])))
     assert not bad.validate(c)  # pair {0,1} has colour 0, not colour 1
     assert not WitnessFamily((0,)).validate(c)  # wrong part count
+    assert not WitnessFamily((1 << 3, 0)).validate(c)  # vertex outside c
 
 
 def test_check_universal_pass_and_fail():

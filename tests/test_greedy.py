@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import edge_colorings, graphs, random_graph
-from ramseykit import (BudgetError, EdgeColoring, Graph, bits,
+from ramseykit import (BudgetError, EdgeColoring, Graph, GreedyStep, GreedyTrace, bits,
                        disjoint_guarantee_floor, enumerate_edge_colorings,
                        enumerate_labeled_graphs, family_guarantee_floor,
                        family_sum_value, greedy_family, greedy_pair_disjoint,
@@ -182,9 +182,25 @@ def test_replay_rejects_wrong_graph():
     _, trace = greedy_pair_disjoint(c5)
     with pytest.raises(ValueError):
         replay_pair_trace(Graph.complete(5), trace)
-    _, ftrace = greedy_family(EdgeColoring(3, 2, (0, 0, 1)))
+    c = EdgeColoring(3, 2, (0, 0, 1))
+    _, ftrace = greedy_family(c)
     with pytest.raises(ValueError):
         replay_family_trace(EdgeColoring(4, 2, (0,) * 6), ftrace)
+
+    # Forged traces on the right host: replay reruns the rule, so a step the
+    # rule would not take is rejected even where the counts stay consistent.
+    first, t1, t2 = trace.steps
+    relabelled = [first] + [GreedyStep(s.vertex, "terminal-independent", s.remaining)
+                            for s in (t1, t2)]  # would claim B = {0, 2, 3}
+    star = Graph.from_edges(6, [(0, 1), (0, 2)])  # vertex 0: 2 neighbours, 3 others
+    minority = [GreedyStep(0, "neighbor-side", 6), GreedyStep(1, "terminal-independent", 2),
+                GreedyStep(2, "terminal-independent", 1)]
+    for g, steps in ((c5, relabelled), (c5, [first]), (star, minority)):
+        with pytest.raises(ValueError):
+            replay_pair_trace(g, GreedyTrace(tuple(steps), trace.result))
+    appended = ftrace.steps + (GreedyStep(0, "base", 1),)
+    with pytest.raises(ValueError):
+        replay_family_trace(c, GreedyTrace(appended, ftrace.result))
 
 
 def test_trace_serialization_shape():

@@ -18,7 +18,8 @@ from ramseykit import (
     longest_mono_ap,
     revalidate,
 )
-from helpers import interval_colorings, longest_ap_oracle
+from ramseykit.vdw import orbit_count
+from helpers import interval_colorings, longest_ap_oracle, orbit_count_oracle
 
 
 class TestIntervalColoring:
@@ -259,6 +260,11 @@ class TestPrefixSearchAgainstEnumeration:
                 SearchCertificate(cert.kind, cert.parameters, cert.value + 1,
                                   scanned_count=cert.scanned_count)):
             assert not revalidate(forged)
+
+    def test_orbit_count_matches_permutation_sum(self):
+        for m in range(1, 8):
+            for length in range(1, 13):
+                assert orbit_count(m, length) == orbit_count_oracle(m, length)
 
     def test_one_color_runs_past_the_recursion_limit(self):
         # m = 1 admits any length within the budget; the search is iterative
