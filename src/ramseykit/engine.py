@@ -9,24 +9,37 @@ an exhaustive certificate counting every instance.  ``search`` probes sizes
 instance restricts to a failing one a size down), so the first pass is the
 threshold.
 
-Labeled scans (every mode but "wprime") visit only codes whose most
-significant base-m digit is 0.  Each predicate is invariant under permuting
-colours (complementing, at m = 2), and swapping the top digit's colour with
-colour 0 lowers a code, so the least failing code, when one exists, lies in
-[0, m^(pairs-1)): the scan is complete.  The certificate still accounts for
-all m^pairs instances; ``prune`` changes only that recorded count, to the
-complement pairs of graphs or the orbits of intervals under reversal x S_m.
+Labeled scans (every mode but "wprime") extend failing codes one vertex at a
+time.  Every labeled predicate is hereditary: a class's clique number, path
+or cycle score cannot grow when a vertex is dropped, and the first k-1
+vertices of a code on k vertices are the code ``low = code mod
+m^pairs(k-1)``.  So a code fails only if ``low`` fails, and level k is
+exactly the failing ``low + high * m^pairs(k-1)``, where ``high``'s base-m
+digit u colours the pair (u, k-1).  Each level is produced in ascending code
+order (highs outer, the memoised parent level inner; ``low`` is below
+m^pairs(k-1)), and only as far as the next level asks, so the first failing
+code of the last level is the least failing code.
 
-Chunks are contiguous code ranges handed to one top-level worker, and the
-merge (least failing code) is commutative, so the outcome is identical at
-any thread count.
+The top-digit symmetry still applies at the last level.  Each predicate is
+invariant under permuting colours (complementing, at m = 2), and swapping
+the top digit's colour with colour 0 lowers a code, so the least failing
+code, when one exists, has top digit 0: the last level's highs lie in
+[0, m^(size-2)).  The certificate still accounts for all m^pairs instances;
+``prune`` changes only that recorded count, to the complement pairs of
+graphs or the orbits of intervals under reversal x S_m.
+
+Chunks are contiguous ranges of last-level highs handed to one top-level
+worker, which rebuilds the lower levels itself, and the merge (least
+failing code) is commutative, so the outcome is identical at any thread
+count.
 """
 
 from __future__ import annotations
 
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from . import exact, scores, vdw
 from .certificates import (EXHAUSTIVE, WITNESS, SearchCertificate,
@@ -64,42 +77,104 @@ def run_chunks(worker: Callable, arg_tuples: Sequence[tuple], threads: int) -> l
 
 
 def _labeled_scan(name, size, m, j, score, target, threads) -> Optional[int]:
-    """Least failing code over the representatives [0, m^(pairs-1))."""
-    reps = m ** (pair_count(size) - 1) if size > 1 else 1
+    """Least failing code with top digit 0: the last level's highs are
+    [0, m^(size-2)), split into one contiguous range per worker."""
+    highs = m ** (size - 2) if size > 1 else 1
     args = [(name, size, m, j, score, target, lo, hi)
-            for lo, hi in chunk_ranges(reps, threads)]
+            for lo, hi in chunk_ranges(highs, threads)]
     fails = [c for c in run_chunks(_scan_chunk, args, threads) if c is not None]
     return min(fails, default=None)
 
 
 def _scan_chunk(args) -> Optional[int]:
-    """Least failing code in [start, stop), or None.  A code is split into its
-    m colour classes; it fails when no class has a ``target`` clique (clique
-    modes) or when its j best class scores sum below ``target``."""
-    name, n, m, j, score, target, start, stop = args
-    clique_test = MODES[name].clique_test
+    """Least failing code on n vertices whose high lies in [lo, hi), or None.
+
+    A code is split into its m colour classes; it fails when no class has a
+    ``target`` clique (clique modes) or when its j best class scores sum
+    below ``target``.  Levels 0..n-1 of failing codes are rebuilt here, each
+    produced only as far as the next level asks for it."""
+    name, n, m, j, score, target, lo, hi = args
     kind = ScoreKind(score)
-    full = (1 << n) - 1
-    table = pair_table(n)
-    for code in range(start, stop):
-        if m == 2:  # colour 1 is the graph of the code, colour 0 its complement
-            adj = _decode_adj(n, code)
-            rows = (adj, [full ^ row ^ (1 << v) for v, row in enumerate(adj)])
-        else:
-            rows = [[0] * n for _ in range(m)]
-            c = code
-            for a, b in table:
-                c, d = divmod(c, m)
-                rows[d][a] |= 1 << b
-                rows[d][b] |= 1 << a
-        if clique_test:
-            if not any(_has_clique(r, full, target) for r in rows):
-                return code
-        else:
-            per = [_score_rows(r, full, kind) for r in rows]
-            if sum(per if j == m else sorted(per, reverse=True)[:j]) < target:
-                return code
-    return None
+    if MODES[name].clique_test:
+        fails = lambda per: max(per) < target
+    elif j == m:
+        fails = lambda per: sum(per) < target
+    else:
+        fails = lambda per: sum(sorted(per, reverse=True)[:j]) < target
+    level = _memoised(m, iter([(0, bytes(m))]))  # the empty graph fails every target
+    for k in range(1, n):
+        level = _memoised(m, _extend(level, k, m, range(m ** (k - 1)), kind, fails))
+    return next((code for code, _ in _extend(level, n, m, range(lo, hi), kind, fails)),
+                None)
+
+
+def _memoised(m: int, source) -> Callable[[], Iterator[tuple[int, bytes]]]:
+    """Replayable failing codes with their class scores: a pass replays the
+    entries stored so far, then pulls more from ``source`` and stores them
+    compactly (codes in an array, m score bytes each)."""
+    codes, scores = array("Q"), bytearray()
+
+    def entries():
+        for i in range(len(codes)):
+            yield codes[i], scores[i * m:i * m + m]
+        for code, per in source:
+            codes.append(code)
+            scores.extend(per)
+            yield code, per
+    return entries
+
+
+def _extend(parents, k: int, m: int, highs, kind: ScoreKind,
+            fails) -> Iterator[tuple[int, bytes]]:
+    """Failing codes on k vertices, ascending: ``low + high * m^pairs(k-1)``
+    with ``low`` a failing parent and ``high``'s digit u the colour of the
+    pair (u, k-1).  Every predicate is hereditary, so no other code fails.
+    A child's class clique number is the parent's, plus one when the new
+    vertex's neighbours in that class hold a clique that large; path and
+    cycle scores are recomputed on each class of the child."""
+    base = m ** pair_count(k - 1)
+    new = 1 << (k - 1)
+    full = (1 << k) - 1
+    for high in highs:
+        nbrs = [0] * m
+        h = high
+        for u in range(k - 1):
+            h, d = divmod(h, m)
+            nbrs[d] |= 1 << u
+        offset = high * base
+        for low, per in parents():
+            rows = _decode_rows(k - 1, m, low)
+            if kind is ScoreKind.CLIQUE:  # stop once a class's growth makes it pass
+                child = bytearray(per)
+                for d in range(m):
+                    if _has_clique(rows[d], nbrs[d], per[d]):
+                        child[d] += 1
+                        if not fails(child):
+                            break
+                else:
+                    yield low + offset, child
+            else:
+                child = bytes([_score_rows([row | new if nb >> u & 1 else row
+                                            for u, row in enumerate(r)] + [nb],
+                                           full, kind)
+                               for r, nb in zip(rows, nbrs)])
+                if fails(child):
+                    yield low + offset, child
+
+
+def _decode_rows(n: int, m: int, code: int) -> list[list[int]]:
+    """Adjacency rows of each colour class of a code on n vertices; at m = 2
+    colour 1 is the graph of the code and colour 0 its complement."""
+    if m == 2:
+        adj = _decode_adj(n, code)
+        full = (1 << n) - 1
+        return [[full ^ row ^ (1 << v) for v, row in enumerate(adj)], adj]
+    rows = [[0] * n for _ in range(m)]
+    for a, b in pair_table(n):
+        code, d = divmod(code, m)
+        rows[d][a] |= 1 << b
+        rows[d][b] |= 1 << a
+    return rows
 
 
 def _interval_scan(name, size, m, j, score, target, threads) -> Optional[tuple]:
@@ -217,9 +292,10 @@ def check(name: str, target: int, size: int, m: int = 2, j: int = 1,
     if total > min(mode.budget if budget is None else budget, ENUMERATION_CAP):
         raise BudgetError(f"{name} check at {mode.size_key}={size} needs {total}"
                           " instances, over the budget")
-    # Modes without a j ("rprime", "rprime_m") sum the scores of all m classes.
+    # Modes without a j ("rprime", "rprime_m") sum the clique numbers of all
+    # m classes, whatever ``score`` says: only "score" records it.
     found = mode.scan(name, size, m, j if "j" in mode.keys else m,
-                      ScoreKind(score).value, target, threads)
+                      params.get("score", ScoreKind.CLIQUE.value), target, threads)
     if found is None:
         scanned = mode.pruned(size, m) if prune else total
         return CheckOutcome(True, SearchCertificate(EXHAUSTIVE, params, target,

@@ -80,8 +80,16 @@ def _omega(adj, cand: int) -> int:
 
 def _has_clique(adj, cand: int, k: int) -> bool:
     """Early-exit test for a clique of size k inside cand."""
-    if k <= 0:
-        return True
+    if k <= 1:
+        return k <= 0 or cand != 0
+    if k == 2:  # an edge inside cand
+        rest = cand
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & cand:
+                return True
+            rest ^= low
+        return False
     if cand.bit_count() < k or _color_bound(adj, cand) < k:
         return False
     v = _pivot(adj, cand)

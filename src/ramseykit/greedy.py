@@ -242,7 +242,8 @@ def family_guarantee_floor(n: int, m: int) -> int:
 
 def _rerun(trace: GreedyTrace, core):
     """Run ``core(pick, record)`` with a rule that serves the recorded pivots
-    in order; ValueError unless the run records exactly the trace's steps."""
+    in order; ValueError unless the run records exactly the trace's steps and
+    returns the trace's result."""
     pivots = iter(trace.steps)
 
     def pick(mask: int, adj=None) -> int:
@@ -255,6 +256,8 @@ def _rerun(trace: GreedyTrace, core):
     out = core(pick, record)
     if record != list(trace.steps):
         raise ValueError("the trace records steps the greedy rule does not take")
+    if out != trace.result:
+        raise ValueError("the trace records a result the greedy rule does not return")
     return out
 
 
@@ -262,22 +265,23 @@ def replay_pair_trace(g: Graph, trace: GreedyTrace) -> WitnessPair:
     """Rerun the pair rule on ``g`` with the recorded pivots and return the
     witness; the variant is the one whose ending the trace records.
 
-    Raises ValueError unless the rerun records exactly the trace's steps: a
-    pivot outside the remaining set, a branch, count or terminal label the
-    rule would not take, or a missing or extra step is rejected, so a trace
-    recorded on one graph cannot silently validate against another.
+    Raises ValueError unless the rerun records exactly the trace's steps and
+    result: a pivot outside the remaining set, a branch, count or terminal
+    label the rule would not take, a missing or extra step, or a witness the
+    rule does not return is rejected, so a trace recorded on one graph cannot
+    silently validate against another.
     """
     overlap = bool(trace.steps) and trace.steps[-1].branch == BASE_BOTH
-    return WitnessPair(*_rerun(trace, lambda pick, record:
-                               _pair_core(g.adj, g.n, pick, record, overlap)))
+    return _rerun(trace, lambda pick, record:
+                  WitnessPair(*_pair_core(g.adj, g.n, pick, record, overlap)))
 
 
 def replay_family_trace(c: EdgeColoring, trace: GreedyTrace) -> WitnessFamily:
     """Rerun the colour-class rule on ``c`` with the recorded pivots and
     return the witness; raises ValueError unless the rerun records exactly
-    the trace's steps."""
-    return WitnessFamily(_rerun(trace, lambda pick, record:
-                                _family_core(c.n, c.m, c.colors, pick, record)))
+    the trace's steps and result."""
+    return _rerun(trace, lambda pick, record:
+                  WitnessFamily(_family_core(c.n, c.m, c.colors, pick, record)))
 
 
 # --- exhaustive guarantee sweep -------------------------------------------------

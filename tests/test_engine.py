@@ -1,10 +1,12 @@
 """The mode registry and its one check/search pair.
 
-The labeled scan visits only codes with a most significant base-m digit of 0
-and records the full count; here it is compared with a loop over every code
-that scores instances with the public value functions only.  Certificates
-the engine emits must revalidate deeply and stop revalidating under any
-one-step change, and malformed certificates are rejected without raising.
+The labeled scan extends failing codes one vertex at a time, scores only
+children of failing parents, and records the full count; here it is
+compared with a loop over every code that scores instances with the public
+value functions only, and the hereditary premise that makes the extension
+complete is checked on its own.  Certificates the engine emits must
+revalidate deeply and stop revalidating under any one-step change, and
+malformed certificates are rejected without raising.
 """
 
 from __future__ import annotations
@@ -83,6 +85,60 @@ def test_score_scan_matches_full_scan(score):
                     cert = check_universal_score(target, n, score, m=m, j=j).certificate
                     assert _as_triple(cert) == _full_scan("score", target, n, m, j, score), \
                         (m, j, n, target)
+
+
+def test_extension_matches_full_scan_one_level_deeper():
+    """Each oracle scan runs once; threads 1 and 2 must both match it."""
+    def same(oracle, run):
+        assert all(_as_triple(run(threads).certificate) == oracle for threads in (1, 2))
+
+    for mode in ("rprime", "ramsey"):
+        for target in range(4, 8):
+            same(_full_scan(mode, target, 6),
+                 lambda threads: check_universal(target, 6, mode, threads=threads))
+    for score in ("path", "cycle"):
+        for j in (1, 2):
+            for target in range(3, 8):
+                same(_full_scan("score", target, 5, 2, j, score),
+                     lambda threads: check_universal_score(target, 5, score, m=2, j=j,
+                                                           threads=threads))
+    oracle = _full_scan("rprime_m", 6, 5, 3)
+    assert EdgeColoring.from_text(oracle[1], 3).code == 3195
+    same(oracle, lambda threads: check_universal(6, 5, "rprime_m", m=3, threads=threads))
+
+
+@st.composite
+def prefixed(draw):
+    """A labeled mode, its parameters and a code on n >= 2 vertices."""
+    name = draw(st.sampled_from([name for name in sorted(MODES) if name != "wprime"]))
+    m = 2 if name in ("rprime", "ramsey") else draw(st.integers(2, 4))
+    n = draw(st.integers(2, 7 if m == 2 else 5))
+    params = {"m": m, "j": draw(st.integers(1, m)),
+              "score": draw(st.sampled_from(["clique", "cycle", "path"]))}
+    return name, m, n, params, draw(st.integers(0, m ** pair_count(n) - 1))
+
+
+@settings(max_examples=300)
+@given(prefixed())
+def test_values_are_hereditary(case):
+    """Dropping the last vertex never raises a value: the prefix of a code on
+    n - 1 vertices is ``code mod m^pairs(n-1)``.  So a failing code has a
+    failing prefix, and extending failing codes misses no failing code."""
+    name, m, n, params, code = case
+    mode = MODES[name]
+
+    def value(size, c):
+        return mode.value(mode.read(mode.write(size, m, c), m), params)
+
+    assert value(n - 1, code % m ** pair_count(n - 1)) <= value(n, code)
+
+
+def test_score_is_ignored_where_the_mode_does_not_record_it():
+    # rprime(5) = 6: a path-score scan would wrongly pass every 4-vertex graph.
+    for name, m in (("rprime", 2), ("ramsey", 2), ("rprime_m", 3)):
+        for score in ("cycle", "path"):
+            assert check(name, 5, 4, m=m, score=score) == check(name, 5, 4, m=m), \
+                (name, score)
 
 
 def test_registry_rows():

@@ -14,7 +14,8 @@ from ramseykit import (BudgetError, EdgeColoring, Graph, GreedyStep, GreedyTrace
                        greedy_pair_overlap, labeled_graph_count, mask_of,
                        overlap_guarantee_floor, pair_guarantee_sweep,
                        pair_sum_value, pick_highest_degree, pick_lowest,
-                       replay_family_trace, replay_pair_trace, seeded_pick)
+                       replay_family_trace, replay_pair_trace, seeded_pick,
+                       WitnessFamily, WitnessPair)
 
 
 def test_disjoint_on_cycle5_frozen_trace():
@@ -201,6 +202,14 @@ def test_replay_rejects_wrong_graph():
     appended = ftrace.steps + (GreedyStep(0, "base", 1),)
     with pytest.raises(ValueError):
         replay_family_trace(c, GreedyTrace(appended, ftrace.result))
+
+    # The recorded steps are right but the recorded witness is not the rerun's.
+    with pytest.raises(ValueError):  # {0..4} is no clique of C5
+        replay_pair_trace(c5, GreedyTrace(trace.steps, WitnessPair(0b11111, 0)))
+    parts = ftrace.result.parts
+    changed = WitnessFamily((parts[0] ^ 1,) + parts[1:])
+    with pytest.raises(ValueError):
+        replay_family_trace(c, GreedyTrace(ftrace.steps, changed))
 
 
 def test_trace_serialization_shape():
