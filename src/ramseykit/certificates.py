@@ -79,12 +79,11 @@ class SearchCertificate:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """A threshold value plus the certificates that pin it down.
-
-    ``exact`` results carry a ``lower`` witness at value-1 (absent when the
-    threshold is 1, where there is nothing to fail) and an ``upper``
-    exhaustive certificate at the value itself; bound-only results set
-    exact=False and bracket the true value instead.
+    """A threshold value plus the certificates that pin it down: a ``lower``
+    witness at value-1 (absent when the threshold is 1, where there is nothing
+    to fail) and an ``upper`` exhaustive certificate at the value itself.
+    Every search is exact, so ``exact`` is True and ``bracket`` is
+    (value, value); both stay in the serialised form.
     """
 
     kind: str

@@ -27,19 +27,13 @@ code, when one exists, has top digit 0: the last level's highs lie in
 [0, m^(size-2)).  The certificate still accounts for all m^pairs instances;
 ``prune`` changes only that recorded count, to the complement pairs of
 graphs or the orbits of intervals under reversal x S_m.
-
-Chunks are contiguous ranges of last-level highs handed to one top-level
-worker, which rebuilds the lower levels itself, and the merge (least
-failing code) is commutative, so the outcome is identical at any thread
-count.
 """
 
 from __future__ import annotations
 
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional
 
 from . import exact, scores, vdw
 from .certificates import (EXHAUSTIVE, WITNESS, SearchCertificate,
@@ -51,49 +45,17 @@ from .graphs import (ENUMERATION_CAP, BudgetError, EdgeColoring, Graph,
 from .scores import ScoreKind, _score_rows
 
 
-def chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    """Split [0, total) into at most ``parts`` contiguous nonempty ranges."""
-    parts = max(1, min(parts, total))
-    base, extra = divmod(total, parts)
-    out = []
-    at = 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        if size:
-            out.append((at, at + size))
-            at += size
-    return out
-
-
-def run_chunks(worker: Callable, arg_tuples: Sequence[tuple], threads: int) -> list:
-    """Run ``worker`` over every arg tuple, in order, serially or in a pool."""
-    if threads <= 1 or len(arg_tuples) <= 1:
-        return [worker(args) for args in arg_tuples]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, arg_tuples))
-
-
 # --- the registry ------------------------------------------------------------
 
 
-def _labeled_scan(name, size, m, j, score, target, threads) -> Optional[int]:
-    """Least failing code with top digit 0: the last level's highs are
-    [0, m^(size-2)), split into one contiguous range per worker."""
-    highs = m ** (size - 2) if size > 1 else 1
-    args = [(name, size, m, j, score, target, lo, hi)
-            for lo, hi in chunk_ranges(highs, threads)]
-    fails = [c for c in run_chunks(_scan_chunk, args, threads) if c is not None]
-    return min(fails, default=None)
-
-
-def _scan_chunk(args) -> Optional[int]:
-    """Least failing code on n vertices whose high lies in [lo, hi), or None.
+def _labeled_scan(name, n, m, j, score, target) -> Optional[int]:
+    """Least failing code on n vertices, or None.
 
     A code is split into its m colour classes; it fails when no class has a
     ``target`` clique (clique modes) or when its j best class scores sum
-    below ``target``.  Levels 0..n-1 of failing codes are rebuilt here, each
-    produced only as far as the next level asks for it."""
-    name, n, m, j, score, target, lo, hi = args
+    below ``target``.  Levels 0..n-1 of failing codes are built lazily, each
+    produced only as far as the next level asks for it; the last level's
+    highs are [0, m^(n-2)), codes with top digit 0."""
     kind = ScoreKind(score)
     if MODES[name].clique_test:
         fails = lambda per: max(per) < target
@@ -104,8 +66,8 @@ def _scan_chunk(args) -> Optional[int]:
     level = _memoised(m, iter([(0, bytes(m))]))  # the empty graph fails every target
     for k in range(1, n):
         level = _memoised(m, _extend(level, k, m, range(m ** (k - 1)), kind, fails))
-    return next((code for code, _ in _extend(level, n, m, range(lo, hi), kind, fails)),
-                None)
+    highs = range(m ** (n - 2) if n > 1 else 1)
+    return next((code for code, _ in _extend(level, n, m, highs, kind, fails)), None)
 
 
 def _memoised(m: int, source) -> Callable[[], Iterator[tuple[int, bytes]]]:
@@ -177,7 +139,7 @@ def _decode_rows(n: int, m: int, code: int) -> list[list[int]]:
     return rows
 
 
-def _interval_scan(name, size, m, j, score, target, threads) -> Optional[tuple]:
+def _interval_scan(name, size, m, j, score, target) -> Optional[tuple]:
     """Colours of the least failing interval colouring (a serial prefix DFS)."""
     return vdw._least_failing(m, size, target, False, ENUMERATION_CAP)
 
@@ -198,7 +160,6 @@ class Mode:
     bound: Callable[[int, int], Optional[int]] = lambda target, m: None
     pruned: Optional[Callable[[int, int], int]] = None
     clique_test: bool = False   # labeled predicate: a target clique in some class
-    fallback: bool = False      # past the budget, answer the bound (exact=False)
     size_key: str = "n_vertices"
     scan: Callable = _labeled_scan
 
@@ -243,16 +204,11 @@ def _graph_row(name, value, bound, clique_test=False) -> Mode:
                 lambda n, m: max(1, 2 ** pair_count(n) // 2), clique_test)
 
 
-def _coloring_row(name, keys, value, bound=lambda target, m: None,
-                  clique_test=False, fallback=False) -> Mode:
+def _coloring_row(name, keys, value, bound=lambda target, m: None) -> Mode:
     return Mode(name, keys, range(2, 9), exact.DEFAULT_COLORING_BUDGET,
                 "witness_coloring",
                 lambda n, m, code: EdgeColoring.from_code(n, m, code).to_text(),
-                EdgeColoring.from_text, value, bound, None, clique_test, fallback)
-
-
-def _largest_class_clique(c: EdgeColoring) -> int:
-    return max(exact.clique_number(c.color_class(i)) for i in range(c.m))
+                EdgeColoring.from_text, value, bound)
 
 
 MODES = {mode.name: mode for mode in (
@@ -264,9 +220,6 @@ MODES = {mode.name: mode for mode in (
                clique_test=True),
     _coloring_row("rprime_m", ("m",), lambda c, p: exact.mono_clique_family(c).value,
                   lambda t, m: exact.family_sum_bound(m, t - m) if t >= m else None),
-    _coloring_row("ramsey_m", ("m",), lambda c, p: _largest_class_clique(c),
-                  lambda t, m: exact.multicolor_ramsey_bound(t, m) if t >= 2 else None,
-                  clique_test=True, fallback=True),
     _coloring_row("score", ("score", "j", "m"),
                   lambda c, p: scores.score_sum(c, p["score"], p["j"])[0]),
     Mode("wprime", ("m",), range(1, vdw.MAX_INTERVAL_COLORS + 1),
@@ -282,7 +235,7 @@ MODES = {mode.name: mode for mode in (
 
 
 def check(name: str, target: int, size: int, m: int = 2, j: int = 1,
-          score: str = "clique", threads: int = 1, budget: Optional[int] = None,
+          score: str = "clique", budget: Optional[int] = None,
           prune: bool = False) -> CheckOutcome:
     """Does every instance of ``size`` reach ``target``?  Raises BudgetError
     when all m^pairs (or m^length) instances exceed the budget."""
@@ -295,7 +248,7 @@ def check(name: str, target: int, size: int, m: int = 2, j: int = 1,
     # Modes without a j ("rprime", "rprime_m") sum the clique numbers of all
     # m classes, whatever ``score`` says: only "score" records it.
     found = mode.scan(name, size, m, j if "j" in mode.keys else m,
-                      params.get("score", ScoreKind.CLIQUE.value), target, threads)
+                      params.get("score", ScoreKind.CLIQUE.value), target)
     if found is None:
         scanned = mode.pruned(size, m) if prune else total
         return CheckOutcome(True, SearchCertificate(EXHAUSTIVE, params, target,
@@ -307,12 +260,10 @@ def check(name: str, target: int, size: int, m: int = 2, j: int = 1,
 
 
 def search(name: str, target: int, m: int = 2, j: int = 1, score: str = "clique",
-           threads: int = 1, budget: Optional[int] = None,
-           prune: bool = False) -> SearchResult:
+           budget: Optional[int] = None, prune: bool = False) -> SearchResult:
     """Least size from which every instance reaches ``target``, with a witness
     at size - 1 and an exhaustive certificate at the size.  When the next probe
-    would blow the per-probe budget, a ``fallback`` mode answers its closed
-    form (exact=False); every other mode raises UndecidedError."""
+    would blow the per-probe budget, raises UndecidedError with the bracket."""
     mode = MODES[name]
     mode.check_colors(m)
     per_probe = mode.budget if budget is None else budget
@@ -320,13 +271,10 @@ def search(name: str, target: int, m: int = 2, j: int = 1, score: str = "clique"
     last_fail: Optional[SearchCertificate] = None
     size = 1
     while mode.count(size, m) <= min(per_probe, ENUMERATION_CAP):
-        outcome = check(name, target, size, m, j, score, threads, per_probe, prune)
+        outcome = check(name, target, size, m, j, score, per_probe, prune)
         if outcome.ok:
             return SearchResult(name, params, size, True, (size, size),
                                 lower=last_fail, upper=outcome.certificate)
         last_fail = outcome.certificate
         size += 1
-    high = mode.bound(target, m)
-    if mode.fallback and high is not None:
-        return SearchResult(name, params, high, False, (size, high), lower=last_fail)
-    raise UndecidedError(name, params, size, high, lower=last_fail)
+    raise UndecidedError(name, params, size, mode.bound(target, m), lower=last_fail)

@@ -22,7 +22,7 @@ DEFAULT_GRAPH_BUDGET = 1 << 21
 DEFAULT_COLORING_BUDGET = 1 << 20
 
 GRAPH_MODES = ("rprime", "ramsey")
-COLORING_MODES = ("rprime_m", "ramsey_m")
+COLORING_MODES = ("rprime_m",)
 
 
 # --- exact solvers ---------------------------------------------------------
@@ -248,18 +248,17 @@ def check_universal(target: int, n_vertices: int, mode: str, m: int = 2,
     """Does every instance on ``n_vertices`` vertices reach ``target``?
 
     Modes: "rprime" (clique + independent pair sum), "ramsey" (a clique or an
-    independent set of the target size), "rprime_m" (sum over colours of the
-    largest monochromatic clique), "ramsey_m" (a monochromatic clique of
-    target size).  Failures report the minimum-code instance.  ``prune``
-    (graph modes only) records the number of complement pairs instead of all
+    independent set of the target size) and "rprime_m" (sum over colours of
+    the largest monochromatic clique).  Failures report the minimum-code
+    instance.  ``threads`` is unused (the scan is serial).  ``prune`` (graph
+    modes only) records the number of complement pairs instead of all
     labeled graphs; the scan, verdict and witness are the same either way
     (see ``engine``).
     """
     if mode not in GRAPH_MODES + COLORING_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     from .engine import check
-    return check(mode, target, n_vertices, m=m, threads=threads, budget=budget,
-                 prune=prune)
+    return check(mode, target, n_vertices, m=m, budget=budget, prune=prune)
 
 
 # --- threshold searches -----------------------------------------------------
@@ -271,15 +270,14 @@ def search_threshold(kind: str, target: int, m: int = 2, threads: int = 1,
 
     Probes n_vertices = 1, 2, ... until a scan passes; passing is monotone
     upward (an induced subgraph argument), so the first pass is the
-    threshold.  When the next probe would blow the instance budget, the
-    "ramsey_m" kind falls back to its closed-form bound (exact=False, with
-    the bracket recorded); every other kind raises UndecidedError carrying
-    the best-known bracket.
+    threshold.  When the next probe would blow the instance budget, raises
+    UndecidedError carrying the best-known bracket.  ``threads`` is unused
+    (the scan is serial).
     """
     if kind not in GRAPH_MODES + COLORING_MODES:
         raise ValueError(f"unknown search kind {kind!r}")
     from .engine import search
-    return search(kind, target, m=m, threads=threads, budget=budget, prune=prune)
+    return search(kind, target, m=m, budget=budget, prune=prune)
 
 
 # --- closed-form bounds ------------------------------------------------------

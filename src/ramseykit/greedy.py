@@ -13,16 +13,18 @@ yields one monochromatic clique per colour.
 Every run records its steps as a trace; replay reruns the same core with the
 recorded pivots and rejects any step the rule would not take.  Every witness
 carries a guarantee floor that exhaustive sweeps (all graphs on up to 7
-vertices) confirm is never violated.
+vertices) confirm is never violated.  A sweep shards its graph codes into
+contiguous ranges across processes and keeps the least violating code, so
+its result is the same at any thread count.
 """
 
 from __future__ import annotations
 
 import random
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
-from .engine import chunk_ranges, run_chunks
 from .exact import WitnessFamily, WitnessPair
 from .graphs import (BudgetError, EdgeColoring, Graph, bits, labeled_graph_count,
                      pair_index, _decode_adj, _mask_is_clique, _mask_is_independent)
@@ -285,6 +287,28 @@ def replay_family_trace(c: EdgeColoring, trace: GreedyTrace) -> WitnessFamily:
 
 
 # --- exhaustive guarantee sweep -------------------------------------------------
+
+
+def chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
+    """Split [0, total) into at most ``parts`` contiguous nonempty ranges."""
+    parts = max(1, min(parts, total))
+    base, extra = divmod(total, parts)
+    out = []
+    at = 0
+    for i in range(parts):
+        size = base + (1 if i < extra else 0)
+        if size:
+            out.append((at, at + size))
+            at += size
+    return out
+
+
+def run_chunks(worker: Callable, arg_tuples: Sequence[tuple], threads: int) -> list:
+    """Run ``worker`` over every arg tuple, in order, serially or in a pool."""
+    if threads <= 1 or len(arg_tuples) <= 1:
+        return [worker(args) for args in arg_tuples]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(worker, arg_tuples))
 
 
 def _sweep_chunk(args) -> tuple[int, Optional[int]]:

@@ -198,17 +198,17 @@ def check_universal_ap_sum(target: int, length: int, m: int,
     unused (the search is serial).  ``prune`` changes only the exhaustive
     count: orbits under reversal and colour permutation, not all m^length."""
     from .engine import check
-    return check("wprime", target, length, m=m, threads=threads, budget=budget,
-                 prune=prune)
+    return check("wprime", target, length, m=m, budget=budget, prune=prune)
 
 
 def ap_sum_threshold(m: int, target: int, threads: int = 1,
                      budget: Optional[int] = None, prune: bool = False
                      ) -> SearchResult:
     """Least interval length from which every m-colouring reaches an AP sum
-    of ``target``; raises UndecidedError past the budget (no closed form)."""
+    of ``target``; raises UndecidedError past the budget (no closed form).
+    ``threads`` is unused (the search is serial)."""
     from .engine import search
-    return search("wprime", target, m=m, threads=threads, budget=budget, prune=prune)
+    return search("wprime", target, m=m, budget=budget, prune=prune)
 
 
 def classical_ap_check(m: int, n: int, length: int, threads: int = 1,

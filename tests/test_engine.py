@@ -11,14 +11,17 @@ malformed certificates are rejected without raising.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramseykit import (EdgeColoring, Graph, SearchCertificate, ScoreKind,
                        check_universal, check_universal_ap_sum,
-                       check_universal_score, clique_number, family_sum_value,
-                       independence_number, pair_sum_value, revalidate,
+                       check_universal_score, cli, clique_number,
+                       family_sum_value, independence_number,
+                       pair_guarantee_sweep, pair_sum_value, revalidate,
                        score_sum, write_graph6)
 from ramseykit.engine import MODES, check
 from ramseykit.graphs import pair_count
@@ -41,8 +44,6 @@ def _full_scan(mode, target, n, m=2, j=1, score="clique", prune=False):
             text = c.to_text()
             if mode == "rprime_m":
                 value = family_sum_value(c)
-            elif mode == "ramsey_m":
-                value = max(clique_number(c.color_class(i)) for i in range(m))
             else:
                 value = score_sum(c, ScoreKind(score), j)[0]
         if value < target:
@@ -67,7 +68,7 @@ def test_graph_scan_matches_full_scan(mode, prune):
             assert _as_triple(cert) == _full_scan(mode, target, n, prune=prune), (n, target)
 
 
-@pytest.mark.parametrize("mode", ["rprime_m", "ramsey_m"])
+@pytest.mark.parametrize("mode", ["rprime_m"])
 def test_coloring_scan_matches_full_scan(mode):
     for m, top in ((2, 5), (3, 4), (4, 3)):
         for n in range(1, top + 1):
@@ -141,10 +142,34 @@ def test_score_is_ignored_where_the_mode_does_not_record_it():
                 (name, score)
 
 
+def test_labeled_scans_start_no_pool(monkeypatch, tmp_path):
+    """Threshold scans run in one process at any ``threads``; the greedy
+    guarantee sweep is the one caller that still starts a pool."""
+    real_init = ProcessPoolExecutor.__init__
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a threshold scan started a process pool")
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", refuse)
+    assert check_universal(6, 6, "rprime", threads=8) == check_universal(6, 6, "rprime")
+    assert (check_universal_score(5, 4, "path", m=2, j=2, threads=4)
+            == check_universal_score(5, 4, "path", m=2, j=2))
+    assert cli.main(["search", "rprime", "--n", "5", "--threads", "8",
+                     "--cache", str(tmp_path / "r.jsonl"), "--json"]) == 0
+
+    started = []
+
+    def count(self, *args, **kwargs):
+        started.append(kwargs.get("max_workers"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", count)
+    assert pair_guarantee_sweep(5, threads=2) == (1024, None)
+    assert started == [2]
+
+
 def test_registry_rows():
-    assert sorted(MODES) == sorted(["rprime", "ramsey", "rprime_m", "ramsey_m",
-                                    "score", "wprime"])
-    assert [name for name, mode in MODES.items() if mode.fallback] == ["ramsey_m"]
+    assert sorted(MODES) == sorted(["rprime", "ramsey", "rprime_m", "score", "wprime"])
     assert MODES["wprime"].count(5, 3) == 3**5
     assert MODES["score"].count(4, 3) == 3**6
     assert MODES["rprime"].pruned(1, 2) == 1 and MODES["rprime"].pruned(4, 2) == 32
@@ -211,6 +236,9 @@ MALFORMED = {
     "count past the cap": _exhaustive({"mode": "rprime", "target": 1, "n_vertices": 65},
                                       1, 2 ** pair_count(65)),
     "parameters not a dict": _exhaustive(["rprime"], 1, 1),
+    "removed mode ramsey_m":
+        _witness({"mode": "ramsey_m", "m": 2, "n_vertices": 3, "target": 3}, 2,
+                 witness_coloring="3:baa"),
 }
 
 

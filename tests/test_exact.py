@@ -152,10 +152,6 @@ def test_check_universal_coloring_modes():
     assert not fail.ok
     assert fail.certificate.witness_coloring == "2:a"
     assert fail.certificate.value == 3
-    mono = check_universal(3, 3, "ramsey_m", m=2)
-    assert not mono.ok  # colour one edge apart: no single-colour triangle
-    assert mono.certificate.witness_coloring == "3:baa"
-    assert mono.certificate.value == 2
 
 
 def test_check_universal_rejects_bad_arguments():
@@ -207,17 +203,11 @@ def test_search_threshold_undecided_carries_bracket():
     assert err.lower.parameters["n_vertices"] == 4
 
 
-def test_search_threshold_ramsey_m_returns_bound_marker():
-    r = search_threshold("ramsey_m", 3, m=3, budget=1000)
-    assert not r.exact
-    assert r.value == multicolor_ramsey_bound(3, 3) == 41
-    assert r.bracket == (5, 41)
-    assert r.lower is not None and r.upper is None
-
-
 def test_search_threshold_rejects_unknown_kind():
     with pytest.raises(ValueError):
         search_threshold("wprime", 3)
+    with pytest.raises(ValueError):  # removed: it only ever answered a bound
+        search_threshold("ramsey_m", 3, m=3)
 
 
 # --- bounds ------------------------------------------------------------------

@@ -80,14 +80,13 @@ def _check_cases():
                     yield ("check_graph", f"{mode} n={n} t={target} prune={prune}",
                            lambda t, mo=mode, n=n, tg=target, p=prune:
                            exact.check_universal(tg, n, mo, threads=t, prune=p), threads)
-    for mode in ("rprime_m", "ramsey_m"):
-        for m, top in ((2, 5), (3, 4), (4, 3)):
-            for n in range(1, top + 1):
-                for target in range(1, m + 4):
-                    threads = (1, 2) if n == top else (1,)
-                    yield ("check_coloring", f"{mode} m={m} n={n} t={target}",
-                           lambda t, mo=mode, n=n, m=m, tg=target:
-                           exact.check_universal(tg, n, mo, m=m, threads=t), threads)
+    for m, top in ((2, 5), (3, 4), (4, 3)):
+        for n in range(1, top + 1):
+            for target in range(1, m + 4):
+                threads = (1, 2) if n == top else (1,)
+                yield ("check_coloring", f"rprime_m m={m} n={n} t={target}",
+                       lambda t, n=n, m=m, tg=target:
+                       exact.check_universal(tg, n, "rprime_m", m=m, threads=t), threads)
     for kind in ("clique", "cycle", "path"):
         for m, top in ((2, 5), (3, 4), (4, 3)):
             for j in range(1, m + 1):
@@ -123,17 +122,16 @@ def _search_cases():
             yield ("search_graph", f"{kind} t=6 budget={budget}",
                    lambda t, k=kind, b=budget: exact.search_threshold(k, 6, threads=t, budget=b),
                    (1,))
-    for kind in ("rprime_m", "ramsey_m"):
-        for m, targets in ((2, range(1, 6)), (3, range(1, 6)), (4, range(1, 6))):
-            for target in targets:
-                yield ("search_coloring", f"{kind} m={m} t={target}",
-                       lambda t, k=kind, m=m, tg=target:
-                       exact.search_threshold(k, tg, m=m, threads=t, budget=1 << 12),
-                       (1, 2) if target == 3 else (1,))
-        for budget in (0, 1, 2, 64):
-            yield ("search_coloring", f"{kind} m=3 t=4 budget={budget}",
-                   lambda t, k=kind, b=budget: exact.search_threshold(k, 4, m=3, threads=t, budget=b),
-                   (1,))
+    for m in (2, 3, 4):
+        for target in range(1, 6):
+            yield ("search_coloring", f"rprime_m m={m} t={target}",
+                   lambda t, m=m, tg=target:
+                   exact.search_threshold("rprime_m", tg, m=m, threads=t, budget=1 << 12),
+                   (1, 2) if target == 3 else (1,))
+    for budget in (0, 1, 2, 64):
+        yield ("search_coloring", f"rprime_m m=3 t=4 budget={budget}",
+               lambda t, b=budget: exact.search_threshold("rprime_m", 4, m=3, threads=t, budget=b),
+               (1,))
     for kind in ("clique", "cycle", "path"):
         for m in (2, 3):
             for j in range(1, m + 1):
