@@ -4,7 +4,10 @@ The central quantity is the clique/independent pair sum: the size of a
 largest clique plus the size of a largest independent set.  Thresholds asking
 "from which vertex count onward does every graph (or every edge colouring)
 reach value n?" are settled by exhaustive scans that emit machine-checkable
-certificates; small closed-form upper bounds accompany them.
+certificates; small closed-form upper bounds accompany them.  One clique
+kernel serves every score: a colour-ordered branch and bound (MCQ, Tomita &
+Seki 2003), as an optimisation (``_omega``) and as a decision
+(``_has_clique``).
 """
 
 from __future__ import annotations
@@ -28,58 +31,54 @@ COLORING_MODES = ("rprime_m",)
 # --- exact solvers ---------------------------------------------------------
 
 
-def _color_bound(adj, cand: int) -> int:
-    """Greedy-colouring class count: an upper bound on cliques inside cand."""
+def _color_order(adj, cand: int) -> list[tuple[int, int]]:
+    """Greedy colouring of cand in index order, as (vertex, colour) pairs
+    with colours ascending: a clique among the pairs up to colour c has at
+    most c vertices."""
+    order = []
     rest = cand
-    k = 0
+    c = 0
     while rest:
-        k += 1
+        c += 1
         avail = rest
         while avail:
             low = avail & -avail
+            v = low.bit_length() - 1
+            order.append((v, c))
             rest ^= low
-            avail = (avail ^ low) & ~adj[low.bit_length() - 1]
-    return k
-
-
-def _pivot(adj, cand: int) -> int:
-    """Branch vertex: maximum degree within cand, ties to the lowest index."""
-    best_v = -1
-    best_d = -1
-    m = cand
-    while m:
-        low = m & -m
-        m ^= low
-        v = low.bit_length() - 1
-        d = (adj[v] & cand).bit_count()
-        if d > best_d:
-            best_d = d
-            best_v = v
-    return best_v
+            avail = (avail ^ low) & ~adj[v]
+    return order
 
 
 def _omega(adj, cand: int) -> int:
-    """Largest clique size inside the candidate mask, by branch and bound."""
+    """Largest clique size inside the candidate mask, by colour-ordered
+    branch and bound (MCQ: Tomita & Seki 2003).
+
+    One greedy colouring per node orders the branches and bounds every
+    child: walking the vertices from the highest colour down, a clique
+    through v within the vertices not yet dropped gains at most v's colour,
+    so the node returns once that cannot beat the best clique found.
+    """
     best = 0
 
     def expand(size: int, cand: int):
         nonlocal best
         if size > best:
             best = size
-        if not cand or size + _color_bound(adj, cand) <= best:
-            return
-        v = _pivot(adj, cand)
-        expand(size + 1, cand & adj[v])
-        rest = cand ^ (1 << v)
-        if rest:
-            expand(size, rest)
+        for v, c in reversed(_color_order(adj, cand)):
+            if size + c <= best:
+                return
+            expand(size + 1, cand & adj[v])
+            cand ^= 1 << v
 
     expand(0, cand)
     return best
 
 
 def _has_clique(adj, cand: int, k: int) -> bool:
-    """Early-exit test for a clique of size k inside cand."""
+    """Is there a clique of size k inside cand?  The same colour-ordered
+    walk as ``_omega`` (Tomita & Seki 2003), with the bound fixed at k: it
+    fails once the vertices left need fewer than k colours."""
     if k <= 1:
         return k <= 0 or cand != 0
     if k == 2:  # an edge inside cand
@@ -90,12 +89,15 @@ def _has_clique(adj, cand: int, k: int) -> bool:
                 return True
             rest ^= low
         return False
-    if cand.bit_count() < k or _color_bound(adj, cand) < k:
+    if cand.bit_count() < k:
         return False
-    v = _pivot(adj, cand)
-    if _has_clique(adj, cand & adj[v], k - 1):
-        return True
-    return _has_clique(adj, cand ^ (1 << v), k)
+    for v, c in reversed(_color_order(adj, cand)):
+        if c < k:  # what is left is coloured with fewer than k colours
+            return False
+        if _has_clique(adj, cand & adj[v], k - 1):
+            return True
+        cand ^= 1 << v
+    return False
 
 
 def clique_number(g: Graph) -> int:
@@ -127,14 +129,11 @@ def _lex_min_clique(adj, full: int) -> tuple[int, int]:
     chosen = 0
     cand = full
     need = size
-    while need:
-        for v in bits(cand):
-            inside = cand & adj[v]
-            if 1 + _omega(adj, inside) >= need:
-                chosen |= 1 << v
-                cand = inside
-                need -= 1
-                break
+    for v in bits(full):  # one pass: a vertex passed over stays out
+        if need and cand >> v & 1 and _has_clique(adj, cand & adj[v], need - 1):
+            chosen |= 1 << v
+            cand &= adj[v]
+            need -= 1
     return size, chosen
 
 

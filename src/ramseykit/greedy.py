@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .exact import WitnessFamily, WitnessPair
 from .graphs import (BudgetError, EdgeColoring, Graph, bits, labeled_graph_count,
-                     pair_index, _decode_adj, _mask_is_clique, _mask_is_independent)
+                     pair_count, pair_index, _decode_adj, _mask_is_clique, _mask_is_independent)
 
 NEIGHBOR_SIDE = "neighbor-side"
 NONNEIGHBOR_SIDE = "nonneighbor-side"
@@ -317,23 +317,34 @@ def _sweep_chunk(args) -> tuple[int, Optional[int]]:
 
     A violation is any broken contract: guarantee floor missed, output sets
     not a clique/independent set, disjointness broken, or an overlap of more
-    than one vertex in the tie variant.
+    than one vertex in the tie variant.  A code is ``low + (high <<
+    pairs(n-1))``: ``low`` codes the graph on the first n-1 vertices and
+    ``high`` the last vertex's neighbours, so the rows of each ``low`` are
+    decoded once per chunk and every graph's rows are its parent's plus
+    ``high``.
     """
     n, start, stop = args
     dfloor = disjoint_guarantee_floor(n)
     ofloor = overlap_guarantee_floor(n)
+    shift = pair_count(n - 1)
+    parents = [_decode_adj(n - 1, low) for low in range(1 << shift)]
+    new = 1 << (n - 1)
     checked = 0
-    for code in range(start, stop):
-        adj = _decode_adj(n, code)
-        checked += 1
-        a, b = _pair_core(adj, n, pick_lowest, None, False)
-        if (a & b or a.bit_count() + b.bit_count() < dfloor
-                or not _mask_is_clique(adj, a) or not _mask_is_independent(adj, b)):
-            return checked, code
-        a, b = _pair_core(adj, n, pick_lowest, None, True)
-        if ((a & b).bit_count() > 1 or a.bit_count() + b.bit_count() < ofloor
-                or not _mask_is_clique(adj, a) or not _mask_is_independent(adj, b)):
-            return checked, code
+    for high in range(start >> shift, ((stop - 1) >> shift) + 1):
+        add = [new if high >> u & 1 else 0 for u in range(n - 1)]
+        base = high << shift
+        for low in range(max(start - base, 0), min(stop - base, 1 << shift)):
+            adj = [row | bit for row, bit in zip(parents[low], add)]
+            adj.append(high)
+            checked += 1
+            a, b = _pair_core(adj, n, pick_lowest, None, False)
+            if (a & b or a.bit_count() + b.bit_count() < dfloor
+                    or not _mask_is_clique(adj, a) or not _mask_is_independent(adj, b)):
+                return checked, base + low
+            a, b = _pair_core(adj, n, pick_lowest, None, True)
+            if ((a & b).bit_count() > 1 or a.bit_count() + b.bit_count() < ofloor
+                    or not _mask_is_clique(adj, a) or not _mask_is_independent(adj, b)):
+                return checked, base + low
     return checked, None
 
 

@@ -63,6 +63,20 @@ def lex_min_max_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
     return 0, ()
 
 
+def ascending_cliques(g: Graph, vertices=None):
+    """Every nonempty clique inside ``vertices`` (default: all of g) as a
+    sorted tuple, in lexicographic order: a plain depth-first walk with no
+    bound, so the first largest one is the lexicographically least."""
+    nbrs = [{u for u in range(g.n) if u != v and g.has_edge(u, v)} for v in range(g.n)]
+
+    def grow(clique, cand):
+        for v in sorted(cand):
+            yield clique + (v,)
+            yield from grow(clique + (v,), {u for u in cand & nbrs[v] if u > v})
+
+    yield from grow((), set(range(g.n) if vertices is None else vertices))
+
+
 def longest_path_oracle(g: Graph) -> int:
     """Longest simple path by trying every permutation of every subset."""
     for size in range(g.n, 1, -1):

@@ -1,12 +1,13 @@
 """Exact solvers, certified scans, threshold searches, and bounds."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import graphs, lex_min_max_clique
+from helpers import ascending_cliques, graphs, lex_min_max_clique, random_graph
 from ramseykit import (BudgetError, EdgeColoring, Graph, SearchCertificate,
                        UndecidedError, WitnessFamily, WitnessPair, bits,
                        bound_formulas, canonical_json, check_universal,
@@ -18,6 +19,7 @@ from ramseykit import (BudgetError, EdgeColoring, Graph, SearchCertificate,
                        multicolor_ramsey_bound, pair_sum_bound,
                        pair_sum_bruteforce, pair_sum_value, parse_graph6,
                        revalidate, search_threshold, two_color_ramsey_bound)
+from ramseykit.exact import _has_clique, _omega
 
 
 def petersen() -> Graph:
@@ -71,6 +73,60 @@ def test_clique_number_is_complement_independence(g):
 @given(graphs(max_n=12))
 def test_solver_matches_bruteforce(g):
     assert pair_sum_value(g) == pair_sum_bruteforce(g)
+
+
+def _oracle_omega(g, vertices=None) -> int:
+    return max(map(len, ascending_cliques(g, vertices)), default=0)
+
+
+@settings(max_examples=400)
+@given(graphs(max_n=12), st.integers(0, (1 << 12) - 1))
+def test_clique_kernels_match_subset_oracle_on_any_candidate_set(g, cand):
+    cand &= g.full_mask
+    omega = _oracle_omega(g, bits(cand))
+    assert _omega(g.adj, cand) == omega
+    for k in range(omega + 3):
+        assert _has_clique(g.adj, cand, k) == (k <= omega)
+
+
+def grotzsch() -> Graph:
+    """Mycielskian of C5: triangle-free, chromatic number 4."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(i + 5, j) for i in range(5) for j in ((i + 1) % 5, (i - 1) % 5)]
+    edges += [(i + 5, 10) for i in range(5)]
+    return Graph.from_edges(11, edges)
+
+
+def paley(q: int) -> Graph:
+    squares = {x * x % q for x in range(1, q)}
+    return Graph.from_edges(q, [(u, v) for u in range(q) for v in range(u + 1, q)
+                                if (v - u) % q in squares])
+
+
+@pytest.mark.parametrize("g, omega, alpha", [
+    (grotzsch(), 2, 5),
+    (petersen(), 2, 4),
+    (Graph.from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9)
+                          if u // 3 != v // 3]), 3, 3),  # K_{3,3,3}
+    (paley(13), 3, 3),
+    (paley(17), 3, 3),
+], ids=["grotzsch", "petersen", "k333", "paley13", "paley17"])
+def test_clique_kernels_where_the_colouring_bound_is_loose(g, omega, alpha):
+    for h, want in ((g, omega), (g.complement(), alpha)):
+        assert _oracle_omega(h) == want
+        assert _omega(h.adj, h.full_mask) == want
+        for k in range(want + 3):
+            assert _has_clique(h.adj, h.full_mask, k) == (k <= want)
+        size, mask = max_clique(h)
+        assert size == want
+        assert tuple(bits(mask)) == max(ascending_cliques(h), key=len)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_clique_indep_pair_on_random_64_vertex_graphs(seed):
+    g = random_graph(random.Random(seed), 64)
+    a, b = (mask_of(max(ascending_cliques(h), key=len)) for h in (g, g.complement()))
+    assert clique_indep_pair(g) == WitnessPair(a, b)
 
 
 def test_bruteforce_rejects_large_graphs():

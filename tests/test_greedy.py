@@ -16,6 +16,8 @@ from ramseykit import (BudgetError, EdgeColoring, Graph, GreedyStep, GreedyTrace
                        pair_sum_value, pick_highest_degree, pick_lowest,
                        replay_family_trace, replay_pair_trace, seeded_pick,
                        WitnessFamily, WitnessPair)
+from ramseykit import greedy
+from ramseykit.graphs import _decode_adj, _mask_is_clique, _mask_is_independent
 
 
 def test_disjoint_on_cycle5_frozen_trace():
@@ -233,3 +235,59 @@ def test_sweep_counts_and_merging():
         pair_guarantee_sweep(1)
     with pytest.raises(BudgetError):
         pair_guarantee_sweep(8)
+
+
+def _sweep_oracle(n: int, start: int, stop: int):
+    """Per-code reference for ``_sweep_chunk``: decode each code afresh."""
+    dfloor = greedy.disjoint_guarantee_floor(n)
+    ofloor = greedy.overlap_guarantee_floor(n)
+    for checked, code in enumerate(range(start, stop), 1):
+        adj = _decode_adj(n, code)
+        for overlap, floor in ((False, dfloor), (True, ofloor)):
+            a, b = greedy._pair_core(adj, n, pick_lowest, None, overlap)
+            if ((a & b).bit_count() > overlap or a.bit_count() + b.bit_count() < floor
+                    or not _mask_is_clique(adj, a) or not _mask_is_independent(adj, b)):
+                return checked, code
+    return stop - start, None
+
+
+@pytest.mark.parametrize("floor_name", [None, "disjoint_guarantee_floor",
+                                        "overlap_guarantee_floor"])
+def test_sweep_matches_per_code_decoding(monkeypatch, floor_name):
+    # No graph violates the real floors, so to reach the least violating
+    # code, demand one vertex more than either variant guarantees.
+    if floor_name:
+        real = getattr(greedy, floor_name)
+        monkeypatch.setattr(greedy, floor_name, lambda n: real(n) + 1)
+    rng = random.Random(11)
+    for n in range(3, 7):
+        total = labeled_graph_count(n)
+        block = 1 << (n - 1) * (n - 2) // 2  # codes sharing one last-vertex row
+        ranges = [(0, total), (block - 1, block + 1), (block // 2, 3 * block + 1),
+                  (total - block - 1, total)]
+        ranges += [tuple(sorted(rng.sample(range(total + 1), 2))) for _ in range(6)]
+        for start, stop in ranges:
+            if start < stop:
+                assert greedy._sweep_chunk((n, start, stop)) == _sweep_oracle(n, start, stop)
+        checked, violation = pair_guarantee_sweep(n, threads=1)
+        assert (violation is None) == (floor_name is None)
+        assert (checked, violation) == _sweep_oracle(n, 0, total)
+
+
+def test_sweep_builds_each_graph_from_its_parent_rows(monkeypatch):
+    seen = []
+    core = greedy._pair_core
+
+    def spy(adj, n, pick, record, overlap):
+        if not overlap:
+            seen.append(list(adj))
+        return core(adj, n, pick, record, overlap)
+
+    monkeypatch.setattr(greedy, "_pair_core", spy)
+    for n in range(2, 7):
+        total = labeled_graph_count(n)
+        block = 1 << (n - 1) * (n - 2) // 2
+        for start, stop in ((0, total), (block - 1, block + 1), (1, total - 1)):
+            seen.clear()
+            greedy._sweep_chunk((n, start, stop))
+            assert seen == [_decode_adj(n, code) for code in range(start, stop)]
