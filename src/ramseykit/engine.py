@@ -18,7 +18,9 @@ exactly the failing ``low + high * m^pairs(k-1)``, where ``high``'s base-m
 digit u colours the pair (u, k-1).  Each level is produced in ascending code
 order (highs outer, the memoised parent level inner; ``low`` is below
 m^pairs(k-1)), and only as far as the next level asks, so the first failing
-code of the last level is the least failing code.
+code of the last level is the least failing code and no code above it is
+scored.  Each code carries its class rows (its parent's plus the new
+vertex), so the replay for every ``high`` decodes nothing.
 
 The top-digit symmetry still applies at the last level.  Each predicate is
 invariant under permuting colours (complementing, at m = 2), and swapping
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from operator import or_
 from typing import Any, Callable, Iterator, Optional
 
 from . import exact, scores, vdw
@@ -40,8 +43,7 @@ from .certificates import (EXHAUSTIVE, WITNESS, SearchCertificate,
                            SearchResult, UndecidedError)
 from .exact import CheckOutcome, _has_clique
 from .graphs import (ENUMERATION_CAP, BudgetError, EdgeColoring, Graph,
-                     pair_count, pair_table, parse_graph6, write_graph6,
-                     _decode_adj)
+                     pair_count, parse_graph6, write_graph6)
 from .scores import ScoreKind, _score_rows
 
 
@@ -54,8 +56,9 @@ def _labeled_scan(name, n, m, j, score, target) -> Optional[int]:
     A code is split into its m colour classes; it fails when no class has a
     ``target`` clique (clique modes) or when its j best class scores sum
     below ``target``.  Levels 0..n-1 of failing codes are built lazily, each
-    produced only as far as the next level asks for it; the last level's
-    highs are [0, m^(n-2)), codes with top digit 0."""
+    produced only as far as the next level asks for it and carrying its
+    class rows; the last level's highs are [0, m^(n-2)), codes with top
+    digit 0."""
     kind = ScoreKind(score)
     if MODES[name].clique_test:
         fails = lambda per: max(per) < target
@@ -63,49 +66,55 @@ def _labeled_scan(name, n, m, j, score, target) -> Optional[int]:
         fails = lambda per: sum(per) < target
     else:
         fails = lambda per: sum(sorted(per, reverse=True)[:j]) < target
-    level = _memoised(m, iter([(0, bytes(m))]))  # the empty graph fails every target
+    # the empty graph fails every target
+    level = _memoised(0, m, iter([(0, bytes(m), [[]] * m)]))
     for k in range(1, n):
-        level = _memoised(m, _extend(level, k, m, range(m ** (k - 1)), kind, fails))
+        level = _memoised(k, m, _extend(level, k, m, range(m ** (k - 1)), kind, fails))
     highs = range(m ** (n - 2) if n > 1 else 1)
-    return next((code for code, _ in _extend(level, n, m, highs, kind, fails)), None)
+    return next((code for code, _, _ in _extend(level, n, m, highs, kind, fails)), None)
 
 
-def _memoised(m: int, source) -> Callable[[], Iterator[tuple[int, bytes]]]:
-    """Replayable failing codes with their class scores: a pass replays the
-    entries stored so far, then pulls more from ``source`` and stores them
-    compactly (codes in an array, m score bytes each)."""
-    codes, scores = array("Q"), bytearray()
+def _memoised(k: int, m: int, source) -> Callable[[], Iterator[tuple]]:
+    """Replayable failing codes on k vertices with their class scores and
+    class rows: a pass replays the entries stored so far, then pulls more
+    from ``source`` and stores them compactly (codes in an array, m score
+    bytes each, and k row bytes per code in one array per class: the
+    enumeration cap keeps every stored level at k <= 8 vertices)."""
+    codes, scores, rows = array("Q"), bytearray(), [bytearray() for _ in range(m)]
 
     def entries():
-        for i in range(len(codes)):
-            yield codes[i], scores[i * m:i * m + m]
-        for code, per in source:
+        for i, code in enumerate(codes):
+            yield code, scores[i * m:i * m + m], [r[i * k:i * k + k] for r in rows]
+        for code, per, grown in source:
             codes.append(code)
             scores.extend(per)
-            yield code, per
+            for r, g in zip(rows, grown):
+                r.extend(g)
+            yield code, per, grown
     return entries
 
 
 def _extend(parents, k: int, m: int, highs, kind: ScoreKind,
-            fails) -> Iterator[tuple[int, bytes]]:
-    """Failing codes on k vertices, ascending: ``low + high * m^pairs(k-1)``
-    with ``low`` a failing parent and ``high``'s digit u the colour of the
-    pair (u, k-1).  Every predicate is hereditary, so no other code fails.
-    A child's class clique number is the parent's, plus one when the new
-    vertex's neighbours in that class hold a clique that large; path and
-    cycle scores are recomputed on each class of the child."""
+            fails) -> Iterator[tuple[int, bytes, list]]:
+    """Failing codes on k vertices, ascending, with their class scores and
+    rows: ``low + high * m^pairs(k-1)`` with ``low`` a failing parent and
+    ``high``'s digit u the colour of the pair (u, k-1).  Every predicate is
+    hereditary, so no other code fails.  A child's class clique number is
+    the parent's, plus one when the new vertex's neighbours in that class
+    hold a clique that large; path and cycle scores are recomputed on each
+    class of the child."""
     base = m ** pair_count(k - 1)
     new = 1 << (k - 1)
     full = (1 << k) - 1
     for high in highs:
-        nbrs = [0] * m
+        nbrs, joins = [0] * m, [[0] * (k - 1) for _ in range(m)]
         h = high
         for u in range(k - 1):
             h, d = divmod(h, m)
             nbrs[d] |= 1 << u
+            joins[d][u] = new
         offset = high * base
-        for low, per in parents():
-            rows = _decode_rows(k - 1, m, low)
+        for low, per, rows in parents():
             if kind is ScoreKind.CLIQUE:  # stop once a class's growth makes it pass
                 child = bytearray(per)
                 for d in range(m):
@@ -114,29 +123,19 @@ def _extend(parents, k: int, m: int, highs, kind: ScoreKind,
                         if not fails(child):
                             break
                 else:
-                    yield low + offset, child
+                    yield low + offset, child, _grow(rows, joins, nbrs)
             else:
-                child = bytes([_score_rows([row | new if nb >> u & 1 else row
-                                            for u, row in enumerate(r)] + [nb],
-                                           full, kind)
-                               for r, nb in zip(rows, nbrs)])
+                grown = _grow(rows, joins, nbrs)
+                child = bytes([_score_rows(r, full, kind) for r in grown])
                 if fails(child):
-                    yield low + offset, child
+                    yield low + offset, child, grown
 
 
-def _decode_rows(n: int, m: int, code: int) -> list[list[int]]:
-    """Adjacency rows of each colour class of a code on n vertices; at m = 2
-    colour 1 is the graph of the code and colour 0 its complement."""
-    if m == 2:
-        adj = _decode_adj(n, code)
-        full = (1 << n) - 1
-        return [[full ^ row ^ (1 << v) for v, row in enumerate(adj)], adj]
-    rows = [[0] * n for _ in range(m)]
-    for a, b in pair_table(n):
-        code, d = divmod(code, m)
-        rows[d][a] |= 1 << b
-        rows[d][b] |= 1 << a
-    return rows
+def _grow(rows, joins, nbrs) -> list[list[int]]:
+    """Each class's rows with the new vertex added: ``joins[d][u]`` is the
+    new vertex's bit when u is its class-d neighbour, else 0, and
+    ``nbrs[d]`` is its own class-d row."""
+    return [[*map(or_, r, j), nb] for r, j, nb in zip(rows, joins, nbrs)]
 
 
 def _interval_scan(name, size, m, j, score, target) -> Optional[tuple]:

@@ -3,10 +3,11 @@
 The labeled scan extends failing codes one vertex at a time, scores only
 children of failing parents, and records the full count; here it is
 compared with a loop over every code that scores instances with the public
-value functions only, and the hereditary premise that makes the extension
-complete is checked on its own.  Certificates the engine emits must
-revalidate deeply and stop revalidating under any one-step change, and
-malformed certificates are rejected without raising.
+value functions only, level by level as well as at the last size, and the
+hereditary premise that makes the extension complete is checked on its own.
+Certificates the engine emits must revalidate deeply and stop revalidating
+under any one-step change, and malformed certificates are rejected without
+raising.
 """
 
 from __future__ import annotations
@@ -23,31 +24,46 @@ from ramseykit import (EdgeColoring, Graph, SearchCertificate, ScoreKind,
                        family_sum_value, independence_number,
                        pair_guarantee_sweep, pair_sum_value, revalidate,
                        score_sum, write_graph6)
+from ramseykit import engine, graphs
 from ramseykit.engine import MODES, check
 from ramseykit.graphs import pair_count
+
+
+_VALUES: dict = {}  # values of codes 0, 1, ... scored so far, per instance family
+
+
+def _value(mode, n, m, j, score, code):
+    """Value of one code, from the public value functions only."""
+    if mode in ("rprime", "ramsey"):
+        g = Graph.from_code(n, code)
+        if mode == "rprime":
+            return pair_sum_value(g)
+        return max(clique_number(g), independence_number(g))
+    c = EdgeColoring.from_code(n, m, code)
+    if mode == "rprime_m":
+        return family_sum_value(c)
+    return score_sum(c, ScoreKind(score), j)[0]
+
+
+def _values(mode, n, m=2, j=1, score="clique"):
+    """Values of every code on n vertices in code order; each code is scored
+    once per session, and only when a caller reads that far."""
+    done = _VALUES.setdefault((mode, n, m) + ((j, score) if mode == "score" else ()), [])
+    for code in range(m ** pair_count(n)):
+        if code == len(done):
+            done.append(_value(mode, n, m, j, score, code))
+        yield done[code]
 
 
 def _full_scan(mode, target, n, m=2, j=1, score="clique", prune=False):
     """(value, witness text, count) of the least failing code, visiting
     every code in order; (target, None, count) when none fails."""
-    codes = range(m ** pair_count(n))
-    for code in codes:
-        if mode in ("rprime", "ramsey"):
-            g = Graph.from_code(n, code)
-            text = write_graph6(g)
-            if mode == "rprime":
-                value = pair_sum_value(g)
-            else:
-                value = max(clique_number(g), independence_number(g))
-        else:
-            c = EdgeColoring.from_code(n, m, code)
-            text = c.to_text()
-            if mode == "rprime_m":
-                value = family_sum_value(c)
-            else:
-                value = score_sum(c, ScoreKind(score), j)[0]
+    for code, value in enumerate(_values(mode, n, m, j, score)):
         if value < target:
-            return value, text, None
+            if mode in ("rprime", "ramsey"):
+                return value, write_graph6(Graph.from_code(n, code)), None
+            return value, EdgeColoring.from_code(n, m, code).to_text(), None
+    codes = range(m ** pair_count(n))
     if prune:  # one representative per complement pair
         full = (1 << pair_count(n)) - 1
         return target, None, sum(1 for c in codes if c <= full ^ c)
@@ -106,6 +122,106 @@ def test_extension_matches_full_scan_one_level_deeper():
     oracle = _full_scan("rprime_m", 6, 5, 3)
     assert EdgeColoring.from_text(oracle[1], 3).code == 3195
     same(oracle, lambda threads: check_universal(6, 5, "rprime_m", m=3, threads=threads))
+
+
+# Checks whose witness, if any, has a nonzero row for its last vertex, so the
+# scan reads every level below the last size in full.
+FULL_LEVELS = {
+    "rprime-6": ("rprime", 6, 7, 2, 1, "clique", None),
+    "ramsey-3": ("ramsey", 3, 7, 2, 1, "clique", None),
+    "path-m2-j2-7": ("score", 7, 6, 2, 2, "path", None),
+    "cycle-m2-j2-5": ("score", 5, 6, 2, 2, "cycle", None),
+    "rprime_m-m3-6": ("rprime_m", 6, 6, 3, 3, "clique", 3 ** 15),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FULL_LEVELS))
+def test_each_level_is_exactly_the_failing_codes(monkeypatch, case):
+    """Every level below the last size holds exactly the failing codes, in
+    ascending order, each with its class scores and the adjacency rows of
+    its colour classes (carried from parent to child, never decoded)."""
+    mode, target, size, m, j, score, budget = FULL_LEVELS[case]
+    levels = {k: [] for k in range(1, size)}
+    real = engine._extend
+
+    def spy(parents, k, *args):
+        for code, per, rows in real(parents, k, *args):
+            if k < size:
+                levels[k].append((code, bytes(per), [list(r) for r in rows]))
+            yield code, per, rows
+
+    monkeypatch.setattr(engine, "_extend", spy)
+    cert = check(mode, target, size, m, j, score, budget).certificate
+    text = cert.witness_graph6 or cert.witness_coloring
+    if text is not None:
+        assert MODES[mode].read(text, m).code >= m ** pair_count(size - 1)
+    kind = ScoreKind(score)
+    for k, level in levels.items():
+        expected = []
+        for code, value in enumerate(_values(mode, k, m, j, score)):
+            if value < target:
+                c = EdgeColoring.from_code(k, m, code)
+                expected.append((code, bytes(score_sum(c, kind, 1)[1].per_color),
+                                 [list(c.color_class(d).adj) for d in range(m)]))
+        assert level == expected, (case, k)
+    if case == "rprime-6":
+        assert [len(level) for level in levels.values()] == [1, 2, 8, 64, 632, 5624]
+
+
+def test_each_failing_code_is_grown_once_and_none_is_decoded(monkeypatch):
+    """Rows are built once per failing code, from its parent's rows: the
+    failing codes on 1..6 vertices (1 + 2 + 8 + 64 + 632 + 5,624) and the
+    witness.  The scan itself decodes no code."""
+    grown, decoded = [], []
+    real_grow, real_decode = engine._grow, graphs._decode_adj
+    monkeypatch.setattr(engine, "_grow", lambda *a: grown.append(a) or real_grow(*a))
+    monkeypatch.setattr(graphs, "_decode_adj",
+                        lambda *a: decoded.append(a) or real_decode(*a))
+    code = engine._labeled_scan("rprime", 7, 2, 2, "clique", 6)
+    assert (len(grown), len(decoded)) == (6331 + 1, 0)
+    assert write_graph6(Graph.from_code(7, code)) == "F@Tc?"
+
+
+@pytest.mark.parametrize("mode, target, n, m, j, score", [
+    ("ramsey", 4, 5, 2, 1, "clique"),
+    ("score", 5, 5, 2, 1, "cycle"),
+    ("score", 4, 4, 2, 1, "cycle"),
+])
+def test_least_code_is_not_the_first_parents_first_failing_child(mode, target, n, m, j,
+                                                                  score):
+    """The least failing parent's first failing child is not the least
+    failing code (ramsey target 4 on 5 vertices: parent 1's first failing
+    child is 1 + 3 * 2^6 = 193, the least failing code is 7), so a scan
+    must try every parent at a ``high`` before any parent at the next."""
+    base = m ** pair_count(n - 1)
+    parent = next(c for c, v in enumerate(_values(mode, n - 1, m, j, score)) if v < target)
+    values = list(_values(mode, n, m, j, score))
+    least = next(c for c, v in enumerate(values) if v < target)
+    first = next(parent + high * base for high in range(m ** (n - 2))
+                 if values[parent + high * base] < target)
+    assert least < first
+    cert = check(mode, target, n, m, j, score).certificate
+    assert _as_triple(cert) == _full_scan(mode, target, n, m, j, score)
+
+
+@st.composite
+def labeled_checks(draw):
+    """A labeled mode's check on n = 5 or 6 vertices at m = 2, 4 or 5 at
+    m = 3 (smaller sizes are scanned for every target above)."""
+    mode = draw(st.sampled_from(["rprime", "ramsey", "rprime_m", "score"]))
+    m = 2 if mode in ("rprime", "ramsey") else draw(st.integers(2, 3))
+    j = draw(st.integers(1, m)) if mode == "score" else m
+    score = draw(st.sampled_from(["clique", "cycle", "path"])) if mode == "score" \
+        else "clique"
+    return mode, draw(st.integers(1, 9)), draw(st.integers(7 - m, 8 - m)), m, j, score
+
+
+@settings(max_examples=60)
+@given(labeled_checks())
+def test_labeled_scan_matches_full_scan(case):
+    mode, target, n, m, j, score = case
+    cert = check(mode, target, n, m, j, score).certificate
+    assert _as_triple(cert) == _full_scan(mode, target, n, m, j, score)
 
 
 @st.composite
