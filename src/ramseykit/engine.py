@@ -44,7 +44,7 @@ from .certificates import (EXHAUSTIVE, WITNESS, SearchCertificate,
 from .exact import CheckOutcome, _has_clique
 from .graphs import (ENUMERATION_CAP, BudgetError, EdgeColoring, Graph,
                      pair_count, parse_graph6, write_graph6)
-from .scores import ScoreKind, _score_rows
+from .scores import ScoreKind, _through
 
 
 # --- the registry ------------------------------------------------------------
@@ -59,19 +59,24 @@ def _labeled_scan(name, n, m, j, score, target) -> Optional[int]:
     produced only as far as the next level asks for it and carrying its
     class rows; the last level's highs are [0, m^(n-2)), codes with top
     digit 0."""
-    kind = ScoreKind(score)
     if MODES[name].clique_test:
         fails = lambda per: max(per) < target
     elif j == m:
         fails = lambda per: sum(per) < target
     else:
         fails = lambda per: sum(sorted(per, reverse=True)[:j]) < target
+    kind = ScoreKind(score)
+    if kind is ScoreKind.CLIQUE:
+        through = lambda rows, nbrs, s: s + _has_clique(rows, nbrs, s)
+    else:  # capped: a class that reaches the target makes the child pass
+        cycle = kind is ScoreKind.CYCLE
+        through = lambda rows, nbrs, s: _through(rows, nbrs, target, cycle)
     # the empty graph fails every target
     level = _memoised(0, m, iter([(0, bytes(m), [[]] * m)]))
     for k in range(1, n):
-        level = _memoised(k, m, _extend(level, k, m, range(m ** (k - 1)), kind, fails))
+        level = _memoised(k, m, _extend(level, k, m, range(m ** (k - 1)), through, fails))
     highs = range(m ** (n - 2) if n > 1 else 1)
-    return next((code for code, _, _ in _extend(level, n, m, highs, kind, fails)), None)
+    return next((code for code, _, _ in _extend(level, n, m, highs, through, fails)), None)
 
 
 def _memoised(k: int, m: int, source) -> Callable[[], Iterator[tuple]]:
@@ -94,18 +99,18 @@ def _memoised(k: int, m: int, source) -> Callable[[], Iterator[tuple]]:
     return entries
 
 
-def _extend(parents, k: int, m: int, highs, kind: ScoreKind,
+def _extend(parents, k: int, m: int, highs, through,
             fails) -> Iterator[tuple[int, bytes, list]]:
     """Failing codes on k vertices, ascending, with their class scores and
     rows: ``low + high * m^pairs(k-1)`` with ``low`` a failing parent and
     ``high``'s digit u the colour of the pair (u, k-1).  Every predicate is
-    hereditary, so no other code fails.  A child's class clique number is
-    the parent's, plus one when the new vertex's neighbours in that class
-    hold a clique that large; path and cycle scores are recomputed on each
-    class of the child."""
+    hereditary, so no other code fails.  A child's class score is the
+    parent's or, when larger, ``through(rows, nbrs, score)``: one more for
+    a clique in the new vertex's class neighbours, or the longest path or
+    cycle through the new vertex.  Scoring stops once the child passes, and
+    only failing children get rows."""
     base = m ** pair_count(k - 1)
     new = 1 << (k - 1)
-    full = (1 << k) - 1
     for high in highs:
         nbrs, joins = [0] * m, [[0] * (k - 1) for _ in range(m)]
         h = high
@@ -115,20 +120,15 @@ def _extend(parents, k: int, m: int, highs, kind: ScoreKind,
             joins[d][u] = new
         offset = high * base
         for low, per, rows in parents():
-            if kind is ScoreKind.CLIQUE:  # stop once a class's growth makes it pass
-                child = bytearray(per)
-                for d in range(m):
-                    if _has_clique(rows[d], nbrs[d], per[d]):
-                        child[d] += 1
-                        if not fails(child):
-                            break
-                else:
-                    yield low + offset, child, _grow(rows, joins, nbrs)
+            child = bytearray(per)
+            for d in range(m):
+                score = through(rows[d], nbrs[d], per[d])
+                if score > per[d]:
+                    child[d] = score
+                    if not fails(child):
+                        break
             else:
-                grown = _grow(rows, joins, nbrs)
-                child = bytes([_score_rows(r, full, kind) for r in grown])
-                if fails(child):
-                    yield low + offset, child, grown
+                yield low + offset, child, _grow(rows, joins, nbrs)
 
 
 def _grow(rows, joins, nbrs) -> list[list[int]]:

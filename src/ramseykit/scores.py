@@ -4,7 +4,9 @@ Each colour class of an edge colouring spans a graph on all n vertices; a
 score function assigns it the size of its largest clique, longest cycle, or
 longest path (counted in vertices).  Aggregating the j best class scores
 generalizes the monochromatic-clique family sum (clique score, j = m) and the
-single-best-class threshold (j = 1).
+single-best-class threshold (j = 1).  Path and cycle scores share one
+kernel, ``_through``: the longest path or cycle through a top vertex,
+stopping at a cap (the labeled scan's target, or a spanning path or cycle).
 """
 
 from __future__ import annotations
@@ -37,57 +39,54 @@ class ScoreProfile:
         return sum(sorted(self.per_color, reverse=True)[:j])
 
 
-def _longest_path(adj, full: int) -> int:
-    """Vertices on a longest simple path; 1 for any nonempty vertex set."""
-    best = 0
+def _through(rows, row: int, cap: int, cycle: bool) -> int:
+    """Most vertices on a path (``cycle``: a cycle, else 0) through vertex
+    v = len(rows), with neighbours ``row``, on vertices 0..v only; returns
+    once the count reaches ``cap``.  A path is two arms leaving v, the
+    second forking off the first and starting above its first vertex, so
+    each path is walked once; a cycle is a first arm that closes on v.  A
+    walk stops once the free vertices cannot beat the best or, for cycles,
+    none of v's neighbours is free to close on."""
+    free = (1 << len(rows)) - 1
+    row &= free
+    best = 0 if cycle else 1
 
-    def extend(v: int, visited: int, length: int):
+    def walk(u: int, free: int, count: int, fork: int) -> bool:
         nonlocal best
-        if length > best:
-            best = length
-        for u in bits(adj[v] & ~visited & full):
-            extend(u, visited | (1 << u), length + 1)
+        if count > best and (not cycle or count > 2 and row >> u & 1):
+            best = count
+            if best >= cap:
+                return True
+        if count + free.bit_count() <= best or cycle and not row & free:
+            return False
+        for step, then in ((rows[u] & free, fork), (fork & free, 0)):
+            while step:
+                low = step & -step
+                step ^= low
+                if walk(low.bit_length() - 1, free ^ low, count + 1, then):
+                    return True
+        return False
 
-    for v in bits(full):
-        extend(v, 1 << v, 1)
+    for a in bits(row):
+        if walk(a, free ^ 1 << a, 2, 0 if cycle else row & ~((2 << a) - 1)):
+            break
     return best
-
-
-def _longest_cycle(adj, full: int) -> int:
-    """Vertices on a longest simple cycle; 0 when the graph is acyclic.
-
-    Each cycle is found once, anchored at its minimum vertex: paths grow only
-    through vertices above the anchor and score when they close back on it
-    with length at least 3.
-    """
-    best = 0
-
-    def extend(v: int, visited: int, length: int, anchor: int, above: int):
-        nonlocal best
-        if length >= 3 and adj[v] >> anchor & 1 and length > best:
-            best = length
-        for u in bits(adj[v] & ~visited & above):
-            extend(u, visited | (1 << u), length + 1, anchor, above)
-
-    for anchor in bits(full):
-        above = full & ~((1 << (anchor + 1)) - 1)
-        extend(anchor, 1 << anchor, 1, anchor, above)
-    return best
-
-
-def _score_rows(adj, full: int, kind: ScoreKind) -> int:
-    if kind is ScoreKind.CLIQUE:
-        return _omega(adj, full)
-    if kind is ScoreKind.CYCLE:
-        return _longest_cycle(adj, full)
-    return _longest_path(adj, full)
 
 
 def score_color_class(c: EdgeColoring, color: int, kind: ScoreKind) -> int:
-    """Score of one colour class (its graph keeps all n vertices)."""
+    """Score of one colour class (its graph keeps all n vertices).  A longest
+    path or cycle is the longest through its top vertex v on vertices 0..v,
+    taken for v descending until v + 1 vertices cannot beat the best."""
     kind = ScoreKind(kind)
-    g = c.color_class(color)
-    return _score_rows(g.adj, g.full_mask, kind)
+    adj = c.color_class(color).adj
+    if kind is ScoreKind.CLIQUE:
+        return _omega(adj, (1 << c.n) - 1)
+    best = 0
+    for v in reversed(range(c.n)):
+        if v + 1 <= best:
+            break
+        best = max(best, _through(adj[:v], adj[v], v + 1, kind is ScoreKind.CYCLE))
+    return best
 
 
 def score_sum(c: EdgeColoring, kind: ScoreKind, j: int) -> tuple[int, ScoreProfile]:

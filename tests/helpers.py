@@ -44,6 +44,13 @@ def random_graph(rng, n: int) -> Graph:
     return Graph.from_code(n, rng.getrandbits(pc) if pc else 0)
 
 
+def petersen() -> Graph:
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, edges)
+
+
 # --- oracles -----------------------------------------------------------------
 
 

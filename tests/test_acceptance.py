@@ -175,8 +175,8 @@ def test_c10_solver_matches_subset_oracle():
 
 
 def test_c11_cli_certificates_are_thread_count_independent(tmp_path):
-    """`search rprime --n 5` emits byte-identical certificates whether the
-    scan runs in one shard or eight."""
+    """`search rprime --n 5` emits byte-identical certificates at
+    `--threads 1` and `--threads 8`."""
     # The child runs from tmp_path, so hand it the absolute directory of the
     # package this process imported rather than relying on a relative path
     # entry or an installed copy.

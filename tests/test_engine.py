@@ -131,6 +131,8 @@ FULL_LEVELS = {
     "ramsey-3": ("ramsey", 3, 7, 2, 1, "clique", None),
     "path-m2-j2-7": ("score", 7, 6, 2, 2, "path", None),
     "cycle-m2-j2-5": ("score", 5, 6, 2, 2, "cycle", None),
+    "path-m3-j2-7": ("score", 7, 6, 3, 2, "path", 3 ** 15),
+    "cycle-m2-j1-4": ("score", 4, 6, 2, 1, "cycle", None),
     "rprime_m-m3-6": ("rprime_m", 6, 6, 3, 3, "clique", 3 ** 15),
 }
 

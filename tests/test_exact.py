@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ascending_cliques, graphs, lex_min_max_clique, random_graph
+from helpers import ascending_cliques, graphs, lex_min_max_clique, petersen, random_graph
 from ramseykit import (BudgetError, EdgeColoring, Graph, SearchCertificate,
                        UndecidedError, WitnessFamily, WitnessPair, bits,
                        bound_formulas, canonical_json, check_universal,
@@ -20,13 +20,6 @@ from ramseykit import (BudgetError, EdgeColoring, Graph, SearchCertificate,
                        pair_sum_bruteforce, pair_sum_value, parse_graph6,
                        revalidate, search_threshold, two_color_ramsey_bound)
 from ramseykit.exact import _has_clique, _omega
-
-
-def petersen() -> Graph:
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(i, i + 5) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph.from_edges(10, edges)
 
 
 def test_known_clique_numbers():

@@ -1,5 +1,7 @@
 """Per-color scoring (clique / cycle / path) and score-sum thresholds."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,7 +19,9 @@ from ramseykit import (
     search_threshold,
     search_threshold_score,
 )
-from helpers import edge_colorings, longest_cycle_oracle, longest_path_oracle
+from ramseykit.scores import _through
+from helpers import (edge_colorings, graphs, longest_cycle_oracle, longest_path_oracle,
+                     petersen)
 
 
 def as_class_zero(g: Graph) -> EdgeColoring:
@@ -74,6 +78,37 @@ class TestAgainstPermutationOracles:
         c = as_class_zero(g)
         assert score_color_class(c, 0, ScoreKind.PATH) == longest_path_oracle(g)
         assert score_color_class(c, 0, ScoreKind.CYCLE) == longest_cycle_oracle(g)
+
+    @given(graphs(min_n=2), st.integers(1, 9))
+    def test_through_the_top_vertex_completes_the_score_without_it(self, g, cap):
+        """A longest path or cycle of each prefix graph on vertices 0..v
+        avoids v or runs through it; ``_through`` is exact below ``cap`` and
+        reaches ``cap`` only when the prefix does."""
+        rest = g.induced_subgraph(1)
+        for v in range(1, g.n):
+            prefix = g.induced_subgraph((2 << v) - 1)
+            for cycle, oracle in ((False, longest_path_oracle),
+                                  (True, longest_cycle_oracle)):
+                got = max(oracle(rest), _through(g.adj[:v], g.adj[v], cap, cycle))
+                want = oracle(prefix)
+                assert got <= want and min(got, cap) == min(want, cap), (cycle, v, g.adj)
+            rest = prefix
+
+
+class TestLongestStopsAtSpanning:
+    """Scoring returns once a path or cycle through every vertex is found,
+    and otherwise stops once no smaller vertex set can beat the best."""
+
+    @pytest.mark.parametrize("g, path, cycle", [
+        (Graph.complete(12), 12, 12),  # 12! paths if every path were walked
+        (petersen(), 10, 9),           # not Hamiltonian
+    ], ids=["K12", "petersen"])
+    def test_scores_within_a_second(self, g, path, cycle):
+        c = as_class_zero(g)
+        t0 = time.perf_counter()
+        assert score_color_class(c, 0, ScoreKind.PATH) == path
+        assert score_color_class(c, 0, ScoreKind.CYCLE) == cycle
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestProfilesAndAggregation:
