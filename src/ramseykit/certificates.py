@@ -133,8 +133,10 @@ def revalidate(cert: SearchCertificate, deep: bool = False) -> bool:
     is parsed, rescored, and must land on the recorded value strictly below
     the target.  Exhaustive certificates must claim their target and the
     expected enumeration count (its closed form under ``pruned``);
-    ``deep=True`` additionally reruns the scan, within the default budget.
-    A malformed certificate is rejected (False), never raised on.
+    ``deep=True`` additionally reruns the scan under a budget of its full
+    instance count, which the shallow checks hold to the enumeration cap, so
+    a certificate made under a raised budget reruns too.  A malformed
+    certificate is rejected (False), never raised on.
     """
     from .engine import MODES, check
     from .graphs import ENUMERATION_CAP, MAX_VERTICES
@@ -170,5 +172,6 @@ def revalidate(cert: SearchCertificate, deep: bool = False) -> bool:
         return False
     if not deep:
         return True
-    rerun = check(mode.name, target, size, m=m, j=j, score=score, prune=prune)
+    rerun = check(mode.name, target, size, m=m, j=j, score=score, budget=total,
+                  prune=prune)
     return rerun.certificate.to_json() == cert.to_json()

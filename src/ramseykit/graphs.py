@@ -8,12 +8,15 @@ AND.  Vertex pairs are ordered column-major along the upper triangle,
 
 which is exactly the bit order of the graph6 format, so a graph's integer
 ``code`` doubles as its position in exhaustive enumerations and as the body of
-its graph6 encoding.
+its graph6 encoding.  Codes, rows, graph6 text and the symmetry check convert
+with a few big-int operations per column or row, never one step per pair.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -87,6 +90,9 @@ class Graph:
             raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match vertex count")
+        if _is_simple(self.adj, self.n):
+            return
+        # Only rejected rows get here: name their first fault.
         full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
             if row & ~full:
@@ -144,11 +150,7 @@ class Graph:
     @property
     def code(self) -> int:
         """Integer whose bit k records the k-th pair, column-major."""
-        c = 0
-        for k, (i, j) in enumerate(pair_table(self.n)):
-            if self.adj[i] >> j & 1:
-                c |= 1 << k
-        return c
+        return _upper_code(self.adj, self.n)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -215,20 +217,84 @@ def _mask_is_independent(adj, mask: int) -> bool:
     return True
 
 
+# --- codec --------------------------------------------------------------------
+#
+# A matrix of rows travels as one int, row v in bits [w*v, w*v + w) of a frame
+# w = 8, 16 or 64 bits wide.  Transposing it takes log2(w) delta swaps, so
+# decoding a code and checking rows for symmetry cost a few big-int
+# operations per row, not one step per pair.
+
+
+def _frame(n: int) -> tuple[int, str]:
+    """(width, array typecode) of the narrowest frame that holds n columns."""
+    return (8, "B") if n <= 8 else (16, "H") if n <= 16 else (64, "Q")
+
+
+@functools.lru_cache(maxsize=None)
+def _frame_masks(w: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The diagonal of a w x w frame, and the (shift, mask) delta swaps that
+    transpose it: for each j = w/2, ..., 1, bit (r, c) with r & j == 0 and
+    c & j != 0 trades places with bit (r + j, c - j), (w - 1) * j higher."""
+    diagonal = sum(1 << (w + 1) * r for r in range(w))
+    swaps = []
+    j = w >> 1
+    while j:
+        cols = sum(1 << c for c in range(w) if c & j)
+        swaps.append(((w - 1) * j, sum(cols << w * r for r in range(w) if not r & j)))
+        j >>= 1
+    return diagonal, tuple(swaps)
+
+
+def _transpose(m: int, w: int) -> int:
+    for shift, mask in _frame_masks(w)[1]:
+        t = (m ^ m >> shift) & mask
+        m ^= t ^ t << shift
+    return m
+
+
+def _pack(rows, frame: tuple[int, str]) -> int:
+    """Rows as one matrix int; raises TypeError or OverflowError on a row
+    that is not an int of at most w bits."""
+    a = array(frame[1], rows)
+    if sys.byteorder == "big":
+        a.byteswap()
+    return int.from_bytes(a, "little")
+
+
+def _unpack(m: int, n: int, frame: tuple[int, str]) -> list[int]:
+    a = array(frame[1], m.to_bytes(n * frame[0] >> 3, "little"))
+    if sys.byteorder == "big":
+        a.byteswap()
+    return a.tolist()
+
+
+def _upper_code(adj, n: int) -> int:
+    """Graph code of the pairs above the diagonal: column v, the pairs (u, v)
+    with u < v, is row v's bits below v and starts at bit v(v-1)/2."""
+    code = 0
+    for v in range(n - 1, 0, -1):
+        code = code << v | adj[v] & ((1 << v) - 1)
+    return code
+
+
 def _decode_adj(n: int, code: int) -> list[int]:
-    """Adjacency rows for a graph code; shared by Graph and the raw scanners."""
-    rows = [0] * n
-    table = pair_table(n)
-    k = 0
-    c = code
-    while c:
-        if c & 1:
-            i, j = table[k]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        c >>= 1
-        k += 1
-    return rows
+    """Adjacency rows for a graph code: column v of the code is row v's
+    lower half, and the transpose adds the upper halves."""
+    frame = _frame(n)
+    low = _pack([code >> (v * (v - 1) >> 1) & ((1 << v) - 1) for v in range(n)], frame)
+    return _unpack(low | _transpose(low, frame[0]), n, frame)
+
+
+def _is_simple(adj, n: int) -> bool:
+    """Fast accept for Graph: n rows of ints that are in range, loop-free
+    and symmetric.  A row outside the frame fails to pack; inside it, a bit
+    at a column >= n would transpose into a row that is not there."""
+    frame = _frame(n)
+    try:
+        m = _pack(adj, frame)
+    except (TypeError, OverflowError):
+        return False
+    return not m & _frame_masks(frame[0])[0] and _transpose(m, frame[0]) == m
 
 
 def labeled_graph_count(n: int) -> int:
@@ -307,13 +373,11 @@ class EdgeColoring:
         """The graph holding exactly the pairs of this colour."""
         if not 0 <= color < self.m:
             raise ValueError(f"colour {color} outside 0..{self.m - 1}")
-        rows = [0] * self.n
-        for k, c in enumerate(self.colors):
-            if c == color:
-                i, j = pair_table(self.n)[k]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        return Graph(self.n, tuple(rows))
+        # One ASCII digit per pair, "1" where the pair has this colour; read
+        # backwards in base 2 they are the class's graph code.
+        digits = bytes(self.colors).translate(b"0" * color + b"1" + b"0" * (255 - color))
+        code = int(digits[::-1], 2) if digits else 0
+        return Graph(self.n, tuple(_decode_adj(self.n, code)))
 
     def to_text(self) -> str:
         """Compact text form ``"<n>:<letters>"`` with colours a..h per pair."""
@@ -356,6 +420,31 @@ def enumerate_edge_colorings(n: int, m: int) -> Iterator[EdgeColoring]:
 _G6_HEADER = ">>graph6<<"
 
 
+def _graph6_body(code: int, need: int) -> str:
+    """The ``need`` body characters of a code: bit k of the code is bit
+    5 - k % 6 of character k // 6's value."""
+    # Reversed, the bit string leads with pair 0, so each pair of its octal
+    # digits is one character's value.  Read as hex digits, those octal
+    # digits give every character a byte; one mask then closes the gap
+    # between the two digits of each byte.
+    rev = int(format(code, f"0{6 * need}b")[::-1], 2)
+    nibbles = int(format(rev, f"0{2 * need}o"), 16)
+    ones = int.from_bytes(b"\1" * need, "big")
+    values = nibbles >> 1 & 0x38 * ones | nibbles & 7 * ones
+    return (values + 63 * ones).to_bytes(need, "big").decode("ascii")
+
+
+def _graph6_code(body: str) -> int:
+    """Inverse of ``_graph6_body`` for a body in the graph6 alphabet; any
+    padding bits come back above the code's pairs."""
+    need = len(body)
+    ones = int.from_bytes(b"\1" * need, "big")
+    values = int.from_bytes(body.encode("ascii"), "big") - 63 * ones
+    nibbles = (values & 0x38 * ones) << 1 | values & 7 * ones
+    rev = int(format(nibbles, f"0{2 * need}x"), 8)
+    return int(format(rev, f"0{6 * need}b")[::-1], 2)
+
+
 def write_graph6(g: Graph) -> str:
     """Standard graph6 string (long size form for n >= 63)."""
     n = g.n
@@ -363,17 +452,7 @@ def write_graph6(g: Graph) -> str:
         head = chr(63 + n)
     else:
         head = "~" + chr(63 + (n >> 12)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
-    code = g.code
-    np = pair_count(n)
-    body = []
-    for group in range(0, np, 6):
-        val = 0
-        for t in range(6):
-            k = group + t
-            bit = (code >> k) & 1 if k < np else 0
-            val = (val << 1) | bit
-        body.append(chr(63 + val))
-    return head + "".join(body)
+    return head + _graph6_body(g.code, (pair_count(n) + 5) // 6)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -383,36 +462,27 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise Graph6ParseError("empty graph6 string", 0)
-    data = []
-    for pos, ch in enumerate(s):
-        o = ord(ch)
-        if not 63 <= o <= 126:
-            raise Graph6ParseError(f"character {ch!r} outside the graph6 alphabet", pos)
-        data.append(o - 63)
-    if data[0] == 63:  # '~': long size form
-        if len(data) < 4:
+    if not ("?" <= min(s) and max(s) <= "~"):
+        for pos, ch in enumerate(s):
+            if not "?" <= ch <= "~":
+                raise Graph6ParseError(f"character {ch!r} outside the graph6 alphabet", pos)
+    if s[0] == "~":  # long size form
+        if len(s) < 4:
             raise Graph6ParseError("truncated long-form size", len(s))
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        n = (ord(s[1]) - 63 << 12) | (ord(s[2]) - 63 << 6) | ord(s[3]) - 63
         at = 4
     else:
-        n = data[0]
+        n = ord(s[0]) - 63
         at = 1
     if not 1 <= n <= MAX_VERTICES:
         raise Graph6ParseError(f"vertex count {n} outside 1..{MAX_VERTICES}", 0)
     np = pair_count(n)
     need = (np + 5) // 6
-    if len(data) - at < need:
+    if len(s) - at < need:
         raise Graph6ParseError(f"body too short for {n} vertices", len(s))
-    if len(data) - at > need:
+    if len(s) - at > need:
         raise Graph6ParseError(f"trailing data after {n}-vertex body", at + need)
-    code = 0
-    for idx in range(need):
-        val = data[at + idx]
-        for t in range(6):
-            if not (val >> (5 - t)) & 1:
-                continue
-            k = 6 * idx + t
-            if k >= np:
-                raise Graph6ParseError("nonzero padding bits", at + idx)
-            code |= 1 << k
+    code = _graph6_code(s[at:])
+    if code >> np:  # padding lives in the last character only
+        raise Graph6ParseError("nonzero padding bits", at + need - 1)
     return Graph(n, tuple(_decode_adj(n, code)))

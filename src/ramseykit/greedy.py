@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .exact import WitnessFamily, WitnessPair
 from .graphs import (BudgetError, EdgeColoring, Graph, bits, labeled_graph_count,
-                     pair_count, pair_index, _decode_adj, _mask_is_clique, _mask_is_independent)
+                     pair_count, pair_index, _mask_is_clique, _mask_is_independent)
 
 NEIGHBOR_SIDE = "neighbor-side"
 NONNEIGHBOR_SIDE = "nonneighbor-side"
@@ -311,6 +311,17 @@ def run_chunks(worker: Callable, arg_tuples: Sequence[tuple], threads: int) -> l
         return list(pool.map(worker, arg_tuples))
 
 
+def _all_rows(k: int) -> list[list[int]]:
+    """Adjacency rows of every graph on k vertices, in code order.  The code
+    low + (high << pairs(v)) is graph ``low`` plus vertex v joined to
+    ``high``, so each level is built from the one below, row by row."""
+    level = [[]]
+    for v in range(k):
+        level = [[row | (high >> u & 1) << v for u, row in enumerate(rows)] + [high]
+                 for high in range(1 << v) for rows in level]
+    return level
+
+
 def _sweep_chunk(args) -> tuple[int, Optional[int]]:
     """Run both pair variants (lowest-index rule) on every graph code in
     [start, stop); returns (graphs checked, first violating code or None).
@@ -320,14 +331,14 @@ def _sweep_chunk(args) -> tuple[int, Optional[int]]:
     than one vertex in the tie variant.  A code is ``low + (high <<
     pairs(n-1))``: ``low`` codes the graph on the first n-1 vertices and
     ``high`` the last vertex's neighbours, so the rows of each ``low`` are
-    decoded once per chunk and every graph's rows are its parent's plus
+    built once per chunk and every graph's rows are its parent's plus
     ``high``.
     """
     n, start, stop = args
     dfloor = disjoint_guarantee_floor(n)
     ofloor = overlap_guarantee_floor(n)
     shift = pair_count(n - 1)
-    parents = [_decode_adj(n - 1, low) for low in range(1 << shift)]
+    parents = _all_rows(n - 1)
     new = 1 << (n - 1)
     checked = 0
     for high in range(start >> shift, ((stop - 1) >> shift) + 1):

@@ -12,7 +12,8 @@ import math
 
 from hypothesis import strategies as st
 
-from ramseykit import EdgeColoring, Graph, IntervalColoring, labeled_graph_count
+from ramseykit import (EdgeColoring, Graph, Graph6ParseError, IntervalColoring,
+                       labeled_graph_count)
 from ramseykit.graphs import coloring_count, pair_count
 
 
@@ -140,3 +141,85 @@ def orbit_count_oracle(m: int, length: int) -> int:
         fix2 = sum(perm[perm[c]] == c for c in range(m))
         total += fix**length + fix2**half * fix**odd
     return total // (2 * math.factorial(m))
+
+
+# --- codec oracles: one step per pair ------------------------------------------
+
+
+def reference_pairs(n: int) -> list[tuple[int, int]]:
+    """Vertex pairs in graph6 order: column-major along the upper triangle."""
+    return [(i, j) for j in range(1, n) for i in range(j)]
+
+
+def reference_rows(n: int, code: int) -> list[int]:
+    """Adjacency rows of a graph code, one pair per code bit."""
+    rows = [0] * n
+    for k, (i, j) in enumerate(reference_pairs(n)):
+        if code >> k & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return rows
+
+
+def reference_code(n: int, rows) -> int:
+    """Graph code of adjacency rows, one pair per code bit."""
+    code = 0
+    for k, (i, j) in enumerate(reference_pairs(n)):
+        if rows[i] >> j & 1:
+            code |= 1 << k
+    return code
+
+
+def reference_graph6(n: int, code: int) -> str:
+    """graph6 text of a graph code, six code bits per body character."""
+    if n <= 62:
+        head = chr(63 + n)
+    else:
+        head = "~" + chr(63 + (n >> 12)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
+    np = n * (n - 1) // 2
+    body = []
+    for group in range(0, np, 6):
+        val = 0
+        for t in range(6):
+            k = group + t
+            val = val << 1 | (code >> k & 1 if k < np else 0)
+        body.append(chr(63 + val))
+    return head + "".join(body)
+
+
+def reference_parse_graph6(text: str) -> tuple[int, int]:
+    """(n, code) of one graph6 line, bit by bit; raises Graph6ParseError with
+    the same message and byte offset as ``parse_graph6``."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise Graph6ParseError("empty graph6 string", 0)
+    data = []
+    for pos, ch in enumerate(s):
+        if not 63 <= ord(ch) <= 126:
+            raise Graph6ParseError(f"character {ch!r} outside the graph6 alphabet", pos)
+        data.append(ord(ch) - 63)
+    if data[0] == 63:
+        if len(data) < 4:
+            raise Graph6ParseError("truncated long-form size", len(s))
+        n, at = (data[1] << 12) | (data[2] << 6) | data[3], 4
+    else:
+        n, at = data[0], 1
+    if not 1 <= n <= 64:
+        raise Graph6ParseError(f"vertex count {n} outside 1..64", 0)
+    np = n * (n - 1) // 2
+    need = (np + 5) // 6
+    if len(data) - at < need:
+        raise Graph6ParseError(f"body too short for {n} vertices", len(s))
+    if len(data) - at > need:
+        raise Graph6ParseError(f"trailing data after {n}-vertex body", at + need)
+    code = 0
+    for idx in range(need):
+        for t in range(6):
+            if data[at + idx] >> (5 - t) & 1:
+                k = 6 * idx + t
+                if k >= np:
+                    raise Graph6ParseError("nonzero padding bits", at + idx)
+                code |= 1 << k
+    return n, code

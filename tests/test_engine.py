@@ -366,6 +366,26 @@ def test_revalidate_rejects_malformed_certificates(case, deep):
     assert revalidate(MALFORMED[case], deep=deep) is False
 
 
+def test_deep_revalidate_reruns_under_the_certificates_own_count():
+    # 2^21 colourings of K7: over the score mode's default budget of 2^20.
+    cert = check("score", 8, 7, m=2, j=2, score="path", budget=2**21).certificate
+    assert cert.kind == "exhaustive" and cert.scanned_count == 2**21
+    assert revalidate(cert) is True
+    assert revalidate(cert, deep=True) is True
+
+
+def test_forged_certificate_past_the_cap_is_rejected_without_a_rerun(monkeypatch):
+    def rerun(*args, **kwargs):
+        raise AssertionError("revalidate reran a check past the enumeration cap")
+
+    monkeypatch.setattr(engine, "check", rerun)
+    n = 10  # 2^45 labeled graphs, over the 2^40 cap
+    forged = _exhaustive({"mode": "rprime", "target": 7, "n_vertices": n}, 7,
+                         2 ** pair_count(n))
+    assert revalidate(forged) is False
+    assert revalidate(forged, deep=True) is False
+
+
 # --- mutation ---------------------------------------------------------------------
 
 

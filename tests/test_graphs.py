@@ -1,16 +1,23 @@
-"""Containers, enumeration order, and graph6 I/O."""
+"""Containers, enumeration order, and graph6 I/O.
+
+The codec (codes, rows, graph6 text and the symmetry check) is compared
+with per-pair reference bodies from ``helpers`` at every size up to 64.
+"""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import graphs, edge_colorings
+from helpers import (edge_colorings, graphs, reference_code, reference_graph6,
+                     reference_pairs, reference_parse_graph6, reference_rows)
 from ramseykit import (BudgetError, EdgeColoring, Graph, Graph6ParseError,
                        bits, coloring_count, enumerate_edge_colorings,
                        enumerate_labeled_graphs, graphs_in_code_range,
                        labeled_graph_count, mask_of, pair_count, parse_graph6,
                        write_graph6)
-from ramseykit.graphs import pair_index, pair_table
+from ramseykit.graphs import _decode_adj, pair_index, pair_table
 
 
 def test_pair_order_is_column_major():
@@ -234,3 +241,84 @@ def test_induced_subgraph_keeps_edges(g, data):
 def test_coloring_roundtrips(c):
     assert EdgeColoring.from_code(c.n, c.m, c.code) == c
     assert EdgeColoring.from_text(c.to_text(), c.m) == c
+
+
+# --- the codec against per-pair references -------------------------------------
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 64), st.data())
+def test_codec_matches_the_per_pair_reference(n, data):
+    code = data.draw(st.integers(0, labeled_graph_count(n) - 1))
+    rows = reference_rows(n, code)
+    assert _decode_adj(n, code) == rows
+    g = Graph.from_code(n, code)
+    assert list(g.adj) == rows
+    assert g.code == reference_code(n, rows) == code
+    text = write_graph6(g)
+    assert text == reference_graph6(n, code)
+    assert reference_parse_graph6(text) == (n, code)
+    assert list(parse_graph6(text).adj) == rows
+    assert list(g.complement().adj) == reference_rows(n, code ^ (labeled_graph_count(n) - 1))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 64), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_color_class_matches_a_per_pair_rebuild(n, m, seed):
+    rng = random.Random(seed)
+    c = EdgeColoring(n, m, tuple(rng.randrange(m) for _ in range(pair_count(n))))
+    for color in range(m):
+        rows = [0] * n
+        for k, (i, j) in enumerate(reference_pairs(n)):
+            if c.colors[k] == color:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        assert list(c.color_class(color).adj) == rows
+
+
+def _far_rows():
+    """Rows of a 64-vertex graph with the edges {0,63}, {1,62} and {31,32}."""
+    return reference_rows(64, sum(1 << pair_index(u, v) for u, v in ((0, 63), (1, 62), (31, 32))))
+
+
+@pytest.mark.parametrize("v, change, message", [
+    (63, lambda row: row ^ 1, "edge {0,63} is not symmetric"),
+    (0, lambda row: row ^ 1 << 63, "edge {63,0} is not symmetric"),
+    (63, lambda row: row | 1 << 63, "loop at vertex 63"),
+    (63, lambda row: row | 1 << 64, "adjacency row 63 names vertices >= 64"),
+    (63, lambda row: -1, "adjacency row 63 names vertices >= 64"),
+])
+def test_rows_rejected_at_64_vertices_name_their_fault(v, change, message):
+    rows = _far_rows()
+    assert Graph(64, tuple(rows)).edges() == [(31, 32), (1, 62), (0, 63)]
+    rows[v] = change(rows[v])
+    with pytest.raises(ValueError) as e:
+        Graph(64, tuple(rows))
+    assert str(e.value) == message
+
+
+def _long_form(n):
+    """graph6 text of the n-vertex graph with the one edge {0,1}; its last
+    body character is "?", all zeros."""
+    text = write_graph6(Graph(n, tuple(reference_rows(n, 1))))
+    assert text[0] == "~" and text[-1] == "?"
+    return text
+
+
+@pytest.mark.parametrize("n, bad, message, offset", [
+    (63, lambda text: text + "?", "trailing data after 63-vertex body", 330),
+    (64, lambda text: text + "?", "trailing data after 64-vertex body", 340),
+    # 1953 pairs leave the last character's three low bits as padding.
+    (63, lambda text: text[:-1] + "@", "nonzero padding bits", 329),
+])
+def test_long_form_parse_errors_keep_their_offsets(n, bad, message, offset):
+    text = bad(_long_form(n))
+    for parse in (parse_graph6, reference_parse_graph6):
+        with pytest.raises(Graph6ParseError) as e:
+            parse(text)
+        assert (str(e.value), e.value.offset) == (f"{message} (byte offset {offset})", offset)
+
+
+def test_every_body_bit_is_a_pair_at_64_vertices():
+    # 2016 pairs fill all 336 characters: the last bit is pair (62, 63).
+    assert parse_graph6(_long_form(64)[:-1] + "@").has_edge(62, 63)
