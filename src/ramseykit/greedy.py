@@ -13,21 +13,20 @@ yields one monochromatic clique per colour.
 Every run records its steps as a trace; replay reruns the same core with the
 recorded pivots and rejects any step the rule would not take.  Every witness
 carries a guarantee floor that exhaustive sweeps (all graphs on up to 7
-vertices) confirm is never violated.  A sweep shards its graph codes into
-contiguous ranges across processes and keeps the least violating code, so
-its result is the same at any thread count.
+vertices) confirm is never violated.  A sweep runs in one process and
+splits the graphs into cubes on exactly the pairs the rule reads, so its
+result is the least violating code at any thread count.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from .exact import WitnessFamily, WitnessPair
 from .graphs import (BudgetError, EdgeColoring, Graph, bits, labeled_graph_count,
-                     pair_count, pair_index, _mask_is_clique, _mask_is_independent)
+                     pair_index, _mask_is_clique, _mask_is_independent, _upper_code)
 
 NEIGHBOR_SIDE = "neighbor-side"
 NONNEIGHBOR_SIDE = "nonneighbor-side"
@@ -108,7 +107,11 @@ def _pair_core(adj, n: int, pick: PickRule, record, overlap: bool):
     """Halve while 4 or more vertices remain, then settle one edge or
     non-edge among the last two or three; with ``overlap``, ties go to the
     neighbour side, halving goes on down to one vertex, and that vertex
-    joins both sets."""
+    joins both sets.
+
+    The sweep's cubes rely on this: row v is read only after ``pick`` has
+    returned v, and only on the remaining set ``cur`` (as ``row & cur``,
+    ``~row & (cur ^ vb)`` or ``adj[v] >> w & 1`` with w in ``cur``)."""
     a = b = 0
     cur = (1 << n) - 1
     cnt = n
@@ -289,86 +292,75 @@ def replay_family_trace(c: EdgeColoring, trace: GreedyTrace) -> WitnessFamily:
 # --- exhaustive guarantee sweep -------------------------------------------------
 
 
-def chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    """Split [0, total) into at most ``parts`` contiguous nonempty ranges."""
-    parts = max(1, min(parts, total))
-    base, extra = divmod(total, parts)
-    out = []
-    at = 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        if size:
-            out.append((at, at + size))
-            at += size
-    return out
+class _Undecided(Exception):
+    """The sweep's pick rule or leaf check needs pair (v, w), which the cube
+    leaves free."""
 
 
-def run_chunks(worker: Callable, arg_tuples: Sequence[tuple], threads: int) -> list:
-    """Run ``worker`` over every arg tuple, in order, serially or in a pool."""
-    if threads <= 1 or len(arg_tuples) <= 1:
-        return [worker(args) for args in arg_tuples]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, arg_tuples))
+def _sweep_fails(ones, free, n: int, overlap: bool, floor: int) -> bool:
+    """Run one pair variant on a cube and check its contract on the best and
+    the worst completion (free pairs inside A present or absent, inside B
+    absent or present).  True if every graph in the cube breaks it, False if
+    none does; _Undecided if the run reads a free pair or the two differ."""
+    def pick(cur: int, adj=None) -> int:
+        v = pick_lowest(cur)
+        if free[v] & cur:
+            raise _Undecided(v, pick_lowest(free[v] & cur))
+        return v
 
-
-def _all_rows(k: int) -> list[list[int]]:
-    """Adjacency rows of every graph on k vertices, in code order.  The code
-    low + (high << pairs(v)) is graph ``low`` plus vertex v joined to
-    ``high``, so each level is built from the one below, row by row."""
-    level = [[]]
-    for v in range(k):
-        level = [[row | (high >> u & 1) << v for u, row in enumerate(rows)] + [high]
-                 for high in range(1 << v) for rows in level]
-    return level
-
-
-def _sweep_chunk(args) -> tuple[int, Optional[int]]:
-    """Run both pair variants (lowest-index rule) on every graph code in
-    [start, stop); returns (graphs checked, first violating code or None).
-
-    A violation is any broken contract: guarantee floor missed, output sets
-    not a clique/independent set, disjointness broken, or an overlap of more
-    than one vertex in the tie variant.  A code is ``low + (high <<
-    pairs(n-1))``: ``low`` codes the graph on the first n-1 vertices and
-    ``high`` the last vertex's neighbours, so the rows of each ``low`` are
-    built once per chunk and every graph's rows are its parent's plus
-    ``high``.
-    """
-    n, start, stop = args
-    dfloor = disjoint_guarantee_floor(n)
-    ofloor = overlap_guarantee_floor(n)
-    shift = pair_count(n - 1)
-    parents = _all_rows(n - 1)
-    new = 1 << (n - 1)
-    checked = 0
-    for high in range(start >> shift, ((stop - 1) >> shift) + 1):
-        add = [new if high >> u & 1 else 0 for u in range(n - 1)]
-        base = high << shift
-        for low in range(max(start - base, 0), min(stop - base, 1 << shift)):
-            adj = [row | bit for row, bit in zip(parents[low], add)]
-            adj.append(high)
-            checked += 1
-            a, b = _pair_core(adj, n, pick_lowest, None, False)
-            if (a & b or a.bit_count() + b.bit_count() < dfloor
-                    or not _mask_is_clique(adj, a) or not _mask_is_independent(adj, b)):
-                return checked, base + low
-            a, b = _pair_core(adj, n, pick_lowest, None, True)
-            if ((a & b).bit_count() > 1 or a.bit_count() + b.bit_count() < ofloor
-                    or not _mask_is_clique(adj, a) or not _mask_is_independent(adj, b)):
-                return checked, base + low
-    return checked, None
+    a, b = _pair_core(ones, n, pick, None, overlap)
+    some = [row | f for row, f in zip(ones, free)]
+    if ((a & b).bit_count() > overlap or a.bit_count() + b.bit_count() < floor
+            or not _mask_is_clique(some, a) or not _mask_is_independent(ones, b)):
+        return True
+    if _mask_is_clique(ones, a) and _mask_is_independent(some, b):
+        return False
+    v, s = next((v, s) for s in (a, b) for v in bits(s) if free[v] & s)
+    raise _Undecided(v, pick_lowest(free[v] & s))
 
 
 def pair_guarantee_sweep(n: int, threads: int = 1) -> tuple[int, Optional[int]]:
-    """Exhaustively confirm both pair guarantees over all graphs on n <= 7
-    vertices; returns (graphs checked, first violating code or None)."""
+    """Exhaustively confirm both pair guarantees (lowest-index rule) over all
+    graphs on n <= 7 vertices; returns (graphs checked, least violating code
+    or None), and on a violation at code c, (c + 1, c), the count a serial
+    scan in code order stops at.  ``threads`` is unused (the sweep is serial).
+
+    A violation is any broken contract: guarantee floor missed, output sets
+    not a clique/independent set, disjointness broken, or an overlap of more
+    than one vertex in the tie variant.  The sweep works on cubes: rows
+    ``ones`` of pairs known present and ``free`` of pairs not decided yet.
+    Both variants run on ``ones`` until one reads a free pair; the cube then
+    splits on that pair into its absent and present halves.  The leaves
+    partition every graph on n vertices, so their sizes must add up to
+    labeled_graph_count(n).
+    """
     if n < 2:
         raise ValueError("sweep needs n >= 2")
     if n > 7:
         raise BudgetError(f"sweep over {labeled_graph_count(n)} graphs exceeds the n <= 7 cap")
-    total = labeled_graph_count(n)
-    chunks = [(n, lo, hi) for lo, hi in chunk_ranges(total, threads)]
-    results = run_chunks(_sweep_chunk, chunks, threads)
-    checked = sum(r[0] for r in results)
-    violations = [r[1] for r in results if r[1] is not None]
-    return checked, (min(violations) if violations else None)
+    floors = ((False, disjoint_guarantee_floor(n)), (True, overlap_guarantee_floor(n)))
+    full = (1 << n) - 1
+    cubes = [([0] * n, [full ^ 1 << v for v in range(n)])]
+    checked = 0
+    least = None
+    while cubes:
+        ones, free = cubes.pop()
+        try:
+            failed = any(_sweep_fails(ones, free, n, *f) for f in floors)
+        except _Undecided as pair:
+            v, w = pair.args
+            free = list(free)
+            free[v] ^= 1 << w
+            free[w] ^= 1 << v
+            joined = list(ones)
+            joined[v] |= 1 << w
+            joined[w] |= 1 << v
+            cubes += [(ones, free), (joined, free)]
+            continue
+        checked += 1 << sum(row.bit_count() for row in free) // 2
+        if failed:  # the cube's least code has every free pair absent
+            code = _upper_code(ones, n)
+            least = code if least is None else min(least, code)
+    if checked != labeled_graph_count(n):
+        raise AssertionError(f"sweep cubes cover {checked} graphs, not {labeled_graph_count(n)}")
+    return (checked, None) if least is None else (least + 1, least)

@@ -144,7 +144,7 @@ def test_c08_inequality_suite():
 
 def test_c09_greedy_guarantees_hold_on_every_small_graph():
     """Both greedy constructions meet their floors on all labeled graphs
-    with at most 7 vertices (2 228 238 graphs), sharded across workers."""
+    with 2 to 7 vertices (2 131 018 graphs); ``threads`` is ignored."""
     def go():
         out = {}
         for n in range(2, 8):

@@ -12,7 +12,10 @@ raising.
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from ramseykit import (EdgeColoring, Graph, SearchCertificate, ScoreKind,
                        family_sum_value, independence_number,
                        pair_guarantee_sweep, pair_sum_value, revalidate,
                        score_sum, write_graph6)
+import ramseykit
 from ramseykit import engine, graphs
 from ramseykit.engine import MODES, check
 from ramseykit.graphs import pair_count
@@ -261,12 +265,10 @@ def test_score_is_ignored_where_the_mode_does_not_record_it():
 
 
 def test_labeled_scans_start_no_pool(monkeypatch, tmp_path):
-    """Threshold scans run in one process at any ``threads``; the greedy
-    guarantee sweep is the one caller that still starts a pool."""
-    real_init = ProcessPoolExecutor.__init__
-
+    """Threshold scans and the greedy guarantee sweep run in one process at
+    any ``threads``: no call starts a process pool."""
     def refuse(self, *args, **kwargs):
-        raise AssertionError("a threshold scan started a process pool")
+        raise AssertionError("a scan started a process pool")
 
     monkeypatch.setattr(ProcessPoolExecutor, "__init__", refuse)
     assert check_universal(6, 6, "rprime", threads=8) == check_universal(6, 6, "rprime")
@@ -274,16 +276,19 @@ def test_labeled_scans_start_no_pool(monkeypatch, tmp_path):
             == check_universal_score(5, 4, "path", m=2, j=2))
     assert cli.main(["search", "rprime", "--n", "5", "--threads", "8",
                      "--cache", str(tmp_path / "r.jsonl"), "--json"]) == 0
-
-    started = []
-
-    def count(self, *args, **kwargs):
-        started.append(kwargs.get("max_workers"))
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ProcessPoolExecutor, "__init__", count)
     assert pair_guarantee_sweep(5, threads=2) == (1024, None)
-    assert started == [2]
+
+
+def test_import_loads_no_pool_modules():
+    # A fresh interpreter that imports the package leaves the process-pool
+    # modules unloaded, which keeps every command's cold start short.
+    src = Path(ramseykit.__file__).resolve().parent.parent
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import ramseykit; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-I", "-c", probe, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_registry_rows():

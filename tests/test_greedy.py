@@ -1,6 +1,7 @@
 """Greedy extraction: guarantees, traces, replay, pick rules, sweeps."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,8 @@ from ramseykit import (BudgetError, EdgeColoring, Graph, GreedyStep, GreedyTrace
                        replay_family_trace, replay_pair_trace, seeded_pick,
                        WitnessFamily, WitnessPair)
 from ramseykit import greedy
-from ramseykit.graphs import _decode_adj, _mask_is_clique, _mask_is_independent
+from ramseykit.graphs import (_decode_adj, _mask_is_clique, _mask_is_independent,
+                              _upper_code)
 
 
 def test_disjoint_on_cycle5_frozen_trace():
@@ -237,17 +239,24 @@ def test_sweep_counts_and_merging():
         pair_guarantee_sweep(8)
 
 
+def _violates(n: int, code: int) -> bool:
+    """Does either pair variant break its contract on graph ``code``?"""
+    adj = _decode_adj(n, code)
+    for overlap, floor in ((False, greedy.disjoint_guarantee_floor(n)),
+                           (True, greedy.overlap_guarantee_floor(n))):
+        a, b = greedy._pair_core(adj, n, pick_lowest, None, overlap)
+        if ((a & b).bit_count() > overlap or a.bit_count() + b.bit_count() < floor
+                or not _mask_is_clique(adj, a) or not _mask_is_independent(adj, b)):
+            return True
+    return False
+
+
 def _sweep_oracle(n: int, start: int, stop: int):
-    """Per-code reference for ``_sweep_chunk``: decode each code afresh."""
-    dfloor = greedy.disjoint_guarantee_floor(n)
-    ofloor = greedy.overlap_guarantee_floor(n)
+    """Per-code reference for the sweep: decode each code afresh and stop at
+    the first violation; returns (codes checked, that code or None)."""
     for checked, code in enumerate(range(start, stop), 1):
-        adj = _decode_adj(n, code)
-        for overlap, floor in ((False, dfloor), (True, ofloor)):
-            a, b = greedy._pair_core(adj, n, pick_lowest, None, overlap)
-            if ((a & b).bit_count() > overlap or a.bit_count() + b.bit_count() < floor
-                    or not _mask_is_clique(adj, a) or not _mask_is_independent(adj, b)):
-                return checked, code
+        if _violates(n, code):
+            return checked, code
     return stop - start, None
 
 
@@ -255,39 +264,77 @@ def _sweep_oracle(n: int, start: int, stop: int):
                                         "overlap_guarantee_floor"])
 def test_sweep_matches_per_code_decoding(monkeypatch, floor_name):
     # No graph violates the real floors, so to reach the least violating
-    # code, demand one vertex more than either variant guarantees.
+    # code, demand one vertex more than either variant guarantees.  The
+    # result is the serial per-code one at every thread count.
     if floor_name:
         real = getattr(greedy, floor_name)
         monkeypatch.setattr(greedy, floor_name, lambda n: real(n) + 1)
-    rng = random.Random(11)
-    for n in range(3, 7):
-        total = labeled_graph_count(n)
-        block = 1 << (n - 1) * (n - 2) // 2  # codes sharing one last-vertex row
-        ranges = [(0, total), (block - 1, block + 1), (block // 2, 3 * block + 1),
-                  (total - block - 1, total)]
-        ranges += [tuple(sorted(rng.sample(range(total + 1), 2))) for _ in range(6)]
-        for start, stop in ranges:
-            if start < stop:
-                assert greedy._sweep_chunk((n, start, stop)) == _sweep_oracle(n, start, stop)
-        checked, violation = pair_guarantee_sweep(n, threads=1)
-        assert (violation is None) == (floor_name is None)
-        assert (checked, violation) == _sweep_oracle(n, 0, total)
-
-
-def test_sweep_builds_each_graph_from_its_parent_rows(monkeypatch):
-    seen = []
-    core = greedy._pair_core
-
-    def spy(adj, n, pick, record, overlap):
-        if not overlap:
-            seen.append(list(adj))
-        return core(adj, n, pick, record, overlap)
-
-    monkeypatch.setattr(greedy, "_pair_core", spy)
     for n in range(2, 7):
-        total = labeled_graph_count(n)
-        block = 1 << (n - 1) * (n - 2) // 2
-        for start, stop in ((0, total), (block - 1, block + 1), (1, total - 1)):
-            seen.clear()
-            greedy._sweep_chunk((n, start, stop))
-            assert seen == [_decode_adj(n, code) for code in range(start, stop)]
+        expected = _sweep_oracle(n, 0, labeled_graph_count(n))
+        assert (expected[1] is None) == (floor_name is None)
+        for threads in (1, 2, 3):
+            assert pair_guarantee_sweep(n, threads=threads) == expected, (n, threads)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_sweep_catches_a_result_the_rule_did_not_earn(monkeypatch, side):
+    # A mutant core adds to A (or B) the top vertex outside both sets; its
+    # pairs with later pivots were never read, so only checking a cube on
+    # its worst completion finds the graphs where that breaks.  The failing
+    # cubes must cover exactly the violating graphs, and the sweep must
+    # report the least of them.
+    core = greedy._pair_core
+    fails = greedy._sweep_fails
+
+    def mutant(adj, n, pick, record, overlap):
+        a, b = core(adj, n, pick, record, overlap)
+        rest = ((1 << n) - 1) & ~(a | b)
+        top = 1 << rest.bit_length() - 1 if rest else 0
+        return (a | top, b) if side == "a" else (a, b | top)
+
+    failing = set()
+
+    def spy(ones, free, n, overlap, floor):
+        out = fails(ones, free, n, overlap, floor)
+        if out:  # every completion of the free pairs fails
+            base, open_ = _upper_code(ones, n), _upper_code(free, n)
+            sub = open_
+            while True:
+                failing.add(base | sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & open_
+        return out
+
+    monkeypatch.setattr(greedy, "_pair_core", mutant)
+    monkeypatch.setattr(greedy, "_sweep_fails", spy)
+    for n in range(2, 7):
+        failing.clear()
+        got = pair_guarantee_sweep(n)
+        violating = {c for c in range(labeled_graph_count(n)) if _violates(n, c)}
+        assert failing == violating, n
+        assert bool(violating) == (n > 2)
+        least = min(violating, default=None)
+        assert got == ((least + 1, least) if violating else (labeled_graph_count(n), None))
+
+
+def test_sweep_splits_only_on_pairs_the_rule_reads(monkeypatch):
+    # One leaf per overlap run that finishes (none fails at the real floors):
+    # 728 cubes cover the 32,768 graphs on 6 vertices, 4,984 the 2,097,152
+    # on 7, where the per-code sweep took seconds.
+    leaves = []
+    fails = greedy._sweep_fails
+
+    def spy(ones, free, n, overlap, floor):
+        out = fails(ones, free, n, overlap, floor)
+        leaves.append(overlap)
+        return out
+
+    monkeypatch.setattr(greedy, "_sweep_fails", spy)
+    assert pair_guarantee_sweep(6) == (32_768, None)
+    assert leaves.count(True) == 728
+    leaves.clear()
+    start = time.perf_counter()
+    assert pair_guarantee_sweep(7, threads=2) == (2_097_152, None)
+    assert time.perf_counter() - start < 5.0
+    assert leaves.count(True) == 4_984
