@@ -4,7 +4,7 @@ Every exhaustive claim ("all instances of this size meet the target") and
 every counterexample is wrapped in a SearchCertificate that an independent
 checker can revalidate.  Serialization is canonical (sorted keys, fixed
 separators, no timing data), so two runs that agree produce byte-identical
-JSON regardless of thread count.
+JSON.
 """
 
 from __future__ import annotations
@@ -82,15 +82,14 @@ class SearchResult:
     """A threshold value plus the certificates that pin it down: a ``lower``
     witness at value-1 (absent when the threshold is 1, where there is nothing
     to fail) and an ``upper`` exhaustive certificate at the value itself.
-    Every search is exact, so ``exact`` is True and ``bracket`` is
-    (value, value); both stay in the serialised form.
+    Every search is exact, so the serialised form writes ``"exact": true``
+    and ``"bracket": [value, value]`` as constants; both are part of the
+    canonical bytes that golden digests pin.
     """
 
     kind: str
     parameters: dict
     value: int
-    exact: bool
-    bracket: tuple[int, int]
     lower: Optional[SearchCertificate] = None
     upper: Optional[SearchCertificate] = None
 
@@ -99,8 +98,8 @@ class SearchResult:
             "kind": self.kind,
             "parameters": dict(self.parameters),
             "value": self.value,
-            "exact": self.exact,
-            "bracket": list(self.bracket),
+            "exact": True,
+            "bracket": [self.value, self.value],
             "lower": self.lower.to_json_dict() if self.lower else None,
             "upper": self.upper.to_json_dict() if self.upper else None,
         }

@@ -16,7 +16,8 @@ import time
 
 from . import __version__, engine, exact, greedy, scores, vdw
 from .certificates import (EXHAUSTIVE, WITNESS, SearchCertificate,
-                           UndecidedError, canonical_json, revalidate)
+                           SearchResult, UndecidedError, canonical_json,
+                           revalidate)
 from .graphs import (BudgetError, Graph, Graph6ParseError, bits,
                      labeled_graph_count, pair_count, parse_graph6,
                      write_graph6)
@@ -26,10 +27,6 @@ ENGINE = f"ramseykit {__version__}"
 DEFAULT_CACHE = "results.jsonl"
 
 SEARCH_KINDS = ("rprime", "ramsey", "rprime_m", "wprime", "score")
-
-
-def _default_threads() -> int:
-    return os.cpu_count() or 1
 
 
 # --- rho ---------------------------------------------------------------------
@@ -124,26 +121,45 @@ def _find_cached(path: str, query: dict):
     return hit
 
 
+def _record(query: dict, result: SearchResult, wall_ms) -> dict:
+    """The cache record of one search, as written and as replayed."""
+    r = result.to_json_dict()
+    return {
+        "schema": SCHEMA,
+        "query": query,
+        "value": r["value"],
+        "exact": r["exact"],
+        "exhaustive": r["upper"] is not None,
+        "bracket": r["bracket"],
+        "certificates": {"lower": r["lower"], "upper": r["upper"]},
+        "engine": ENGINE,
+        "wall_ms": wall_ms,
+    }
+
+
 def _replay_ok(rec: dict, query: dict) -> bool:
-    """Does a cached record stand on its certificates?  Each must revalidate
-    (shallow) for the query: the upper one exhaustive at size ``value``, the
-    lower one a witness at ``value - 1`` (absent only at value 1)."""
+    """Does a cached record stand on its certificates?  The upper one must be
+    exhaustive for the query at some size v, the lower one a witness at
+    v - 1 (absent at v = 1), and both must revalidate (shallow).  The record
+    must then be, in canonical JSON, the one ``_record`` builds from them
+    with the record's own ``wall_ms``."""
+    mode = engine.MODES[query["kind"]]
+    keys = {k: query[k] for k in mode.keys}
     try:
-        value, certs = rec["value"], rec["certificates"]
-        claims = [(certs["upper"], EXHAUSTIVE, value)]
-        if value != 1 or certs["lower"] is not None:
-            claims.append((certs["lower"], WITNESS, value - 1))
-        for d, kind, size in claims:
-            cert = SearchCertificate.from_json_dict(d)  # TypeError if absent
-            p = cert.parameters
-            if (cert.kind != kind or p["mode"] != query["kind"]
-                    or p[engine.MODES[query["kind"]].size_key] != size
-                    or any(p.get(k) != query[k] for k in query
-                           if k not in ("command", "kind"))
-                    or not revalidate(cert)):
+        certs = rec["certificates"]
+        upper = SearchCertificate.from_json_dict(certs["upper"])
+        value = upper.parameters[mode.size_key]
+        lower = SearchCertificate.from_json_dict(certs["lower"]) if value != 1 else None
+        for cert, kind, size in ((upper, EXHAUSTIVE, value), (lower, WITNESS, value - 1)):
+            if cert is None:
+                continue
+            params = {"mode": query["kind"], "target": query["target"],
+                      mode.size_key: size, **keys}
+            if (cert.kind != kind or not revalidate(cert)
+                    or canonical_json(cert.parameters) != canonical_json(params)):
                 return False
-        return (rec["exact"] is True and rec["exhaustive"] is True
-                and rec["bracket"] == [value, value])
+        result = SearchResult(query["kind"], {}, value, lower, upper)
+        return canonical_json(rec) == canonical_json(_record(query, result, rec["wall_ms"]))
     except (KeyError, TypeError, ValueError):
         return False
 
@@ -155,8 +171,8 @@ def _print_record(rec: dict, as_json: bool, cached: bool, cache_path: str):
     q = rec["query"]
     extras = " ".join(f"{k}={q[k]}" for k in ("m", "score", "j") if k in q)
     print(f"kind={q['kind']} target={q['target']}" + (f" {extras}" if extras else ""))
-    lo, hi = rec["bracket"]
-    print(f"value={rec['value']} exact=yes bracket=[{lo}, {hi}]")
+    v = rec["value"]
+    print(f"value={v} exact=yes bracket=[{v}, {v}]")
     lower = rec["certificates"]["lower"]
     if lower:
         inst = lower.get("witness_graph6") or lower.get("witness_coloring")
@@ -190,21 +206,7 @@ def cmd_search(args) -> int:
     except BudgetError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
-    wall_ms = round((time.perf_counter() - t0) * 1000.0, 3)
-    rec = {
-        "schema": SCHEMA,
-        "query": query,
-        "value": result.value,
-        "exact": result.exact,
-        "exhaustive": result.upper is not None,
-        "bracket": list(result.bracket),
-        "certificates": {
-            "lower": result.lower.to_json_dict() if result.lower else None,
-            "upper": result.upper.to_json_dict() if result.upper else None,
-        },
-        "engine": ENGINE,
-        "wall_ms": wall_ms,
-    }
+    rec = _record(query, result, round((time.perf_counter() - t0) * 1000.0, 3))
     with open(args.cache, "a", encoding="utf-8") as fh:
         fh.write(canonical_json(rec) + "\n")
     _print_record(rec, args.json, False, args.cache)
@@ -216,9 +218,9 @@ def cmd_search(args) -> int:
 # Each check returns (expected, computed, ok); names double as --only filters.
 
 
-def _check_rprime4(t, seed):
-    r = exact.search_threshold("rprime", 4, threads=t)
-    ok = r.value == 3 and r.exact and r.lower is not None
+def _check_rprime4(seed):
+    r = exact.search_threshold("rprime", 4)
+    ok = r.value == 3 and r.lower is not None
     return "threshold 3", f"threshold {r.value}", ok
 
 
@@ -226,49 +228,48 @@ def _is_five_cycle(g: Graph) -> bool:
     return g.n == 5 and all(g.degree(v) == 2 for v in range(5))
 
 
-def _check_rprime5(t, seed):
-    r = exact.search_threshold("rprime", 5, threads=t)
+def _check_rprime5(seed):
+    r = exact.search_threshold("rprime", 5)
     w = parse_graph6(r.lower.witness_graph6)
-    ok = (r.value == 6 and r.exact and _is_five_cycle(w)
+    ok = (r.value == 6 and _is_five_cycle(w)
           and exact.pair_sum_value(w) == 4
           and r.upper.scanned_count == labeled_graph_count(6))
     return ("threshold 6, 5-cycle witness",
             f"threshold {r.value}, witness {r.lower.witness_graph6}", ok)
 
 
-def _check_ramsey3(t, seed):
-    r = exact.search_threshold("ramsey", 3, threads=t)
+def _check_ramsey3(seed):
+    r = exact.search_threshold("ramsey", 3)
     w = parse_graph6(r.lower.witness_graph6)
-    ok = r.value == 6 and r.exact and _is_five_cycle(w)
+    ok = r.value == 6 and _is_five_cycle(w)
     return ("threshold 6, 5-cycle witness",
             f"threshold {r.value}, witness {r.lower.witness_graph6}", ok)
 
 
-def _check_c5(t, seed):
+def _check_c5(seed):
     g = Graph.cycle(5)
     pair = exact.clique_indep_pair(g)
     got = (pair.a.bit_count(), pair.b.bit_count(), pair.value)
     return "omega 2, alpha 2, value 4", f"omega {got[0]}, alpha {got[1]}, value {got[2]}", got == (2, 2, 4)
 
 
-def _check_threevertex(t, seed):
+def _check_threevertex(seed):
     sizes = [exact.max_clique(Graph.from_code(3, code))[0] for code in (0, 1, 3, 7)]
     values = [exact.pair_sum_value(Graph.from_code(3, code)) for code in (0, 1, 3, 7)]
     ok = sizes == [1, 2, 2, 3] and values == [4, 4, 4, 4]
     return "clique sizes 1,2,2,3", "clique sizes " + ",".join(map(str, sizes)), ok
 
 
-def _check_rprime_m(t, seed):
+def _check_rprime_m(seed):
     got = {}
     for m in (2, 3):
-        got[m] = [exact.search_threshold("rprime_m", m + k, m=m, threads=t).value
-                  for k in (0, 1, 2)]
+        got[m] = [exact.search_threshold("rprime_m", m + k, m=m).value for k in (0, 1, 2)]
     ok = got[2] == [1, 2, 3] and got[3] == [1, 2, 3]
     return "thresholds 1,2,3 for m=2 and m=3", f"m=2: {got[2]}, m=3: {got[3]}", ok
 
 
-def _check_wprime(t, seed):
-    results = [vdw.ap_sum_threshold(2, n, threads=t) for n in (1, 2, 3, 4)]
+def _check_wprime(seed):
+    results = [vdw.ap_sum_threshold(2, n) for n in (1, 2, 3, 4)]
     vals, r4 = [r.value for r in results], results[-1]
     example = vdw.IntervalColoring.from_text("bbwbb", 2)
     s = vdw.ap_sum(example)[0]
@@ -278,7 +279,7 @@ def _check_wprime(t, seed):
             f"thresholds {vals}; example sums {s}", ok)
 
 
-def _check_bounds(t, seed):
+def _check_bounds(seed):
     coincide = all(exact.multicolor_ramsey_bound(n, 2) == exact.two_color_ramsey_bound(n)
                    for n in range(2, 11))
     spot = (exact.two_color_ramsey_bound(3) == 8
@@ -289,28 +290,27 @@ def _check_bounds(t, seed):
     return "m=2 formulas coincide for n=2..10", "coincide" if coincide else "differ", ok
 
 
-def _check_inequalities(t, seed):
-    rp = {n: exact.search_threshold("rprime", n, threads=t).value for n in (2, 3, 4, 5)}
+def _check_inequalities(seed):
+    rp = {n: exact.search_threshold("rprime", n).value for n in (2, 3, 4, 5)}
     doubling = all(rp[n + 1] <= 2 * rp[n] for n in (2, 3, 4))
-    ramsey3 = exact.search_threshold("ramsey", 3, threads=t).value
+    ramsey3 = exact.search_threshold("ramsey", 3).value
     versus = ramsey3 <= rp[5]
     fam_ok = True
     for m in (2, 3):
-        rm = {k: exact.search_threshold("rprime_m", m + k, m=m, threads=t).value
-              for k in (0, 1, 2)}
+        rm = {k: exact.search_threshold("rprime_m", m + k, m=m).value for k in (0, 1, 2)}
         fam_ok &= all(rm[k + 1] <= 2 + m * (rm[k] - 1) for k in (0, 1))
     w_ok = (vdw.classical_ap_check(2, 3, 9) and not vdw.classical_ap_check(2, 3, 8)
-            and 9 <= vdw.ap_sum_threshold(2, 5, threads=t).value)
+            and 9 <= vdw.ap_sum_threshold(2, 5).value)
     ok = doubling and versus and fam_ok and w_ok
     return ("all inequalities hold",
             f"doubling={doubling} pair-vs-single={versus} family={fam_ok} interval={w_ok}",
             ok)
 
 
-def _check_greedy_sweep(t, seed):
+def _check_greedy_sweep(seed):
     counts = []
     for n in range(2, 8):
-        checked, violation = greedy.pair_guarantee_sweep(n, threads=t)
+        checked, violation = greedy.pair_guarantee_sweep(n)
         if violation is not None or checked != labeled_graph_count(n):
             return ("no violations on all graphs, n=2..7",
                     f"violation at n={n} code={violation}", False)
@@ -319,7 +319,7 @@ def _check_greedy_sweep(t, seed):
             f"no violations over {sum(counts)} graphs", True)
 
 
-def _check_oracle(t, seed):
+def _check_oracle(seed):
     for n in range(1, 6):
         for code in range(labeled_graph_count(n)):
             g = Graph.from_code(n, code)
@@ -337,13 +337,6 @@ def _check_oracle(t, seed):
     return "solver matches oracle", f"exhaustive n<=5 + 1000 random (seed {seed})", True
 
 
-def _check_determinism(t, seed):
-    r1 = exact.search_threshold("rprime", 5, threads=1)
-    r8 = exact.search_threshold("rprime", 5, threads=8)
-    ok = r1.to_json() == r8.to_json()
-    return "identical JSON at 1 and 8 threads", "identical" if ok else "diverged", ok
-
-
 CHECKS = [
     ("rprime4", _check_rprime4),
     ("rprime5", _check_rprime5),
@@ -356,7 +349,6 @@ CHECKS = [
     ("inequalities", _check_inequalities),
     ("greedy_sweep", _check_greedy_sweep),
     ("oracle", _check_oracle),
-    ("determinism", _check_determinism),
 ]
 
 
@@ -366,10 +358,10 @@ def cmd_verify(args) -> int:
         wanted = set()
         for chunk in args.only:
             wanted.update(x.strip() for x in chunk.split(",") if x.strip())
-        known = {name for name, _ in CHECKS}
-        bad = wanted - known
-        if bad:
-            print(f"unknown checks: {', '.join(sorted(bad))}", file=sys.stderr)
+        bad = wanted - {name for name, _ in CHECKS}
+        if bad or not wanted:
+            print(f"unknown checks: {', '.join(sorted(bad))}" if bad
+                  else "--only names no check", file=sys.stderr)
             return 2
     rows = []
     all_ok = True
@@ -377,7 +369,7 @@ def cmd_verify(args) -> int:
         if wanted is not None and name not in wanted:
             continue
         t0 = time.perf_counter()
-        expected, computed, ok = fn(args.threads, args.seed)
+        expected, computed, ok = fn(args.seed)
         ms = round((time.perf_counter() - t0) * 1000.0, 1)
         rows.append({"check": name, "expected": expected, "computed": computed,
                      "ok": ok, "ms": ms})
@@ -423,9 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="class scores aggregated (score kind)")
     search.add_argument("--score", choices=[k.value for k in scores.ScoreKind],
                         help="score function for the score kind")
-    search.add_argument("--threads", type=int, default=_default_threads(),
-                        help="accepted and unused: threshold scans run in one"
-                             " process, with the same output at any value")
+    search.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored (searches run in one"
+                             " process); kept while perfbench/ still passes"
+                             " it, see ROADMAP item 7")
     search.add_argument("--budget", type=int, default=None,
                         help="max instances per probe")
     search.add_argument("--cache", default=DEFAULT_CACHE)
@@ -437,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the built-in claim table")
     verify.add_argument("--only", action="append",
                         help="run only these checks (comma-separated, repeatable)")
-    verify.add_argument("--threads", type=int, default=_default_threads())
     verify.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized oracle spot check")
     verify.add_argument("--json", action="store_true")

@@ -272,8 +272,8 @@ def search(name: str, target: int, m: int = 2, j: int = 1, score: str = "clique"
     while mode.count(size, m) <= min(per_probe, ENUMERATION_CAP):
         outcome = check(name, target, size, m, j, score, per_probe, prune)
         if outcome.ok:
-            return SearchResult(name, params, size, True, (size, size),
-                                lower=last_fail, upper=outcome.certificate)
+            return SearchResult(name, params, size, lower=last_fail,
+                                upper=outcome.certificate)
         last_fail = outcome.certificate
         size += 1
     raise UndecidedError(name, params, size, mode.bound(target, m), lower=last_fail)

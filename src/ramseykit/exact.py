@@ -242,17 +242,15 @@ class CheckOutcome:
 
 
 def check_universal(target: int, n_vertices: int, mode: str, m: int = 2,
-                    threads: int = 1, budget: Optional[int] = None,
-                    prune: bool = False) -> CheckOutcome:
+                    budget: Optional[int] = None, prune: bool = False) -> CheckOutcome:
     """Does every instance on ``n_vertices`` vertices reach ``target``?
 
     Modes: "rprime" (clique + independent pair sum), "ramsey" (a clique or an
     independent set of the target size) and "rprime_m" (sum over colours of
     the largest monochromatic clique).  Failures report the minimum-code
-    instance.  ``threads`` is unused (the scan is serial).  ``prune`` (graph
-    modes only) records the number of complement pairs instead of all
-    labeled graphs; the scan, verdict and witness are the same either way
-    (see ``engine``).
+    instance.  ``prune`` (graph modes only) records the number of complement
+    pairs instead of all labeled graphs; the scan, verdict and witness are
+    the same either way (see ``engine``).
     """
     if mode not in GRAPH_MODES + COLORING_MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -263,15 +261,14 @@ def check_universal(target: int, n_vertices: int, mode: str, m: int = 2,
 # --- threshold searches -----------------------------------------------------
 
 
-def search_threshold(kind: str, target: int, m: int = 2, threads: int = 1,
-                     budget: Optional[int] = None, prune: bool = False) -> SearchResult:
+def search_threshold(kind: str, target: int, m: int = 2, budget: Optional[int] = None,
+                     prune: bool = False) -> SearchResult:
     """Least vertex count from which every instance reaches ``target``.
 
     Probes n_vertices = 1, 2, ... until a scan passes; passing is monotone
     upward (an induced subgraph argument), so the first pass is the
     threshold.  When the next probe would blow the instance budget, raises
-    UndecidedError carrying the best-known bracket.  ``threads`` is unused
-    (the scan is serial).
+    UndecidedError carrying the best-known bracket.
     """
     if kind not in GRAPH_MODES + COLORING_MODES:
         raise ValueError(f"unknown search kind {kind!r}")

@@ -14,8 +14,8 @@ Every run records its steps as a trace; replay reruns the same core with the
 recorded pivots and rejects any step the rule would not take.  Every witness
 carries a guarantee floor that exhaustive sweeps (all graphs on up to 7
 vertices) confirm is never violated.  A sweep runs in one process and
-splits the graphs into cubes on exactly the pairs the rule reads, so its
-result is the least violating code at any thread count.
+splits the graphs into cubes on exactly the pairs the rule reads; its
+result is the least violating code.
 """
 
 from __future__ import annotations
@@ -323,7 +323,8 @@ def pair_guarantee_sweep(n: int, threads: int = 1) -> tuple[int, Optional[int]]:
     """Exhaustively confirm both pair guarantees (lowest-index rule) over all
     graphs on n <= 7 vertices; returns (graphs checked, least violating code
     or None), and on a violation at code c, (c + 1, c), the count a serial
-    scan in code order stops at.  ``threads`` is unused (the sweep is serial).
+    scan in code order stops at.  ``threads`` is ignored (the sweep is
+    serial); it stays while perfbench/ still passes it (ROADMAP item 7).
 
     A violation is any broken contract: guarantee floor missed, output sets
     not a clique/independent set, disjointness broken, or an overlap of more

@@ -97,20 +97,17 @@ def score_sum(c: EdgeColoring, kind: ScoreKind, j: int) -> tuple[int, ScoreProfi
 
 
 def check_universal_score(target: int, n_vertices: int, kind: ScoreKind,
-                          m: int = 2, j: int = 1, threads: int = 1,
-                          budget: Optional[int] = None) -> CheckOutcome:
+                          m: int = 2, j: int = 1, budget: Optional[int] = None
+                          ) -> CheckOutcome:
     """Does every m-colouring on ``n_vertices`` reach ``target`` with its j
-    best class scores?  Failures report the minimum-code colouring.
-    ``threads`` is unused (the scan is serial)."""
+    best class scores?  Failures report the minimum-code colouring."""
     from .engine import check
     return check("score", target, n_vertices, m=m, j=j, score=kind, budget=budget)
 
 
 def search_threshold_score(kind: ScoreKind, m: int, j: int, target: int,
-                           threads: int = 1, budget: Optional[int] = None
-                           ) -> SearchResult:
+                           budget: Optional[int] = None) -> SearchResult:
     """Least vertex count from which every m-colouring reaches ``target``
-    with its j best class scores; raises UndecidedError past the budget.
-    ``threads`` is unused (the scan is serial)."""
+    with its j best class scores; raises UndecidedError past the budget."""
     from .engine import search
     return search("score", target, m=m, j=j, score=kind, budget=budget)

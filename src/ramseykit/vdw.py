@@ -191,29 +191,26 @@ def _least_failing(m: int, length: int, target: int, single: bool,
 
 
 def check_universal_ap_sum(target: int, length: int, m: int,
-                           threads: int = 1, budget: Optional[int] = None,
-                           prune: bool = False) -> CheckOutcome:
+                           budget: Optional[int] = None, prune: bool = False
+                           ) -> CheckOutcome:
     """Does every m-colouring of 1..length have AP lengths summing to
-    ``target``?  Failures report the minimum-code colouring.  ``threads`` is
-    unused (the search is serial).  ``prune`` changes only the exhaustive
-    count: orbits under reversal and colour permutation, not all m^length."""
+    ``target``?  Failures report the minimum-code colouring.  ``prune``
+    changes only the exhaustive count: orbits under reversal and colour
+    permutation, not all m^length."""
     from .engine import check
     return check("wprime", target, length, m=m, budget=budget, prune=prune)
 
 
-def ap_sum_threshold(m: int, target: int, threads: int = 1,
-                     budget: Optional[int] = None, prune: bool = False
-                     ) -> SearchResult:
+def ap_sum_threshold(m: int, target: int, budget: Optional[int] = None,
+                     prune: bool = False) -> SearchResult:
     """Least interval length from which every m-colouring reaches an AP sum
-    of ``target``; raises UndecidedError past the budget (no closed form).
-    ``threads`` is unused (the search is serial)."""
+    of ``target``; raises UndecidedError past the budget (no closed form)."""
     from .engine import search
     return search("wprime", target, m=m, budget=budget, prune=prune)
 
 
-def classical_ap_check(m: int, n: int, length: int, threads: int = 1,
+def classical_ap_check(m: int, n: int, length: int,
                        budget: Optional[int] = None) -> bool:
     """True iff every m-colouring of 1..length has an n-term progression in
-    a single colour (the classical van der Waerden property).  ``threads``
-    is unused here: the prefix search is serial."""
+    a single colour (the classical van der Waerden property)."""
     return _least_failing(m, length, n, True, budget) is None

@@ -43,7 +43,7 @@ def timed(budget_s: float, fn):
 def test_c01_pair_sum_threshold_at_four_is_three():
     """Every graph on 3 vertices scores >= 4; some graph on 2 does not."""
     r = timed(1.0, lambda: search_threshold("rprime", 4))
-    assert r.value == 3 and r.exact
+    assert r.value == 3 and r.to_json_dict()["exact"] is True
 
 
 def test_c02_both_thresholds_at_six_with_five_cycle_counterexample():

@@ -87,6 +87,10 @@ class TestSearch:
         lambda rec: rec["certificates"]["lower"].update(witness_coloring="aaaaa"),
         lambda rec: rec["certificates"]["upper"].update(scanned_count=63),
         lambda rec: rec["certificates"].update(lower=None),
+        lambda rec: rec.update(value=6.0, bracket=[6.0, 6.0]),
+        lambda rec: rec.update(exact=False),
+        lambda rec: rec.update(exhaustive=False),
+        lambda rec: rec.update(note="extra"),
     ])
     def test_resume_recomputes_an_edited_record(self, workdir, capsys, edit):
         code, first, _ = run(capsys, "search", "wprime", "--n", "4", "--json")
@@ -103,6 +107,21 @@ class TestSearch:
         again = json.loads(out)
         assert again["value"] == 6
         assert again["certificates"] == json.loads(first)["certificates"]
+        assert len(cache.read_text().splitlines()) == 2
+
+    def test_resume_recomputes_a_boolean_value(self, workdir, capsys):
+        run(capsys, "search", "rprime", "--n", "1", "--json")
+        cache = workdir / "results.jsonl"
+        rec = json.loads(cache.read_text())
+        assert rec["value"] == 1 and rec["certificates"]["lower"] is None
+        rec.update(value=True, bracket=[True, True])
+        cache.write_text(json.dumps(rec) + "\n")
+
+        code, out, err = run(capsys, "search", "rprime", "--n", "1",
+                             "--resume", "--json")
+        assert code == 0
+        assert "recomputing" in err
+        assert '"value":1,' in out
         assert len(cache.read_text().splitlines()) == 2
 
     def test_resume_skips_cache_lines_that_are_not_records(self, workdir, capsys):
@@ -195,6 +214,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--only", "nonsense")
         assert code == 2
         assert "unknown checks" in err
+
+    @pytest.mark.parametrize("only", [",", "", " , "])
+    def test_only_naming_no_check_is_input_error(self, workdir, capsys, only):
+        code, out, err = run(capsys, "verify", "--only", only, "--json")
+        assert code == 2
+        assert out == ""
+        assert "names no check" in err
 
     def test_repeated_only_flags_accumulate(self, workdir, capsys):
         code, out, _ = run(capsys, "verify", "--only", "c5", "--only", "bounds",

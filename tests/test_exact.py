@@ -178,10 +178,8 @@ def test_check_universal_reports_minimum_code_failure():
     assert pair_sum_value(Graph.from_code(4, witness_code)) < 5
 
 
-def test_check_universal_threads_and_prune_agree():
+def test_check_universal_prune_agrees():
     base = check_universal(5, 5, "rprime")
-    threaded = check_universal(5, 5, "rprime", threads=4)
-    assert base.certificate.to_json() == threaded.certificate.to_json()
     pruned = check_universal(5, 5, "rprime", prune=True)
     assert not pruned.ok
     assert pruned.certificate.witness_graph6 == base.certificate.witness_graph6
@@ -233,7 +231,8 @@ def test_search_threshold_small_values():
 
 def test_search_threshold_certificates():
     r = search_threshold("rprime", 4)
-    assert r.exact and r.bracket == (3, 3)
+    d = r.to_json_dict()
+    assert d["exact"] is True and d["bracket"] == [3, 3]
     assert r.lower.parameters["n_vertices"] == 2
     assert r.lower.value == 3
     assert r.upper.parameters["n_vertices"] == 3

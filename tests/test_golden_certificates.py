@@ -3,9 +3,11 @@
 Each case runs one public call (a check, a threshold search, a `verify`
 claim, a CLI `search`, or a batch of greedy runs) and reduces its outcome to
 canonical JSON: the certificate, search result or greedy traces, or the
-exception it raised with the bracket an UndecidedError carries.  The sha256 of that JSON must equal the digest frozen
-in ``golden_certificates.json``.  Threads 1 and 2 share one digest, so the
-gate also pins thread-count independence.
+exception it raised with the bracket an UndecidedError carries.  The sha256
+of that JSON must equal the digest frozen in ``golden_certificates.json``.
+Most cases run once.  The greedy sweeps at n >= 5 and the CLI searches
+``rprime --n 4`` and ``rprime_m --n 3`` (m = 2, 3) run at ``threads`` 1 and
+2, which both surfaces still accept and ignore; both runs must match.
 
 Regenerate the data file only when a change of output is intended:
 
@@ -66,7 +68,12 @@ def _cli(argv: list[str]) -> dict:
     return {"rc": rc, "out": rec, "err": err.getvalue()}
 
 
-# --- cases: (group, id, thunk, thread counts) ---------------------------------
+# --- cases: (group, id, runs), each run a thunk with the frozen digest --------
+
+
+def _both_threads(call) -> tuple:
+    """Runs at threads 1 and 2 of a call that still accepts the argument."""
+    return tuple(lambda t=t: call(t) for t in (1, 2))
 
 
 def _check_cases():
@@ -76,38 +83,34 @@ def _check_cases():
                 if n == 6 and target not in (5, 6):
                     continue  # n=6 passes are 2^15-instance scans; keep two
                 for prune in (False, True):
-                    threads = (1, 2) if n in (5, 6) else (1,)
                     yield ("check_graph", f"{mode} n={n} t={target} prune={prune}",
-                           lambda t, mo=mode, n=n, tg=target, p=prune:
-                           exact.check_universal(tg, n, mo, threads=t, prune=p), threads)
+                           (lambda mo=mode, n=n, tg=target, p=prune:
+                            exact.check_universal(tg, n, mo, prune=p),))
     for m, top in ((2, 5), (3, 4), (4, 3)):
         for n in range(1, top + 1):
             for target in range(1, m + 4):
-                threads = (1, 2) if n == top else (1,)
                 yield ("check_coloring", f"rprime_m m={m} n={n} t={target}",
-                       lambda t, n=n, m=m, tg=target:
-                       exact.check_universal(tg, n, "rprime_m", m=m, threads=t), threads)
+                       (lambda n=n, m=m, tg=target:
+                        exact.check_universal(tg, n, "rprime_m", m=m),))
     for kind in ("clique", "cycle", "path"):
         for m, top in ((2, 5), (3, 4), (4, 3)):
             for j in range(1, m + 1):
                 for n in range(1, top + 1):
                     for target in range(1, 7):
-                        threads = (1, 2) if n == top and target == 3 else (1,)
                         yield ("check_score", f"{kind} m={m} j={j} n={n} t={target}",
-                               lambda t, k=kind, n=n, m=m, j=j, tg=target:
-                               scores.check_universal_score(tg, n, k, m=m, j=j, threads=t),
-                               threads)
+                               (lambda k=kind, n=n, m=m, j=j, tg=target:
+                                scores.check_universal_score(tg, n, k, m=m, j=j),))
     for m, top in ((1, 12), (2, 12), (3, 8), (4, 6)):
         for length in range(1, top + 1):
             for target in range(1, 2 * m + 4):
                 for prune in (False, True):
                     yield ("check_interval", f"wprime m={m} len={length} t={target} prune={prune}",
-                           lambda t, m=m, ln=length, tg=target, p=prune:
-                           vdw.check_universal_ap_sum(tg, ln, m, threads=t, prune=p), (1,))
+                           (lambda m=m, ln=length, tg=target, p=prune:
+                            vdw.check_universal_ap_sum(tg, ln, m, prune=p),))
     for m, n, top in ((1, 3, 4), (2, 3, 10), (2, 4, 28), (3, 3, 12)):
         for length in range(1, top + 1):
             yield ("check_interval", f"classical m={m} n={n} len={length}",
-                   lambda t, m=m, n=n, ln=length: vdw.classical_ap_check(m, n, ln), (1,))
+                   (lambda m=m, n=n, ln=length: vdw.classical_ap_check(m, n, ln),))
 
 
 def _search_cases():
@@ -115,40 +118,34 @@ def _search_cases():
         for target in targets:
             for prune in (False, True):
                 yield ("search_graph", f"{kind} t={target} prune={prune}",
-                       lambda t, k=kind, tg=target, p=prune:
-                       exact.search_threshold(k, tg, threads=t, prune=p),
-                       (1, 2) if target == 4 else (1,))
+                       (lambda k=kind, tg=target, p=prune:
+                        exact.search_threshold(k, tg, prune=p),))
         for budget in (0, 1, 8, 64, 1024):
             yield ("search_graph", f"{kind} t=6 budget={budget}",
-                   lambda t, k=kind, b=budget: exact.search_threshold(k, 6, threads=t, budget=b),
-                   (1,))
+                   (lambda k=kind, b=budget: exact.search_threshold(k, 6, budget=b),))
     for m in (2, 3, 4):
         for target in range(1, 6):
             yield ("search_coloring", f"rprime_m m={m} t={target}",
-                   lambda t, m=m, tg=target:
-                   exact.search_threshold("rprime_m", tg, m=m, threads=t, budget=1 << 12),
-                   (1, 2) if target == 3 else (1,))
+                   (lambda m=m, tg=target:
+                    exact.search_threshold("rprime_m", tg, m=m, budget=1 << 12),))
     for budget in (0, 1, 2, 64):
         yield ("search_coloring", f"rprime_m m=3 t=4 budget={budget}",
-               lambda t, b=budget: exact.search_threshold("rprime_m", 4, m=3, threads=t, budget=b),
-               (1,))
+               (lambda b=budget: exact.search_threshold("rprime_m", 4, m=3, budget=b),))
     for kind in ("clique", "cycle", "path"):
         for m in (2, 3):
             for j in range(1, m + 1):
                 for target in range(1, 6):
                     yield ("search_score", f"{kind} m={m} j={j} t={target}",
-                           lambda t, k=kind, m=m, j=j, tg=target:
-                           scores.search_threshold_score(k, m, j, tg, threads=t, budget=1 << 12),
-                           (1, 2) if target == 3 else (1,))
+                           (lambda k=kind, m=m, j=j, tg=target:
+                            scores.search_threshold_score(k, m, j, tg, budget=1 << 12),))
     for m, targets in ((1, range(1, 6)), (2, range(1, 7)), (3, range(1, 7)), (4, range(1, 6))):
         for target in targets:
             for prune in (False, True):
                 yield ("search_interval", f"wprime m={m} t={target} prune={prune}",
-                       lambda t, m=m, tg=target, p=prune:
-                       vdw.ap_sum_threshold(m, tg, threads=t, prune=p), (1,))
+                       (lambda m=m, tg=target, p=prune: vdw.ap_sum_threshold(m, tg, prune=p),))
     for budget in (0, 1, 64, 1 << 10):
         yield ("search_interval", f"wprime m=2 t=6 budget={budget}",
-               lambda t, b=budget: vdw.ap_sum_threshold(2, 6, threads=t, budget=b), (1,))
+               (lambda b=budget: vdw.ap_sum_threshold(2, 6, budget=b),))
 
 
 def _invalid_cases():
@@ -194,7 +191,7 @@ def _invalid_cases():
         "classical len=0": lambda: vdw.classical_ap_check(2, 3, 0),
     }
     for name, call in calls.items():
-        yield ("invalid", name, lambda t, c=call: c(), (1,))
+        yield ("invalid", name, (call,))
 
 
 def _cli_cases():
@@ -209,16 +206,17 @@ def _cli_cases():
               ["wprime", "--n", "6", "--budget", "100"],
               ["rprime_m", "--n", "4", "--m", "3", "--budget", "10"]]
     for argv in argvs:
-        yield ("cli_search", " ".join(argv),
-               lambda t, a=argv: _cli(["search"] + a + ["--threads", str(t), "--json"]),
-               (1, 2) if argv[:3] in (["rprime", "--n", "4"], ["rprime_m", "--n", "3"])
-               else (1,))
-    # The claim table's threshold checks (the greedy sweep, subset oracle and
-    # eight-thread determinism check emit no certificates).
+        if argv[:3] in (["rprime", "--n", "4"], ["rprime_m", "--n", "3"]):
+            runs = _both_threads(lambda t, a=argv:
+                                 _cli(["search"] + a + ["--threads", str(t), "--json"]))
+        else:
+            runs = (lambda a=argv: _cli(["search"] + a + ["--json"]),)
+        yield ("cli_search", " ".join(argv), runs)
+    # The claim table's threshold checks (the greedy sweep and subset oracle
+    # emit no certificates).
     for name in ("rprime4", "rprime5", "ramsey3", "rprime_m", "wprime", "inequalities"):
         yield ("cli_verify", name,
-               lambda t, nm=name: _cli(["verify", "--only", nm, "--threads", str(t), "--json"]),
-               (1,))
+               (lambda nm=name: _cli(["verify", "--only", nm, "--json"]),))
 
 
 def _greedy_cases():
@@ -246,20 +244,20 @@ def _greedy_cases():
             for (rule_name, rule), shared in [(r, False) for r in rules] + [(rules[-1], True)]:
                 name = f"{variant} {host} pick={rule_name}{' shared' if shared else ''}"
                 yield ("greedy", name,
-                       lambda t, run=run, hosts=hosts, rule=rule, sh=shared:
-                       batch(run, hosts(), rule, sh), (1,))
+                       (lambda run=run, hosts=hosts, rule=rule, sh=shared:
+                        batch(run, hosts(), rule, sh),))
     family_hosts = [(f"m={m} n={n}", lambda n=n, m=m: list(enumerate_edge_colorings(n, m)))
                     for m, top in ((2, 4), (3, 3)) for n in range(1, top + 1)]
     family_hosts.append(("seeded n=64", lambda: seeded_colorings))
     for host, hosts in family_hosts:
         for (rule_name, rule), shared in [(r, False) for r in rules] + [(rules[-1], True)]:
             yield ("greedy", f"family {host} pick={rule_name}{' shared' if shared else ''}",
-                   lambda t, hosts=hosts, rule=rule, sh=shared:
-                   batch(greedy.greedy_family, hosts(), rule, sh), (1,))
+                   (lambda hosts=hosts, rule=rule, sh=shared:
+                    batch(greedy.greedy_family, hosts(), rule, sh),))
     for n in range(2, 7):
         yield ("greedy", f"sweep n={n}",
-               lambda t, n=n: greedy.pair_guarantee_sweep(n, threads=t),
-               (1, 2) if n >= 5 else (1,))
+               _both_threads(lambda t, n=n: greedy.pair_guarantee_sweep(n, threads=t))
+               if n >= 5 else (lambda n=n: greedy.pair_guarantee_sweep(n),))
 
 
 def _cases():
@@ -272,8 +270,8 @@ GROUPS = ("check_graph", "check_coloring", "check_score", "check_interval",
           "invalid", "cli_search", "cli_verify", "greedy")
 
 
-def _digest(thunk, threads: int) -> str:
-    return hashlib.sha256(_outcome_json(lambda: thunk(threads)).encode()).hexdigest()
+def _digest(thunk) -> str:
+    return hashlib.sha256(_outcome_json(thunk).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -281,22 +279,22 @@ def test_golden_certificates(group):
     golden = json.loads(DATA.read_text())[group]
     seen = set()
     wrong = []
-    for grp, case, thunk, threads in _cases():
+    for grp, case, runs in _cases():
         if grp != group:
             continue
         seen.add(case)
-        for t in threads:
-            if _digest(thunk, t) != golden.get(case):
-                wrong.append(f"{case} (threads={t})")
+        for i, run in enumerate(runs, 1):
+            if _digest(run) != golden.get(case):
+                wrong.append(f"{case} (run {i} of {len(runs)})")
     assert seen == set(golden), "case list differs from the frozen data"
     assert not wrong, f"{len(wrong)} outcomes differ: {wrong[:10]}"
 
 
 def _freeze():
     data = {g: {} for g in GROUPS}
-    for grp, case, thunk, _ in _cases():
+    for grp, case, runs in _cases():
         assert case not in data[grp], f"duplicate case {grp}/{case}"
-        data[grp][case] = _digest(thunk, 1)
+        data[grp][case] = _digest(runs[0])
     DATA.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"froze {sum(map(len, data.values()))} digests in {DATA}")
 

@@ -171,7 +171,7 @@ class TestCliqueKindMatchesPairSumMachinery:
         # least n with a monochromatic triangle in every 2-coloring
         r = search_threshold_score(ScoreKind.CLIQUE, 2, 1, 3)
         assert r.value == 6
-        assert r.exact
+        assert r.to_json_dict()["exact"] is True
 
 
 class TestFrozenThresholds:
@@ -224,8 +224,3 @@ class TestCheckUniversalScore:
         assert exc.value.low == 5
         assert exc.value.high is None
         assert exc.value.lower is not None
-
-    def test_threads_agree_with_serial(self):
-        a = check_universal_score(5, 4, ScoreKind.CLIQUE, m=2, j=2)
-        b = check_universal_score(5, 4, ScoreKind.CLIQUE, m=2, j=2, threads=3)
-        assert a.certificate.to_json() == b.certificate.to_json()

@@ -132,7 +132,8 @@ class TestPairSumThresholds:
 
     def test_certificates_at_target_four(self):
         r = ap_sum_threshold(2, 4)
-        assert r.value == 6 and r.exact and r.bracket == (6, 6)
+        d = r.to_json_dict()
+        assert r.value == 6 and d["exact"] is True and d["bracket"] == [6, 6]
         assert r.lower.witness_coloring == "aabaa"
         assert r.lower.value == 3
         assert r.upper.scanned_count == 64
@@ -169,12 +170,6 @@ class TestPairSumThresholds:
 
     def test_pruned_threshold_identical(self):
         assert ap_sum_threshold(2, 4, prune=True).value == 6
-
-    def test_threads_merge_identically(self):
-        a = ap_sum_threshold(2, 4)
-        b = ap_sum_threshold(2, 4, threads=3)
-        assert a.lower.to_json() == b.lower.to_json()
-        assert a.upper.to_json() == b.upper.to_json()
 
     def test_budget_exhaustion(self):
         with pytest.raises(UndecidedError) as exc:
