@@ -2,7 +2,10 @@
 
 Three subcommands: ``rho`` reports the clique/independent pair of one graph,
 ``search`` runs a certified threshold search and caches ResultRecords as JSON
-lines, and ``verify`` executes the built-in claim table end to end.
+lines, and ``verify`` runs the claim table ``CLAIMS`` end to end.  Every
+threshold a claim states comes from ``engine.search`` and has passed a deep
+recheck of both its certificates (``revalidate(deep=True)``, which reruns
+the scans); a certificate that fails it fails the claim.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from . import __version__, engine, exact, greedy, scores, vdw
 from .certificates import (EXHAUSTIVE, WITNESS, SearchCertificate,
                            SearchResult, UndecidedError, canonical_json,
                            revalidate)
-from .graphs import (BudgetError, Graph, Graph6ParseError, bits,
-                     labeled_graph_count, pair_count, parse_graph6,
-                     write_graph6)
+from .graphs import (Graph, Graph6ParseError, bits, labeled_graph_count,
+                     pair_count, parse_graph6, write_graph6)
 
 SCHEMA = 1
 ENGINE = f"ramseykit {__version__}"
@@ -137,29 +139,38 @@ def _record(query: dict, result: SearchResult, wall_ms) -> dict:
     }
 
 
-def _replay_ok(rec: dict, query: dict) -> bool:
-    """Does a cached record stand on its certificates?  The upper one must be
-    exhaustive for the query at some size v, the lower one a witness at
-    v - 1 (absent at v = 1), and both must revalidate (shallow).  The record
-    must then be, in canonical JSON, the one ``_record`` builds from them
-    with the record's own ``wall_ms``."""
+def _stands(query: dict, result: SearchResult, deep: bool = False) -> bool:
+    """Do the certificates pin ``result.value`` for the query?  The upper one
+    must be exhaustive at size ``value``, the lower one a witness at
+    ``value - 1`` (absent at value 1), both with the query's parameters, and
+    both must revalidate (``deep`` reruns their scans)."""
     mode = engine.MODES[query["kind"]]
     keys = {k: query[k] for k in mode.keys}
+    v = result.value
+    for cert, kind, size in ((result.upper, EXHAUSTIVE, v), (result.lower, WITNESS, v - 1)):
+        if cert is None and size == 0:
+            continue
+        params = {"mode": query["kind"], "target": query["target"],
+                  mode.size_key: size, **keys}
+        if (cert is None or cert.kind != kind
+                or canonical_json(cert.parameters) != canonical_json(params)
+                or not revalidate(cert, deep)):
+            return False
+    return True
+
+
+def _replay_ok(rec: dict, query: dict) -> bool:
+    """Does a cached record stand on its certificates (shallow), and is it,
+    in canonical JSON, the record ``_record`` builds from them with its own
+    ``wall_ms``?"""
     try:
         certs = rec["certificates"]
         upper = SearchCertificate.from_json_dict(certs["upper"])
-        value = upper.parameters[mode.size_key]
+        value = upper.parameters[engine.MODES[query["kind"]].size_key]
         lower = SearchCertificate.from_json_dict(certs["lower"]) if value != 1 else None
-        for cert, kind, size in ((upper, EXHAUSTIVE, value), (lower, WITNESS, value - 1)):
-            if cert is None:
-                continue
-            params = {"mode": query["kind"], "target": query["target"],
-                      mode.size_key: size, **keys}
-            if (cert.kind != kind or not revalidate(cert)
-                    or canonical_json(cert.parameters) != canonical_json(params)):
-                return False
         result = SearchResult(query["kind"], {}, value, lower, upper)
-        return canonical_json(rec) == canonical_json(_record(query, result, rec["wall_ms"]))
+        return _stands(query, result) and canonical_json(rec) == canonical_json(
+            _record(query, result, rec["wall_ms"]))
     except (KeyError, TypeError, ValueError):
         return False
 
@@ -196,15 +207,12 @@ def cmd_search(args) -> int:
     t0 = time.perf_counter()
     try:
         result = _run_search(args, query)
-    except (ValueError,) as e:
+    except ValueError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except UndecidedError as e:
         hi = "null" if e.high is None else e.high
         print(f"undecided within budget: value in [{e.low}, {hi}]", file=sys.stderr)
-        return 3
-    except BudgetError as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
     rec = _record(query, result, round((time.perf_counter() - t0) * 1000.0, 3))
     with open(args.cache, "a", encoding="utf-8") as fh:
@@ -215,165 +223,147 @@ def cmd_search(args) -> int:
 
 # --- verify ----------------------------------------------------------------------
 
-# Each check returns (expected, computed, ok); names double as --only filters.
+
+class _Unchecked(Exception):
+    """A threshold search whose certificates fail their deep recheck."""
 
 
-def _check_rprime4(seed):
-    r = exact.search_threshold("rprime", 4)
-    ok = r.value == 3 and r.lower is not None
-    return "threshold 3", f"threshold {r.value}", ok
+def _threshold(kind: str, target: int, **keys) -> SearchResult:
+    """``engine.search``'s result, once both its certificates pass
+    ``revalidate(deep=True)`` for this query: every threshold a claim states
+    comes from here."""
+    result = engine.search(kind, target, **keys)
+    if not _stands({"kind": kind, "target": target, **keys}, result, deep=True):
+        raise _Unchecked(f"{kind} target {target}: a certificate fails its deep recheck")
+    return result
 
 
-def _is_five_cycle(g: Graph) -> bool:
-    return g.n == 5 and all(g.degree(v) == 2 for v in range(5))
+def _rprime4(seed):
+    value = _threshold("rprime", 4).value
+    return f"threshold {value}", value == 3
 
 
-def _check_rprime5(seed):
-    r = exact.search_threshold("rprime", 5)
+def _five_cycle_witness(kind: str, target: int):
+    r = _threshold(kind, target)
     w = parse_graph6(r.lower.witness_graph6)
-    ok = (r.value == 6 and _is_five_cycle(w)
-          and exact.pair_sum_value(w) == 4
-          and r.upper.scanned_count == labeled_graph_count(6))
-    return ("threshold 6, 5-cycle witness",
-            f"threshold {r.value}, witness {r.lower.witness_graph6}", ok)
+    ok = r.value == 6 and w.n == 5 and all(w.degree(v) == 2 for v in range(5))
+    return f"threshold {r.value}, witness {r.lower.witness_graph6}", ok
 
 
-def _check_ramsey3(seed):
-    r = exact.search_threshold("ramsey", 3)
-    w = parse_graph6(r.lower.witness_graph6)
-    ok = r.value == 6 and _is_five_cycle(w)
-    return ("threshold 6, 5-cycle witness",
-            f"threshold {r.value}, witness {r.lower.witness_graph6}", ok)
-
-
-def _check_c5(seed):
-    g = Graph.cycle(5)
-    pair = exact.clique_indep_pair(g)
+def _c5(seed):
+    pair = exact.clique_indep_pair(Graph.cycle(5))
     got = (pair.a.bit_count(), pair.b.bit_count(), pair.value)
-    return "omega 2, alpha 2, value 4", f"omega {got[0]}, alpha {got[1]}, value {got[2]}", got == (2, 2, 4)
+    return "omega {}, alpha {}, value {}".format(*got), got == (2, 2, 4)
 
 
-def _check_threevertex(seed):
-    sizes = [exact.max_clique(Graph.from_code(3, code))[0] for code in (0, 1, 3, 7)]
-    values = [exact.pair_sum_value(Graph.from_code(3, code)) for code in (0, 1, 3, 7)]
-    ok = sizes == [1, 2, 2, 3] and values == [4, 4, 4, 4]
-    return "clique sizes 1,2,2,3", "clique sizes " + ",".join(map(str, sizes)), ok
+def _threevertex(seed):
+    graphs = [Graph.from_code(3, code) for code in (0, 1, 3, 7)]
+    sizes = [exact.max_clique(g)[0] for g in graphs]
+    ok = sizes == [1, 2, 2, 3] and all(exact.pair_sum_value(g) == 4 for g in graphs)
+    return "clique sizes " + ",".join(map(str, sizes)), ok
 
 
-def _check_rprime_m(seed):
-    got = {}
-    for m in (2, 3):
-        got[m] = [exact.search_threshold("rprime_m", m + k, m=m).value for k in (0, 1, 2)]
-    ok = got[2] == [1, 2, 3] and got[3] == [1, 2, 3]
-    return "thresholds 1,2,3 for m=2 and m=3", f"m=2: {got[2]}, m=3: {got[3]}", ok
+def _rprime_m_thresholds() -> dict:
+    """rprime_m thresholds at targets m, m + 1, m + 2, for m = 2 and 3."""
+    return {m: [_threshold("rprime_m", m + k, m=m).value for k in range(3)] for m in (2, 3)}
 
 
-def _check_wprime(seed):
-    results = [vdw.ap_sum_threshold(2, n) for n in (1, 2, 3, 4)]
-    vals, r4 = [r.value for r in results], results[-1]
-    example = vdw.IntervalColoring.from_text("bbwbb", 2)
-    s = vdw.ap_sum(example)[0]
-    ok = (vals == [1, 2, 3, 6] and s == 3
-          and r4.lower.witness_coloring == "aabaa")
-    return ("thresholds 1,2,3,6; example sums 3",
-            f"thresholds {vals}; example sums {s}", ok)
+def _rprime_m(seed):
+    got = _rprime_m_thresholds()
+    return f"m=2: {got[2]}, m=3: {got[3]}", got[2] == got[3] == [1, 2, 3]
 
 
-def _check_bounds(seed):
+def _wprime(seed):
+    results = [_threshold("wprime", n, m=2) for n in (1, 2, 3, 4)]
+    vals = [r.value for r in results]
+    s = vdw.ap_sum(vdw.IntervalColoring.from_text("bbwbb", 2))[0]
+    ok = vals == [1, 2, 3, 6] and s == 3 and results[-1].lower.witness_coloring == "aabaa"
+    return f"thresholds {vals}; example sums {s}", ok
+
+
+def _bounds(seed):
     coincide = all(exact.multicolor_ramsey_bound(n, 2) == exact.two_color_ramsey_bound(n)
                    for n in range(2, 11))
     spot = (exact.two_color_ramsey_bound(3) == 8
             and exact.pair_sum_bound(4) == 4
             and exact.family_sum_bound(3, 2) == 5
             and exact.bound_formulas(4, 2).family_sum == 4)
-    ok = coincide and spot
-    return "m=2 formulas coincide for n=2..10", "coincide" if coincide else "differ", ok
+    return "coincide" if coincide else "differ", coincide and spot
 
 
-def _check_inequalities(seed):
-    rp = {n: exact.search_threshold("rprime", n).value for n in (2, 3, 4, 5)}
+def _inequalities(seed):
+    rp = {n: _threshold("rprime", n).value for n in (2, 3, 4, 5)}
     doubling = all(rp[n + 1] <= 2 * rp[n] for n in (2, 3, 4))
-    ramsey3 = exact.search_threshold("ramsey", 3).value
-    versus = ramsey3 <= rp[5]
-    fam_ok = True
-    for m in (2, 3):
-        rm = {k: exact.search_threshold("rprime_m", m + k, m=m).value for k in (0, 1, 2)}
-        fam_ok &= all(rm[k + 1] <= 2 + m * (rm[k] - 1) for k in (0, 1))
-    w_ok = (vdw.classical_ap_check(2, 3, 9) and not vdw.classical_ap_check(2, 3, 8)
-            and 9 <= vdw.ap_sum_threshold(2, 5).value)
-    ok = doubling and versus and fam_ok and w_ok
-    return ("all inequalities hold",
-            f"doubling={doubling} pair-vs-single={versus} family={fam_ok} interval={w_ok}",
-            ok)
+    versus = _threshold("ramsey", 3).value <= rp[5]
+    rm = _rprime_m_thresholds()
+    family = all(rm[m][k + 1] <= 2 + m * (rm[m][k] - 1) for m in (2, 3) for k in (0, 1))
+    interval = (vdw.classical_ap_check(2, 3, 9) and not vdw.classical_ap_check(2, 3, 8)
+                and 9 <= _threshold("wprime", 5, m=2).value)
+    return (f"doubling={doubling} pair-vs-single={versus} family={family} interval={interval}",
+            doubling and versus and family and interval)
 
 
-def _check_greedy_sweep(seed):
-    counts = []
+def _greedy_sweep(seed):
+    total = 0
     for n in range(2, 8):
         checked, violation = greedy.pair_guarantee_sweep(n)
         if violation is not None or checked != labeled_graph_count(n):
-            return ("no violations on all graphs, n=2..7",
-                    f"violation at n={n} code={violation}", False)
-        counts.append(checked)
-    return ("no violations on all graphs, n=2..7",
-            f"no violations over {sum(counts)} graphs", True)
+            return f"violation at n={n} code={violation}", False
+        total += checked
+    return f"no violations over {total} graphs", True
 
 
-def _check_oracle(seed):
-    for n in range(1, 6):
-        for code in range(labeled_graph_count(n)):
-            g = Graph.from_code(n, code)
-            if exact.pair_sum_value(g) != exact.pair_sum_bruteforce(g):
-                return "solver matches oracle", f"mismatch at n={n} code={code}", False
+def _oracle(seed):
     rng = random.Random(seed)
-    for _ in range(1000):
-        n = rng.randint(1, 16)
-        pc = pair_count(n)
-        code = rng.getrandbits(pc) if pc else 0
+    sizes = (rng.randint(1, 16) for _ in range(1000))  # each drawn just before its code
+    codes = [(n, code) for n in range(1, 6) for code in range(labeled_graph_count(n))]
+    codes += [(n, rng.getrandbits(pair_count(n)) if n > 1 else 0) for n in sizes]
+    for n, code in codes:
         g = Graph.from_code(n, code)
         if exact.pair_sum_value(g) != exact.pair_sum_bruteforce(g):
-            return ("solver matches oracle",
-                    f"mismatch at n={n} code={code}", False)
-    return "solver matches oracle", f"exhaustive n<=5 + 1000 random (seed {seed})", True
+            return f"mismatch at n={n} code={code}", False
+    return f"exhaustive n<=5 + 1000 random (seed {seed})", True
 
 
-CHECKS = [
-    ("rprime4", _check_rprime4),
-    ("rprime5", _check_rprime5),
-    ("ramsey3", _check_ramsey3),
-    ("c5", _check_c5),
-    ("threevertex", _check_threevertex),
-    ("rprime_m", _check_rprime_m),
-    ("wprime", _check_wprime),
-    ("bounds", _check_bounds),
-    ("inequalities", _check_inequalities),
-    ("greedy_sweep", _check_greedy_sweep),
-    ("oracle", _check_oracle),
+# (name, expected, run): ``run(seed)`` returns (computed, ok); names double as
+# --only filters.
+CLAIMS = [
+    ("rprime4", "threshold 3", _rprime4),
+    ("rprime5", "threshold 6, 5-cycle witness", lambda seed: _five_cycle_witness("rprime", 5)),
+    ("ramsey3", "threshold 6, 5-cycle witness", lambda seed: _five_cycle_witness("ramsey", 3)),
+    ("c5", "omega 2, alpha 2, value 4", _c5),
+    ("threevertex", "clique sizes 1,2,2,3", _threevertex),
+    ("rprime_m", "thresholds 1,2,3 for m=2 and m=3", _rprime_m),
+    ("wprime", "thresholds 1,2,3,6; example sums 3", _wprime),
+    ("bounds", "m=2 formulas coincide for n=2..10", _bounds),
+    ("inequalities", "all inequalities hold", _inequalities),
+    ("greedy_sweep", "no violations on all graphs, n=2..7", _greedy_sweep),
+    ("oracle", "solver matches oracle", _oracle),
 ]
 
 
 def cmd_verify(args) -> int:
     wanted = None
     if args.only:
-        wanted = set()
-        for chunk in args.only:
-            wanted.update(x.strip() for x in chunk.split(",") if x.strip())
-        bad = wanted - {name for name, _ in CHECKS}
+        wanted = {x.strip() for chunk in args.only for x in chunk.split(",") if x.strip()}
+        bad = wanted - {name for name, _, _ in CLAIMS}
         if bad or not wanted:
             print(f"unknown checks: {', '.join(sorted(bad))}" if bad
                   else "--only names no check", file=sys.stderr)
             return 2
     rows = []
-    all_ok = True
-    for name, fn in CHECKS:
+    for name, expected, run in CLAIMS:
         if wanted is not None and name not in wanted:
             continue
         t0 = time.perf_counter()
-        expected, computed, ok = fn(args.seed)
+        try:
+            computed, ok = run(args.seed)
+        except _Unchecked as e:
+            computed, ok = str(e), False
         ms = round((time.perf_counter() - t0) * 1000.0, 1)
         rows.append({"check": name, "expected": expected, "computed": computed,
                      "ok": ok, "ms": ms})
-        all_ok &= ok
+    all_ok = all(r["ok"] for r in rows)
     if args.json:
         print(canonical_json({"seed": args.seed, "checks": rows,
                               "ok": all_ok}))

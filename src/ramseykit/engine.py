@@ -7,7 +7,9 @@ witness is written and scored, and which closed form brackets the search.
 an exhaustive certificate counting every instance.  ``search`` probes sizes
 1, 2, ... until a check passes; passing is monotone upward (a failing
 instance restricts to a failing one a size down), so the first pass is the
-threshold.
+threshold.  Budget admission lives in ``check`` (and ``revalidate``) only:
+``search`` turns the BudgetError of the first refused probe into an
+UndecidedError.
 
 Labeled scans (every mode but "wprime") extend failing codes one vertex at a
 time.  Every labeled predicate is hereditary: a class's clique number, path
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import count
 from operator import or_
 from typing import Any, Callable, Iterator, Optional
 
@@ -169,15 +172,12 @@ class Mode:
     def size_of(self, instance) -> int:
         return instance.length if self.size_key == "length" else instance.n
 
-    def check_colors(self, m: int):
-        if m not in self.colors:
-            raise ValueError(f"{self.name} takes {self.colors[0]}..{self.colors[-1]}"
-                             f" colours, not {m}")
-
     def params(self, target: int, size: int, m: int, j: int, score: str,
                prune: bool) -> dict:
         """Validated certificate parameters of one check."""
-        self.check_colors(m)
+        if m not in self.colors:
+            raise ValueError(f"{self.name} takes {self.colors[0]}..{self.colors[-1]}"
+                             f" colours, not {m}")
         if prune and self.pruned is None:
             raise ValueError(f"{self.name} has no symmetry pruning")
         if "j" in self.keys and not 1 <= j <= m:
@@ -261,19 +261,19 @@ def check(name: str, target: int, size: int, m: int = 2, j: int = 1,
 def search(name: str, target: int, m: int = 2, j: int = 1, score: str = "clique",
            budget: Optional[int] = None, prune: bool = False) -> SearchResult:
     """Least size from which every instance reaches ``target``, with a witness
-    at size - 1 and an exhaustive certificate at the size.  When the next probe
-    would blow the per-probe budget, raises UndecidedError with the bracket."""
+    at size - 1 and an exhaustive certificate at the size.  Each probe is a
+    ``check``, which validates the parameters and admits the probe; when it
+    refuses one as over the budget, raises UndecidedError with the bracket."""
     mode = MODES[name]
-    mode.check_colors(m)
-    per_probe = mode.budget if budget is None else budget
     params = {"kind": name, "target": target, **_keys(mode, m, j, score)}
     last_fail: Optional[SearchCertificate] = None
-    size = 1
-    while mode.count(size, m) <= min(per_probe, ENUMERATION_CAP):
-        outcome = check(name, target, size, m, j, score, per_probe, prune)
+    for size in count(1):
+        try:
+            outcome = check(name, target, size, m, j, score, budget, prune)
+        except BudgetError:
+            raise UndecidedError(name, params, size, mode.bound(target, m),
+                                 lower=last_fail) from None
         if outcome.ok:
             return SearchResult(name, params, size, lower=last_fail,
                                 upper=outcome.certificate)
         last_fail = outcome.certificate
-        size += 1
-    raise UndecidedError(name, params, size, mode.bound(target, m), lower=last_fail)

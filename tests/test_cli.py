@@ -2,9 +2,12 @@
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
+from ramseykit import Graph, engine, write_graph6
+from ramseykit.certificates import EXHAUSTIVE, SearchCertificate, SearchResult
 from ramseykit.cli import main
 
 
@@ -175,6 +178,11 @@ class TestSearch:
         assert code == 3
         assert "undecided" in err
 
+    def test_bad_target_with_zero_budget_is_input_error(self, workdir, capsys):
+        code, _, err = run(capsys, "search", "rprime", "--n", "0", "--budget", "0")
+        assert code == 2
+        assert "input error" in err
+
     def test_unknown_kind_rejected_by_parser(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["search", "bogus", "--n", "3"])
@@ -227,3 +235,27 @@ class TestVerify:
                            "--json")
         assert code == 0
         assert len(json.loads(out)["checks"]) == 2
+
+    @pytest.mark.parametrize("forge", [
+        # the upper certificate miscounts the graphs on 3 vertices
+        lambda r: replace(r, upper=replace(r.upper, scanned_count=r.upper.scanned_count - 1)),
+        # the lower witness is a triangle, which scores the target 4
+        lambda r: replace(r, lower=replace(r.lower, value=4,
+                                           witness_graph6=write_graph6(Graph.complete(3)))),
+        # threshold 2: well-formed certificates that only a rerun of the scan refutes
+        lambda r: SearchResult("rprime", r.parameters, 2,
+                               lower=engine.check("rprime", 4, 1).certificate,
+                               upper=SearchCertificate(EXHAUSTIVE, {
+                                   "mode": "rprime", "n_vertices": 2, "target": 4},
+                                   4, scanned_count=2)),
+    ], ids=["upper count", "lower scores the target", "only deep refutes"])
+    def test_claim_fails_when_a_certificate_fails_its_deep_recheck(
+            self, workdir, capsys, monkeypatch, forge):
+        search = engine.search
+        monkeypatch.setattr(engine, "search", lambda *a, **kw: forge(search(*a, **kw)))
+        code, out, _ = run(capsys, "verify", "--only", "rprime4", "--json")
+        assert code == 1
+        rec = json.loads(out)
+        assert rec["ok"] is False
+        assert rec["checks"][0]["ok"] is False
+        assert "deep recheck" in rec["checks"][0]["computed"]

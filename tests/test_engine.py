@@ -263,6 +263,17 @@ def test_score_is_ignored_where_the_mode_does_not_record_it():
                 (name, score)
 
 
+@pytest.mark.parametrize("args, kwargs", [
+    (("score", 3), {"j": 5, "budget": 0}),
+    (("rprime", 0), {"budget": 0}),
+])
+def test_search_validates_before_its_first_probe_is_refused(args, kwargs):
+    # Admission lives in ``check``, which validates first: a bad query is an
+    # input error even when no probe fits the budget.
+    with pytest.raises(ValueError):
+        engine.search(*args, **kwargs)
+
+
 def test_labeled_scans_start_no_pool(monkeypatch, tmp_path):
     """Threshold scans, CLI ``search`` at any ``--threads`` and the greedy
     guarantee sweep at any ``threads`` run in one process: no call starts a

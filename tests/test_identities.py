@@ -1,0 +1,81 @@
+"""Thresholds the scan decides, against identities proved without it.
+
+Each identity rests on a pigeonhole argument over colour classes, not on
+enumeration, so it is an oracle independent of the engine:
+
+* ``rprime`` and ``rprime_m``: an m-colouring of K_n whose class clique
+  numbers sum below t has class clique numbers a_i with a_1 + ... + a_m <=
+  t - 1, so it avoids a K_{a_i + 1} in every colour i.  Hence the threshold
+  is the largest Ramsey number R(a_1 + 1, ..., a_m + 1) over the splits
+  a_1 + ... + a_m = t - 1 (a_i >= 0), where ``rprime`` is m = 2.
+* ``ramsey``: the least n with a t-clique or a t-independent set, R(t, t).
+* ``score`` path at m = 2, j = 1: a monochromatic path on t vertices, whose
+  threshold is R(P_t, P_t) = t + floor(t / 2) - 1 for t >= 2 (L. Gerencsér
+  and A. Gyárfás, "On Ramsey-type problems", Ann. Univ. Sci. Budapest.
+  Eötvös Sect. Math. 10 (1967) 167-170).
+
+The Ramsey numbers come from S. P. Radziszowski, "Small Ramsey Numbers",
+Electron. J. Combin., Dynamic Survey DS1: R(3, 3) = 6 and R(3, 4) = 9
+(Greenwood and Gleason 1955), and the trivial R(2, k) = k.
+"""
+
+from itertools import product
+
+import pytest
+
+from ramseykit import engine
+
+KNOWN = {(3, 3): 6, (3, 4): 9}
+
+
+def ramsey_number(*sizes: int) -> int:
+    """R(sizes) from the table: 1 when some size is 1 (one vertex is a K_1 in
+    every colour); a size 2 is dropped, since a colouring with no edge of
+    that colour is a colouring in the others (R(2, k) = k, R(2, 2, 3) = 3,
+    R(2, 3, 3) = 6); a single size k is k itself."""
+    sizes = sorted(sizes)
+    if sizes[0] == 1:
+        return 1
+    if sizes[0] == 2 and len(sizes) > 1:
+        return ramsey_number(*sizes[1:])
+    return sizes[0] if len(sizes) == 1 else KNOWN[tuple(sizes)]
+
+
+def clique_sum_identity(t: int, m: int) -> int:
+    """max over a_1 + ... + a_m = t - 1, a_i >= 0, of R(a_1 + 1, ..., a_m + 1)."""
+    return max(ramsey_number(*(a + 1 for a in split))
+               for split in product(range(t), repeat=m) if sum(split) == t - 1)
+
+
+def path_ramsey_identity(t: int) -> int:
+    """R(P_t, P_t) = t + floor(t / 2) - 1 (Gerencsér and Gyárfás 1967)."""
+    return t + t // 2 - 1
+
+
+def test_known_numbers():
+    assert [ramsey_number(2, k) for k in range(1, 6)] == [1, 2, 3, 4, 5]
+    assert ramsey_number(3, 3) == 6 and ramsey_number(4, 3) == 9
+    assert ramsey_number(2, 2, 3) == 3 and ramsey_number(3, 2, 3) == 6
+    assert ramsey_number(1, 4, 4) == 1
+
+
+@pytest.mark.parametrize("t", range(1, 6))
+def test_rprime_is_the_largest_ramsey_number_over_splits(t):
+    assert engine.search("rprime", t).value == clique_sum_identity(t, 2)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("t", range(1, 6))
+def test_rprime_m_is_the_largest_ramsey_number_over_splits(t, m):
+    assert engine.search("rprime_m", t, m=m).value == clique_sum_identity(t, m)
+
+
+@pytest.mark.parametrize("t", range(1, 4))
+def test_ramsey_is_the_diagonal_ramsey_number(t):
+    assert engine.search("ramsey", t).value == ramsey_number(t, t)
+
+
+@pytest.mark.parametrize("t", range(2, 6))
+def test_score_path_is_the_path_ramsey_number(t):
+    value = engine.search("score", t, m=2, j=1, score="path").value
+    assert value == path_ramsey_identity(t)
