@@ -11,6 +11,7 @@ the scans); a certificate that fails it fails the claim.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -105,22 +106,20 @@ def _run_search(args, query: dict):
 
 
 def _find_cached(path: str, query: dict):
+    """The last record for ``query`` in the cache, read from the end so only
+    the lines after it are decoded."""
     if not os.path.exists(path):
         return None
-    hit = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+        for line in reversed(fh.readlines()):
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError:
                 continue
             if (isinstance(rec, dict) and rec.get("schema") == SCHEMA
                     and rec.get("engine") == ENGINE and rec.get("query") == query):
-                hit = rec
-    return hit
+                return rec
+    return None
 
 
 def _record(query: dict, result: SearchResult, wall_ms) -> dict:
@@ -381,7 +380,11 @@ def cmd_verify(args) -> int:
 # --- parser ------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    ``parse_args`` leaves it unchanged, so requests cannot leak into each
+    other."""
     p = argparse.ArgumentParser(
         prog="ramseykit",
         description="Exact small-scale Ramsey-type searches with certificates.",

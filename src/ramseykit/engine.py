@@ -240,6 +240,8 @@ def check(name: str, target: int, size: int, m: int = 2, j: int = 1,
     when all m^pairs (or m^length) instances exceed the budget."""
     mode = MODES[name]
     params = mode.params(target, size, m, j, score, prune)
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget {budget} is negative")
     total = mode.count(size, m)
     if total > min(mode.budget if budget is None else budget, ENUMERATION_CAP):
         raise BudgetError(f"{name} check at {mode.size_key}={size} needs {total}"

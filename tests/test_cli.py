@@ -1,13 +1,18 @@
 """Command line interface: rho, search (with cache/resume), verify."""
 
+import argparse
 import io
 import json
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from ramseykit import Graph, engine, write_graph6
-from ramseykit.certificates import EXHAUSTIVE, SearchCertificate, SearchResult
+from ramseykit import Graph, cli, engine, write_graph6
+from ramseykit.certificates import (EXHAUSTIVE, SearchCertificate, SearchResult,
+                                    canonical_json)
 from ramseykit.cli import main
 
 
@@ -183,6 +188,28 @@ class TestSearch:
         assert code == 2
         assert "input error" in err
 
+    def test_negative_budget_is_input_error(self, workdir, capsys):
+        code, out, err = run(capsys, "search", "rprime", "--n", "5", "--budget", "-1")
+        assert code == 2
+        assert out == ""
+        assert "input error" in err and "budget" in err
+        assert not (workdir / "results.jsonl").exists()
+
+    def test_resume_replays_the_newest_record(self, workdir, capsys):
+        run(capsys, "search", "rprime", "--n", "4", "--json")
+        cache = workdir / "results.jsonl"
+        rec = json.loads(cache.read_text())
+        older, newer = dict(rec, wall_ms=1.5), dict(rec, wall_ms=2.5)
+        other = dict(rec, engine="ramseykit 0.0", wall_ms=3.5)
+        cache.write_text("".join(canonical_json(r) + "\n" for r in (older, newer))
+                         + "\n{garbage\n" + canonical_json(other) + "\n")
+
+        code, out, err = run(capsys, "search", "rprime", "--n", "4", "--resume", "--json")
+        assert code == 0
+        assert err == ""
+        assert out == canonical_json(newer) + "\n"
+        assert len(cache.read_text().splitlines()) == 5
+
     def test_unknown_kind_rejected_by_parser(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["search", "bogus", "--n", "3"])
@@ -201,6 +228,59 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "rprime", "--n", "5")
         assert code == 0
         assert "value" in out and "6" in out
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process: no request's options may
+    reach the next one."""
+
+    def test_resume_does_not_carry_over(self, workdir, capsys):
+        assert run(capsys, "search", "rprime", "--n", "4", "--resume", "--json")[0] == 0
+        assert run(capsys, "search", "rprime", "--n", "4", "--json")[0] == 0
+        assert len((workdir / "results.jsonl").read_text().splitlines()) == 2
+
+    def test_budget_does_not_carry_over(self, workdir, capsys):
+        code, _, err = run(capsys, "search", "rprime", "--n", "5", "--budget", "4096")
+        assert code == 3 and "undecided" in err
+        code, out, _ = run(capsys, "search", "rprime", "--n", "5", "--json")
+        assert code == 0
+        assert json.loads(out)["value"] == 6
+
+    def test_edges_do_not_carry_over(self, capsys):
+        assert run(capsys, "rho", "--edges", "0-1", "--n", "2")[0] == 0
+        code, out, err = run(capsys, "rho", "Dhc")
+        assert (code, err) == (0, "")
+        assert "graph6=Dhc" in out
+
+    def test_bad_argv_then_a_valid_call(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "rprime", "--n", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, "search", "rprime", "--n", "3", "--json")
+        assert code == 0
+        assert json.loads(out)["value"] == 2
+
+    def test_parser_is_built_once(self, workdir, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+        cli.build_parser.cache_clear()
+        for argv in (["rho", "Dhc"], ["search", "rprime", "--n", "3"],
+                     ["verify", "--only", "c5"]):
+            assert run(capsys, *argv)[0] == 0
+        assert len(built) == 4  # the top parser and its three subcommands
+
+    def test_import_builds_no_parser(self):
+        # The parser is built by the first ``main``, so the import alone
+        # (every command's cold start) does not pay for it.
+        src = Path(cli.__file__).resolve().parents[1]
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); import ramseykit.cli as c; "
+                 "print(c.build_parser.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-I", "-c", probe, str(src)],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
 
 
 class TestVerify:

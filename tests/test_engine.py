@@ -274,6 +274,18 @@ def test_search_validates_before_its_first_probe_is_refused(args, kwargs):
         engine.search(*args, **kwargs)
 
 
+@pytest.mark.parametrize("name, target, kwargs", [
+    ("rprime", 5, {}), ("score", 3, {"score": "path", "j": 2}), ("wprime", 4, {}),
+])
+def test_negative_budget_is_an_input_error(name, target, kwargs):
+    # Not "over budget": a negative budget is a bad query, refused by the
+    # check itself and passed through by search as it is.
+    with pytest.raises(ValueError, match="budget"):
+        check(name, target, 1, budget=-1, **kwargs)
+    with pytest.raises(ValueError, match="budget"):
+        engine.search(name, target, budget=-1, **kwargs)
+
+
 def test_labeled_scans_start_no_pool(monkeypatch, tmp_path):
     """Threshold scans, CLI ``search`` at any ``--threads`` and the greedy
     guarantee sweep at any ``threads`` run in one process: no call starts a
