@@ -18,11 +18,24 @@ vertices of a code on k vertices are the code ``low = code mod
 m^pairs(k-1)``.  So a code fails only if ``low`` fails, and level k is
 exactly the failing ``low + high * m^pairs(k-1)``, where ``high``'s base-m
 digit u colours the pair (u, k-1).  Each level is produced in ascending code
-order (highs outer, the memoised parent level inner; ``low`` is below
+order (highs outer, the stored parent level inner; ``low`` is below
 m^pairs(k-1)), and only as far as the next level asks, so the first failing
 code of the last level is the least failing code and no code above it is
 scored.  Each code carries its class rows (its parent's plus the new
 vertex), so the replay for every ``high`` decodes nothing.
+
+Clique children are decided by per-parent tables, other children by the
+kernel.  A child's class-d clique number is its parent's, or one more
+exactly when the new vertex's class-d neighbourhood holds a largest clique
+of the parent's class d.  Over all highs that is one m^(k-1)-bit int per
+class: the OR, over those cliques, of the highs whose digits on the clique
+are all d.  One more int holds the highs whose increments leave the child
+failing, so a child costs one bit test and its scores are read off the same
+ints (the "feasible neighbourhood" view of one-vertex extension: McKay and
+Radziszowski, "R(4,5) = 25", J. Graph Theory 1995).  A parent's table is
+built once it has been visited often enough to pay (``_TABLE_SWITCH``) and
+dies with its scan; before that, and for path and cycle scores, each child
+is scored by ``_has_clique`` or ``_through`` on the new vertex.
 
 The top-digit symmetry still applies at the last level.  Each predicate is
 invariant under permuting colours (complementing, at m = 2), and swapping
@@ -37,6 +50,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cache
 from itertools import count
 from operator import or_
 from typing import Any, Callable, Iterator, Optional
@@ -51,6 +65,14 @@ from .scores import ScoreKind, _through
 
 
 # --- the registry ------------------------------------------------------------
+
+# The position among its level's highs from which a clique scan decides
+# children by parent tables (``_extend``), in inner levels and in the last
+# level.  A table costs about four kernel visits of its parent (measured at
+# m = 2, 6 vertices: 5.4 us against 1.4 us).  Inner levels are read to the
+# end, 2^(k-1) or more highs over each parent, unless the scan stops; the last
+# level stops at its first failing code, often within the first few highs.
+_TABLE_SWITCH = (0, 4)
 
 
 def _labeled_scan(name, n, m, j, score, target) -> Optional[int]:
@@ -71,50 +93,72 @@ def _labeled_scan(name, n, m, j, score, target) -> Optional[int]:
     kind = ScoreKind(score)
     if kind is ScoreKind.CLIQUE:
         through = lambda rows, nbrs, s: s + _has_clique(rows, nbrs, s)
+        inner, last = _TABLE_SWITCH
     else:  # capped: a class that reaches the target makes the child pass
         cycle = kind is ScoreKind.CYCLE
         through = lambda rows, nbrs, s: _through(rows, nbrs, target, cycle)
+        inner = last = None
     # the empty graph fails every target
-    level = _memoised(0, m, iter([(0, bytes(m), [[]] * m)]))
+    level = _Level(0, m, iter([(0, bytes(m), [[]] * m)]))
     for k in range(1, n):
-        level = _memoised(k, m, _extend(level, k, m, range(m ** (k - 1)), through, fails))
+        level = _Level(k, m, _extend(level, k, m, range(m ** (k - 1)), through, fails,
+                                     inner))
     highs = range(m ** (n - 2) if n > 1 else 1)
-    return next((code for code, _, _ in _extend(level, n, m, highs, through, fails)), None)
+    return next((code for code, _, _ in _extend(level, n, m, highs, through, fails, last)),
+                None)
 
 
-def _memoised(k: int, m: int, source) -> Callable[[], Iterator[tuple]]:
+class _Level:
     """Replayable failing codes on k vertices with their class scores and
-    class rows: a pass replays the entries stored so far, then pulls more
-    from ``source`` and stores them compactly (codes in an array, m score
-    bytes each, and k row bytes per code in one array per class: the
-    enumeration cap keeps every stored level at k <= 8 vertices)."""
-    codes, scores, rows = array("Q"), bytearray(), [bytearray() for _ in range(m)]
+    class rows.  Iterating replays the entries stored so far, then pulls
+    more from ``source`` and stores them compactly (codes in an array, m
+    score bytes each, and k row bytes per code in one array per class: the
+    enumeration cap keeps every stored level at k <= 8 vertices); ``entry``
+    reads back one stored entry."""
 
-    def entries():
-        for i, code in enumerate(codes):
+    def __init__(self, k: int, m: int, source: Iterator[tuple]):
+        self.k, self.m, self.source = k, m, source
+        self.codes, self.scores = array("Q"), bytearray()
+        self.rows = [bytearray() for _ in range(m)]
+
+    def entry(self, i: int) -> tuple[int, bytes, list]:
+        k, m = self.k, self.m
+        return self.codes[i], self.scores[i * m:i * m + m], [r[i * k:i * k + k]
+                                                             for r in self.rows]
+
+    def __iter__(self) -> Iterator[tuple]:
+        k, m, scores, rows = self.k, self.m, self.scores, self.rows
+        for i, code in enumerate(self.codes):  # ``entry`` inlined: the kernel's hot loop
             yield code, scores[i * m:i * m + m], [r[i * k:i * k + k] for r in rows]
-        for code, per, grown in source:
-            codes.append(code)
+        for code, per, grown in self.source:
+            self.codes.append(code)
             scores.extend(per)
             for r, g in zip(rows, grown):
                 r.extend(g)
             yield code, per, grown
-    return entries
 
 
-def _extend(parents, k: int, m: int, highs, through,
-            fails) -> Iterator[tuple[int, bytes, list]]:
+def _extend(parents, k: int, m: int, highs, through, fails,
+            switch: Optional[int]) -> Iterator[tuple[int, bytes, list]]:
     """Failing codes on k vertices, ascending, with their class scores and
     rows: ``low + high * m^pairs(k-1)`` with ``low`` a failing parent and
     ``high``'s digit u the colour of the pair (u, k-1).  Every predicate is
-    hereditary, so no other code fails.  A child's class score is the
-    parent's or, when larger, ``through(rows, nbrs, score)``: one more for
-    a clique in the new vertex's class neighbours, or the longest path or
-    cycle through the new vertex.  Scoring stops once the child passes, and
-    only failing children get rows."""
+    hereditary, so no other code fails.  Only failing children get rows.
+
+    Before the ``switch``-th high (at every high when ``switch`` is None:
+    path and cycle scores), a child's class score is the parent's or, when
+    larger, ``through(rows, nbrs, score)``: one more for a clique in the new
+    vertex's class neighbours, or the longest path or cycle through the new
+    vertex; scoring stops once the child passes.  From the ``switch``-th
+    high on, a parent's ``_table`` is built on its next visit and kept for
+    the rest of the level: each child is then one bit test, and a failing
+    child's scores are read off the same table."""
     base = m ** pair_count(k - 1)
     new = 1 << (k - 1)
-    for high in highs:
+    passing = {}  # class scores -> the class sets whose increments pass
+    failing, gains = [], []  # each parent's table, in level order
+    reach = 0  # the highs at which some parent has a failing child
+    for i, high in enumerate(highs):
         nbrs, joins = [0] * m, [[0] * (k - 1) for _ in range(m)]
         h = high
         for u in range(k - 1):
@@ -122,16 +166,41 @@ def _extend(parents, k: int, m: int, highs, through,
             nbrs[d] |= 1 << u
             joins[d][u] = new
         offset = high * base
-        for low, per, rows in parents():
-            child = bytearray(per)
-            for d in range(m):
-                score = through(rows[d], nbrs[d], per[d])
-                if score > per[d]:
-                    child[d] = score
-                    if not fails(child):
-                        break
-            else:
-                yield low + offset, child, _grow(rows, joins, nbrs)
+        if switch is None or i < switch:
+            for low, per, rows in parents:
+                child = bytearray(per)
+                for d in range(m):
+                    score = through(rows[d], nbrs[d], per[d])
+                    if score > per[d]:
+                        child[d] = score
+                        if not fails(child):
+                            break
+                else:
+                    yield low + offset, child, _grow(rows, joins, nbrs)
+        elif i == switch:  # each parent's table is built on this visit
+            bit, masks = 1 << high, _masks(k - 1, m)
+            for low, per, rows in parents:
+                key = bytes(per)
+                if key not in passing:
+                    passing[key] = _passing(per, fails)
+                f, g = _table(rows, per, passing[key], masks)
+                failing.append(f)
+                gains.append(g)
+                reach |= f
+                if f & bit:
+                    yield low + offset, _scores(per, g, bit), _grow(rows, joins, nbrs)
+        elif reach >> high & 1:
+            bit = 1 << high
+            for p, f in enumerate(failing):
+                if f & bit:
+                    low, per, rows = parents.entry(p)
+                    yield low + offset, _scores(per, gains[p], bit), _grow(rows, joins, nbrs)
+
+
+def _scores(per, gains, bit: int) -> bytes:
+    """A child's class scores, read off its parent's table at the high
+    ``bit``."""
+    return bytes([s + (g & bit > 0) for s, g in zip(per, gains)])
 
 
 def _grow(rows, joins, nbrs) -> list[list[int]]:
@@ -139,6 +208,74 @@ def _grow(rows, joins, nbrs) -> list[list[int]]:
     new vertex's bit when u is its class-d neighbour, else 0, and
     ``nbrs[d]`` is its own class-d row."""
     return [[*map(or_, r, j), nb] for r, j, nb in zip(rows, joins, nbrs)]
+
+
+def _passing(per, fails) -> list[int]:
+    """The sets of classes (bit d for class d) whose scores, each one up from
+    ``per``, make a child pass; each is minimal."""
+    found = []
+    for classes in sorted(range(1, 1 << len(per)), key=int.bit_count):
+        if not any(c & classes == c for c in found) and not fails(
+                bytes([s + (classes >> d & 1) for d, s in enumerate(per)])):
+            found.append(classes)
+    return found
+
+
+@cache
+def _masks(v: int, m: int) -> tuple:
+    """Constant masks for the tables of parents on v vertices, m colours.
+
+    Sets of parent vertices are indices in [0, 2^v): ``inside[x]`` is the
+    sets inside x, ``sized[s]`` those of s vertices.  Highs are indices in
+    [0, m^v): ``within[d][c]`` is the highs whose digit u is d for every u
+    in c, the new vertices whose class-d neighbourhood contains c."""
+    sets = range(1 << v)
+    inside, sized = [1] * len(sets), [0] * (v + 1)
+    for c in sets:
+        sized[c.bit_count()] |= 1 << c
+        if c:
+            low = c & -c
+            inside[c] = inside[c ^ low] | inside[c ^ low] << low
+    within = []
+    for d in range(m):
+        # digit u is d on a run of m^u highs in every m^(u+1)
+        digit = [((1 << m ** u) - 1 << d * m ** u) * ((1 << m ** v) - 1)
+                 // ((1 << m ** (u + 1)) - 1) for u in range(v)]
+        w = [(1 << m ** v) - 1] * len(sets)
+        for c in sets[1:]:
+            low = c & -c
+            w[c] = w[c ^ low] & digit[low.bit_length() - 1]
+        within.append(w)
+    return inside, sized, within
+
+
+def _table(rows, per, passing, masks) -> tuple[int, list[int]]:
+    """A failing parent's children at every high: (failing, gains).  Bit
+    ``high`` of ``gains[d]`` says the new vertex's class-d neighbourhood
+    holds a ``per[d]``-clique of the parent's class d (so the child's class-d
+    score is one up); bit ``high`` of ``failing`` says the child still
+    fails, that is, no set of classes in ``passing`` all go up."""
+    inside, sized, within = masks
+    gains = []
+    for d, (r, s) in enumerate(zip(rows, per)):
+        cliques = 1  # the cliques on vertices below u, as a set of index bits
+        for u, row in enumerate(r):
+            cliques |= (cliques & inside[row]) << (1 << u)
+        cliques &= sized[s]
+        gain = 0
+        while cliques:
+            low = cliques & -cliques
+            gain |= within[d][low.bit_length() - 1]
+            cliques ^= low
+        gains.append(gain)
+    up = 0
+    for classes in passing:
+        all_up = -1
+        for d, gain in enumerate(gains):
+            if classes >> d & 1:
+                all_up &= gain
+        up |= all_up
+    return within[0][0] & ~up, gains
 
 
 def _interval_scan(name, size, m, j, score, target) -> Optional[tuple]:

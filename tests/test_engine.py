@@ -30,6 +30,7 @@ from ramseykit import (EdgeColoring, Graph, SearchCertificate, ScoreKind,
 import ramseykit
 from ramseykit import engine, graphs
 from ramseykit.engine import MODES, check
+from ramseykit.exact import _has_clique, _omega
 from ramseykit.graphs import pair_count
 
 
@@ -185,6 +186,60 @@ def test_each_failing_code_is_grown_once_and_none_is_decoded(monkeypatch):
     code = engine._labeled_scan("rprime", 7, 2, 2, "clique", 6)
     assert (len(grown), len(decoded)) == (6331 + 1, 0)
     assert write_graph6(Graph.from_code(7, code)) == "F@Tc?"
+
+
+@st.composite
+def tabled_parents(draw):
+    """A failing parent on v vertices, its class clique numbers from
+    ``_omega``, and its failing rule: m = 2 with v <= 7, and m = 3..8 with
+    at most 1,024 highs (every m a clique scan builds tables for).  The rule
+    is a largest or a j-best-sum class score below a target that the
+    children can reach only with up to m + 1 increments."""
+    m = draw(st.integers(2, 8))
+    v = draw(st.integers(1, max(v for v in range(8) if m ** v <= 1024)))
+    coloring = EdgeColoring.from_code(v, m, draw(st.integers(0, m ** pair_count(v) - 1)))
+    rows = [list(coloring.color_class(d).adj) for d in range(m)]
+    per = bytes(_omega(adj, (1 << v) - 1) for adj in rows)
+    j = draw(st.integers(1, m))
+    if draw(st.booleans()):
+        value = lambda per: max(per)
+    else:
+        value = lambda per: sum(sorted(per, reverse=True)[:j])
+    target = value(per) + draw(st.integers(1, m + 1))
+    return v, m, rows, per, lambda per: value(per) < target
+
+
+@settings(max_examples=150)
+@given(tabled_parents())
+def test_tables_match_the_kernel_at_every_high(case):
+    """A failing parent's table gives, for every high, the same class-score
+    increments and the same verdict as one ``_has_clique`` per class."""
+    v, m, rows, per, fails = case
+    failing, gains = engine._table(rows, per, engine._passing(per, fails),
+                                   engine._masks(v, m))
+    assert failing >> m ** v == 0 and all(g >> m ** v == 0 for g in gains)
+    for high in range(m ** v):
+        nbrs = [0] * m
+        for u in range(v):
+            nbrs[high // m ** u % m] |= 1 << u
+        ups = [int(_has_clique(rows[d], nbrs[d], per[d])) for d in range(m)]
+        assert [g >> high & 1 for g in gains] == ups, high
+        assert bool(failing >> high & 1) == fails(bytes(map(sum, zip(per, ups)))), high
+
+
+def test_a_table_fault_reaches_the_oracle(monkeypatch):
+    """Tables that look for (s-1)-cliques where a parent's clique number is
+    s make ``check`` disagree with the loop over every code at n <= 6: the
+    switch to tables happens within reach of the oracles."""
+    real = engine._table
+    monkeypatch.setattr(engine, "_table", lambda rows, per, passing, masks: real(
+        rows, bytes(max(s - 1, 0) for s in per), passing, masks))
+    wrong = {(mode, m, target, n)
+             for mode, m in (("rprime", 2), ("ramsey", 2), ("rprime_m", 3))
+             for n in range(2, 7 - (m > 2)) for target in range(2, 7)
+             if _as_triple(check(mode, target, n, m).certificate)
+             != _full_scan(mode, target, n, m)}
+    assert {mode for mode, *_ in wrong} == {"rprime", "ramsey", "rprime_m"}
 
 
 @pytest.mark.parametrize("mode, target, n, m, j, score", [

@@ -17,13 +17,18 @@ enumeration, so it is an oracle independent of the engine:
 The Ramsey numbers come from S. P. Radziszowski, "Small Ramsey Numbers",
 Electron. J. Combin., Dynamic Survey DS1: R(3, 3) = 6 and R(3, 4) = 9
 (Greenwood and Gleason 1955), and the trivial R(2, k) = k.
+
+A row that decides a cell only above the default budgets carries a wall
+budget of about three times its time on a 2-core CPython 3.11 host.
 """
 
+import time
 from itertools import product
 
 import pytest
 
 from ramseykit import engine
+from ramseykit.graphs import ENUMERATION_CAP
 
 KNOWN = {(3, 3): 6, (3, 4): 9}
 
@@ -79,3 +84,13 @@ def test_ramsey_is_the_diagonal_ramsey_number(t):
 def test_score_path_is_the_path_ramsey_number(t):
     value = engine.search("score", t, m=2, j=1, score="path").value
     assert value == path_ramsey_identity(t)
+
+
+def test_rprime_6_is_r_3_4_at_the_enumeration_cap():
+    """``rprime`` t = 6 is R(3, 4) = 9: a witness on 8 vertices and all
+    2^36 graphs on 9 accounted for, past the default graph budget (2.5 s on
+    the host above)."""
+    start = time.perf_counter()
+    value = engine.search("rprime", 6, budget=ENUMERATION_CAP).value
+    assert value == clique_sum_identity(6, 2) == ramsey_number(3, 4) == 9
+    assert time.perf_counter() - start < 7.5
