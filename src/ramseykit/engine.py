@@ -21,8 +21,10 @@ digit u colours the pair (u, k-1).  Each level is produced in ascending code
 order (highs outer, the stored parent level inner; ``low`` is below
 m^pairs(k-1)), and only as far as the next level asks, so the first failing
 code of the last level is the least failing code and no code above it is
-scored.  Each code carries its class rows (its parent's plus the new
-vertex), so the replay for every ``high`` decodes nothing.
+scored.  Each code carries its class rows as one word per class, byte u
+being row u: a child's word is its parent's OR one constant per ``high``, so
+the replay for every ``high`` decodes nothing and a kernel reads a word's
+bytes.
 
 Clique children are decided by per-parent tables, other children by the
 kernel.  A child's class-d clique number is its parent's, or one more
@@ -33,9 +35,13 @@ are all d.  One more int holds the highs whose increments leave the child
 failing, so a child costs one bit test and its scores are read off the same
 ints (the "feasible neighbourhood" view of one-vertex extension: McKay and
 Radziszowski, "R(4,5) = 25", J. Graph Theory 1995).  A parent's table is
-built once it has been visited often enough to pay (``_TABLE_SWITCH``) and
-dies with its scan; before that, and for path and cycle scores, each child
-is scored by ``_has_clique`` or ``_through`` on the new vertex.
+built once it has been visited often enough to pay (``_TABLE_SWITCH``); the
+parent is then listed under its next failing high only, and a high visits
+just the parents listed under it.  Before the switch, and for path and cycle
+scores, each child is scored by ``_has_clique`` or ``_through`` on the new
+vertex, except a clique class whose new neighbourhood is the whole parent:
+its clique number goes up by one, so at high 0 (every digit 0) a clique
+child costs no kernel call.
 
 The top-digit symmetry still applies at the last level.  Each predicate is
 invariant under permuting colours (complementing, at m = 2), and swapping
@@ -66,11 +72,13 @@ from .scores import ScoreKind, _through
 
 # --- the registry ------------------------------------------------------------
 
-# The position among its level's highs from which a clique scan decides
-# children by parent tables (``_extend``), in inner levels and in the last
-# level.  A table costs about four kernel visits of its parent (measured at
-# m = 2, 6 vertices: 5.4 us against 1.4 us).  Inner levels are read to the
-# end, 2^(k-1) or more highs over each parent, unless the scan stops; the last
+# The high from which a clique scan decides children by parent tables
+# (``_extend``), in inner levels and in the last level.  A table costs about
+# three kernel visits of its parent (m = 2, parents on 6 vertices: 5.1 us, and
+# 3 us more for ``_ups`` when the parent has failing children, against 1.9 us
+# for a visit at high 1, 2 or 3).  A visit at high 0 calls no kernel (class 0
+# spans the parent) and costs 0.9 us.  Inner levels are read to the end,
+# 2^(k-1) or more highs over each parent, unless the scan stops; the last
 # level stops at its first failing code, often within the first few highs.
 _TABLE_SWITCH = (0, 4)
 
@@ -99,10 +107,9 @@ def _labeled_scan(name, n, m, j, score, target) -> Optional[int]:
         through = lambda rows, nbrs, s: _through(rows, nbrs, target, cycle)
         inner = last = None
     # the empty graph fails every target
-    level = _Level(0, m, iter([(0, bytes(m), [[]] * m)]))
+    level = _Level(m, iter([(0, bytes(m), [0] * m)]))
     for k in range(1, n):
-        level = _Level(k, m, _extend(level, k, m, range(m ** (k - 1)), through, fails,
-                                     inner))
+        level = _Level(m, _extend(level, k, m, range(m ** (k - 1)), through, fails, inner))
     highs = range(m ** (n - 2) if n > 1 else 1)
     return next((code for code, _, _ in _extend(level, n, m, highs, through, fails, last)),
                 None)
@@ -111,103 +118,144 @@ def _labeled_scan(name, n, m, j, score, target) -> Optional[int]:
 class _Level:
     """Replayable failing codes on k vertices with their class scores and
     class rows.  Iterating replays the entries stored so far, then pulls
-    more from ``source`` and stores them compactly (codes in an array, m
-    score bytes each, and k row bytes per code in one array per class: the
-    enumeration cap keeps every stored level at k <= 8 vertices); ``entry``
-    reads back one stored entry."""
+    more from ``source`` and stores them compactly: codes in an array, m
+    score bytes each, and m words each in one array("Q"), the word of class
+    d holding row u of that class in byte u.  A stored level has at most 8
+    vertices, because ``ENUMERATION_CAP`` stops every scan at 9 vertices
+    (m = 2), so the k rows fit in 64 bits; lifting the cap means widening
+    the word.  ``entry`` reads back one stored entry."""
 
-    def __init__(self, k: int, m: int, source: Iterator[tuple]):
-        self.k, self.m, self.source = k, m, source
-        self.codes, self.scores = array("Q"), bytearray()
-        self.rows = [bytearray() for _ in range(m)]
+    def __init__(self, m: int, source: Iterator[tuple]):
+        self.m, self.source = m, source
+        self.codes, self.scores, self.words = array("Q"), bytearray(), array("Q")
 
     def entry(self, i: int) -> tuple[int, bytes, list]:
-        k, m = self.k, self.m
-        return self.codes[i], self.scores[i * m:i * m + m], [r[i * k:i * k + k]
-                                                             for r in self.rows]
+        m = self.m
+        return self.codes[i], self.scores[i * m:i * m + m], self.words[i * m:i * m + m]
 
     def __iter__(self) -> Iterator[tuple]:
-        k, m, scores, rows = self.k, self.m, self.scores, self.rows
+        m, scores, words = self.m, self.scores, self.words
         for i, code in enumerate(self.codes):  # ``entry`` inlined: the kernel's hot loop
-            yield code, scores[i * m:i * m + m], [r[i * k:i * k + k] for r in rows]
+            yield code, scores[i * m:i * m + m], words[i * m:i * m + m]
         for code, per, grown in self.source:
             self.codes.append(code)
             scores.extend(per)
-            for r, g in zip(rows, grown):
-                r.extend(g)
+            words.extend(grown)
             yield code, per, grown
+
+
+def _spans(nbrs: int, v: int) -> bool:
+    """Is the new vertex joined to all v parent vertices in one class?  Then
+    the class's clique number goes up by one, with no kernel call."""
+    return nbrs == (1 << v) - 1
 
 
 def _extend(parents, k: int, m: int, highs, through, fails,
             switch: Optional[int]) -> Iterator[tuple[int, bytes, list]]:
     """Failing codes on k vertices, ascending, with their class scores and
-    rows: ``low + high * m^pairs(k-1)`` with ``low`` a failing parent and
-    ``high``'s digit u the colour of the pair (u, k-1).  Every predicate is
-    hereditary, so no other code fails.  Only failing children get rows.
+    class words: ``low + high * m^pairs(k-1)`` with ``low`` a failing parent
+    and ``high``'s digit u the colour of the pair (u, k-1).  Every predicate
+    is hereditary, so no other code fails.  Only failing children get words,
+    each by ``_grow``: one OR per class with a constant of the ``high``.
+    ``highs`` starts at 0, so a high is also its position among them.
 
-    Before the ``switch``-th high (at every high when ``switch`` is None:
-    path and cycle scores), a child's class score is the parent's or, when
-    larger, ``through(rows, nbrs, score)``: one more for a clique in the new
-    vertex's class neighbours, or the longest path or cycle through the new
-    vertex; scoring stops once the child passes.  From the ``switch``-th
-    high on, a parent's ``_table`` is built on its next visit and kept for
-    the rest of the level: each child is then one bit test, and a failing
-    child's scores are read off the same table."""
-    base = m ** pair_count(k - 1)
-    new = 1 << (k - 1)
+    Below the high ``switch`` (at every high when ``switch`` is None: path
+    and cycle scores), a child's class score is the parent's or, when
+    larger, ``through(rows, nbrs, score)`` on the parent's class rows (the
+    word's k-1 bytes): one more for a clique in the new vertex's class
+    neighbours, or the longest path or cycle through the new vertex; scoring
+    stops once the child passes.  A clique class whose neighbours are all
+    k-1 parent vertices (``_spans``) goes up by one with no kernel call: its
+    score is the parent's class clique number, and any of its largest
+    cliques grows by the new vertex.
+
+    At the high ``switch`` each parent's ``_table`` is built on its visit,
+    one parent at a time: each child is one bit test, and a failing child's
+    scores are read off the same table.  A parent with failing children
+    ahead is listed (by its index in the level) under its next failing high;
+    visiting it there lists it under the one after.  So a high visits just
+    its listed parents, sorted back into level order, and a level that the
+    next one reads only partly lists no parent beyond the highs it reaches."""
+    v = k - 1
+    base = m ** pair_count(v)
+    new = 1 << v
     passing = {}  # class scores -> the class sets whose increments pass
-    failing, gains = [], []  # each parent's table, in level order
-    reach = 0  # the highs at which some parent has a failing child
-    for i, high in enumerate(highs):
-        nbrs, joins = [0] * m, [[0] * (k - 1) for _ in range(m)]
+    tables = {}  # parent index -> (failing, ups, scores as an int), while children lie ahead
+    listed = []  # per high, the parents whose next failing child is there
+    for high in highs:
+        nbrs, joins = [0] * m, [0] * m
         h = high
-        for u in range(k - 1):
+        for u in range(v):
             h, d = divmod(h, m)
             nbrs[d] |= 1 << u
-            joins[d][u] = new
+            joins[d] |= new << 8 * u
+        joins = [j | nb << 8 * v for j, nb in zip(joins, nbrs)]
         offset = high * base
-        if switch is None or i < switch:
-            for low, per, rows in parents:
+        if switch is None or high < switch:
+            full = [switch is not None and _spans(nb, v) for nb in nbrs]
+            for low, per, words in parents:
                 child = bytearray(per)
                 for d in range(m):
-                    score = through(rows[d], nbrs[d], per[d])
-                    if score > per[d]:
+                    s = per[d]
+                    score = s + 1 if full[d] else through(words[d].to_bytes(v, "little"),
+                                                         nbrs[d], s)
+                    if score > s:
                         child[d] = score
                         if not fails(child):
                             break
                 else:
-                    yield low + offset, child, _grow(rows, joins, nbrs)
-        elif i == switch:  # each parent's table is built on this visit
-            bit, masks = 1 << high, _masks(k - 1, m)
-            for low, per, rows in parents:
+                    yield low + offset, child, _grow(words, joins)
+        elif high == switch:  # each parent's table is built on this visit
+            masks, ahead = _masks(v, m), ((1 << len(highs)) - 1) >> high << high
+            # a byte of ``_ups`` -> what it adds to the scores read as one int
+            spread = [sum((c >> d & 1) << 8 * d for d in range(m)) for c in range(1 << m)]
+            listed = [array("I") for _ in highs]
+            for p, (low, per, words) in enumerate(parents):
                 key = bytes(per)
                 if key not in passing:
                     passing[key] = _passing(per, fails)
-                f, g = _table(rows, per, passing[key], masks)
-                failing.append(f)
-                gains.append(g)
-                reach |= f
-                if f & bit:
-                    yield low + offset, _scores(per, g, bit), _grow(rows, joins, nbrs)
-        elif reach >> high & 1:
-            bit = 1 << high
-            for p, f in enumerate(failing):
-                if f & bit:
-                    low, per, rows = parents.entry(p)
-                    yield low + offset, _scores(per, gains[p], bit), _grow(rows, joins, nbrs)
+                f, gains = _table([w.to_bytes(v, "little") for w in words], per,
+                                  passing[key], masks)
+                f &= ahead
+                if not f:
+                    continue
+                ups, packed = _ups(gains, len(highs)), int.from_bytes(per, "little")
+                if f & 1 << high:
+                    yield (low + offset, (packed + spread[ups[high]]).to_bytes(m, "little"),
+                           _grow(words, joins))
+                after = f >> high + 1
+                if after:
+                    tables[p] = f, ups, packed
+                    listed[high + (after & -after).bit_length()].append(p)
+        elif listed[high]:
+            for p in sorted(listed[high]):
+                f, ups, packed = tables[p]
+                low, _, words = parents.entry(p)
+                yield (low + offset, (packed + spread[ups[high]]).to_bytes(m, "little"),
+                       _grow(words, joins))
+                after = f >> high + 1
+                if after:
+                    listed[high + (after & -after).bit_length()].append(p)
+                else:
+                    del tables[p]
+            listed[high] = None
 
 
-def _scores(per, gains, bit: int) -> bytes:
-    """A child's class scores, read off its parent's table at the high
-    ``bit``."""
-    return bytes([s + (g & bit > 0) for s, g in zip(per, gains)])
+def _ups(gains, n: int) -> bytes:
+    """Byte h has bit d set when the class-d score of the child at high h is
+    one up (bit h of ``gains[d]``), for the highs h < n.  Each class's bits
+    are spread one to a byte through their binary digits."""
+    ups, zero = 0, int.from_bytes(b"0" * n, "big")
+    for d, gain in enumerate(gains):
+        ups |= int.from_bytes(format(gain & (1 << n) - 1, f"0{n}b").encode(), "big") - zero << d
+    return ups.to_bytes(n, "little")
 
 
-def _grow(rows, joins, nbrs) -> list[list[int]]:
-    """Each class's rows with the new vertex added: ``joins[d][u]`` is the
-    new vertex's bit when u is its class-d neighbour, else 0, and
-    ``nbrs[d]`` is its own class-d row."""
-    return [[*map(or_, r, j), nb] for r, j, nb in zip(rows, joins, nbrs)]
+def _grow(words, joins) -> list[int]:
+    """Each class's word with the new vertex added: one OR per class.
+    ``joins[d]`` carries the new vertex's bit in the byte of each class-d
+    neighbour and the new vertex's own class-d row in its top byte."""
+    return list(map(or_, words, joins))
 
 
 def _passing(per, fails) -> list[int]:

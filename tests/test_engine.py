@@ -145,7 +145,8 @@ FULL_LEVELS = {
 def test_each_level_is_exactly_the_failing_codes(monkeypatch, case):
     """Every level below the last size holds exactly the failing codes, in
     ascending order, each with its class scores and the adjacency rows of
-    its colour classes (carried from parent to child, never decoded)."""
+    its colour classes (carried from parent to child as one word per class,
+    byte u being row u, never decoded)."""
     mode, target, size, m, j, score, budget = FULL_LEVELS[case]
     levels = {k: [] for k in range(1, size)}
     real = engine._extend
@@ -153,7 +154,8 @@ def test_each_level_is_exactly_the_failing_codes(monkeypatch, case):
     def spy(parents, k, *args):
         for code, per, rows in real(parents, k, *args):
             if k < size:
-                levels[k].append((code, bytes(per), [list(r) for r in rows]))
+                levels[k].append((code, bytes(per),
+                                  [list(w.to_bytes(k, "little")) for w in rows]))
             yield code, per, rows
 
     monkeypatch.setattr(engine, "_extend", spy)
@@ -240,6 +242,53 @@ def test_a_table_fault_reaches_the_oracle(monkeypatch):
              if _as_triple(check(mode, target, n, m).certificate)
              != _full_scan(mode, target, n, m)}
     assert {mode for mode, *_ in wrong} == {"rprime", "ramsey", "rprime_m"}
+
+
+def test_the_last_level_tables_and_grows_only_up_to_its_witness(monkeypatch):
+    """rprime_m m=3 target 6 on 5 vertices has its witness (code 3195) at
+    high 4, where the last level switches to tables: tables are built one
+    parent at a time up to the witness's parent, and only the witness is
+    grown there."""
+    base = 3 ** pair_count(4)
+    high, low = divmod(3195, base)
+    assert high == engine._TABLE_SWITCH[1]
+    failing = {k: [c for c, v in enumerate(_values("rprime_m", k, 3)) if v < 6]
+               for k in range(1, 5)}
+    events = []
+    real_table, real_grow = engine._table, engine._grow
+    monkeypatch.setattr(engine, "_table", lambda rows, *a: events.append(len(rows[0]))
+                        or real_table(rows, *a))
+    monkeypatch.setattr(engine, "_grow", lambda *a: events.append("grow") or real_grow(*a))
+    assert engine._labeled_scan("rprime_m", 5, 3, 3, "clique", 6) == 3195
+    last = events.index(4)  # the last level's first table: parents on 4 vertices
+    assert events[last:].count(4) == failing[4].index(low) + 1
+    assert events[last:].count("grow") == 1
+    assert events.count("grow") == sum(map(len, failing.values())) + 1
+
+
+def test_a_full_neighbourhood_fault_reaches_the_oracle(monkeypatch):
+    """A full-neighbourhood rule that also fires when one parent vertex is
+    missing makes ``check`` disagree with the loop over every code at n <= 6:
+    the rule runs within reach of the oracles."""
+    monkeypatch.setattr(engine, "_spans",
+                        lambda nbrs, v: ((1 << v) - 1 & ~nbrs).bit_count() <= 1)
+    wrong = {(mode, m, target, n)
+             for mode, m in (("rprime", 2), ("ramsey", 2), ("rprime_m", 3))
+             for n in range(2, 7 - (m > 2)) for target in range(2, 7)
+             if _as_triple(check(mode, target, n, m).certificate)
+             != _full_scan(mode, target, n, m)}
+    assert {mode for mode, *_ in wrong} == {"rprime", "ramsey", "rprime_m"}
+
+
+@settings(max_examples=150)
+@given(tabled_parents())
+def test_a_full_neighbourhood_raises_every_clique_number(case):
+    """The rule and the kernel agree: a new vertex joined to all v parent
+    vertices in class d extends each of the class's largest cliques."""
+    v, m, rows, per, _ = case
+    full = (1 << v) - 1
+    assert engine._spans(full, v)
+    assert all(_has_clique(rows[d], full, per[d]) for d in range(m))
 
 
 @pytest.mark.parametrize("mode, target, n, m, j, score", [
