@@ -25,11 +25,9 @@ from .certificates import (EXHAUSTIVE, WITNESS, SearchCertificate,
 from .graphs import (Graph, Graph6ParseError, bits, labeled_graph_count,
                      pair_count, parse_graph6, write_graph6)
 
-SCHEMA = 1
+SCHEMA = 2
 ENGINE = f"ramseykit {__version__}"
 DEFAULT_CACHE = "results.jsonl"
-
-SEARCH_KINDS = ("rprime", "ramsey", "rprime_m", "wprime", "score")
 
 
 # --- rho ---------------------------------------------------------------------
@@ -129,9 +127,6 @@ def _record(query: dict, result: SearchResult, wall_ms) -> dict:
         "schema": SCHEMA,
         "query": query,
         "value": r["value"],
-        "exact": r["exact"],
-        "exhaustive": r["upper"] is not None,
-        "bracket": r["bracket"],
         "certificates": {"lower": r["lower"], "upper": r["upper"]},
         "engine": ENGINE,
         "wall_ms": wall_ms,
@@ -181,15 +176,13 @@ def _print_record(rec: dict, as_json: bool, cached: bool, cache_path: str):
     q = rec["query"]
     extras = " ".join(f"{k}={q[k]}" for k in ("m", "score", "j") if k in q)
     print(f"kind={q['kind']} target={q['target']}" + (f" {extras}" if extras else ""))
-    v = rec["value"]
-    print(f"value={v} exact=yes bracket=[{v}, {v}]")
+    print(f"value={rec['value']}")
     lower = rec["certificates"]["lower"]
     if lower:
         inst = lower.get("witness_graph6") or lower.get("witness_coloring")
         print(f"lower: witness {inst!r} scores {lower['value']}")
     upper = rec["certificates"]["upper"]
-    if upper:
-        print(f"upper: exhaustive over {upper['scanned_count']} instances")
+    print(f"upper: exhaustive over {upper['scanned_count']} instances")
     src = "cache" if cached else f"{rec['wall_ms']} ms"
     print(f"({src}; records in {cache_path})")
 
@@ -401,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     rho.set_defaults(func=cmd_rho)
 
     search = sub.add_parser("search", help="certified threshold search")
-    search.add_argument("kind", choices=SEARCH_KINDS)
+    search.add_argument("kind", choices=engine.MODES)
     search.add_argument("--n", type=int, required=True, help="target value")
     search.add_argument("--m", type=int, default=2, help="colour count")
     search.add_argument("--j", type=int, default=1,

@@ -396,13 +396,13 @@ def _coloring_row(name, keys, value, bound=lambda target, m: None) -> Mode:
 
 
 MODES = {mode.name: mode for mode in (
-    _graph_row("rprime", lambda g, p: exact.clique_indep_pair(g).value,
+    _graph_row("rprime", lambda g, p: exact.pair_sum_value(g),
                lambda t, m: exact.pair_sum_bound(t) if t >= 2 else None),
     _graph_row("ramsey",
                lambda g, p: max(exact.clique_number(g), exact.independence_number(g)),
                lambda t, m: exact.two_color_ramsey_bound(t) if t >= 2 else None,
                clique_test=True),
-    _coloring_row("rprime_m", ("m",), lambda c, p: exact.mono_clique_family(c).value,
+    _coloring_row("rprime_m", ("m",), lambda c, p: exact.family_sum_value(c),
                   lambda t, m: exact.family_sum_bound(m, t - m) if t >= m else None),
     _coloring_row("score", ("score", "j", "m"),
                   lambda c, p: scores.score_sum(c, p["score"], p["j"])[0]),

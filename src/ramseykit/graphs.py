@@ -366,9 +366,6 @@ class EdgeColoring:
             c = c * self.m + d
         return c
 
-    def color_of(self, u: int, v: int) -> int:
-        return self.colors[pair_index(u, v)]
-
     def color_class(self, color: int) -> Graph:
         """The graph holding exactly the pairs of this colour."""
         if not 0 <= color < self.m:

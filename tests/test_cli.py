@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ramseykit import Graph, cli, engine, write_graph6
+from ramseykit import Graph, cli, engine, exact, greedy, write_graph6
 from ramseykit.certificates import (EXHAUSTIVE, SearchCertificate, SearchResult,
                                     canonical_json)
 from ramseykit.cli import main
@@ -59,6 +59,20 @@ class TestRho:
         assert code == 2
         assert "input error" in err
 
+    @pytest.mark.parametrize("argv, stdin, message", [
+        (["--edges", "0:1", "--n", "2"], None, "edge '0:1' is not of the form u-v"),
+        (["Dhc", "--edges", "0-1", "--n", "2"], None,
+         "give either a graph6 string or --edges, not both"),
+        ([], None, "give a graph6 string ('-' for stdin) or --edges/--n"),
+        (["-"], "\n", "no graph6 input on stdin"),
+    ], ids=["edge token", "graph6 and edges", "no input", "empty stdin line"])
+    def test_input_errors_exit_two(self, capsys, monkeypatch, argv, stdin, message):
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run(capsys, "rho", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"input error: {message}\n"
+
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
@@ -72,8 +86,8 @@ class TestSearch:
         assert code == 0
         rec = json.loads(out)
         assert rec["value"] == 3
-        assert rec["exact"] is True
-        assert rec["bracket"] == [3, 3]
+        assert set(rec) == {"schema", "query", "value", "certificates", "engine", "wall_ms"}
+        assert rec["schema"] == 2
         assert rec["certificates"]["upper"]["kind"] == "exhaustive"
 
     def test_cache_append_and_resume(self, workdir, capsys):
@@ -116,6 +130,19 @@ class TestSearch:
         assert again["value"] == 6
         assert again["certificates"] == json.loads(first)["certificates"]
         assert len(cache.read_text().splitlines()) == 2
+
+    def test_resume_recomputes_a_schema_1_record_without_a_notice(self, workdir, capsys):
+        run(capsys, "search", "rprime", "--n", "4", "--json")
+        cache = workdir / "results.jsonl"
+        rec = json.loads(cache.read_text())
+        # the record as schema 1 wrote it: three more fields, all constants
+        old = dict(rec, schema=1, exact=True, exhaustive=True, bracket=[3, 3])
+        cache.write_text(canonical_json(old) + "\n")
+
+        code, out, err = run(capsys, "search", "rprime", "--n", "4", "--resume", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["schema"] == 2
+        assert cache.read_text().splitlines() == [canonical_json(old), out.rstrip("\n")]
 
     def test_resume_recomputes_a_boolean_value(self, workdir, capsys):
         run(capsys, "search", "rprime", "--n", "1", "--json")
@@ -297,6 +324,31 @@ class TestVerify:
         assert rec["ok"] is True
         assert [r["check"] for r in rec["checks"]] == ["threevertex"]
         assert rec["checks"][0]["ok"] is True
+
+    def test_greedy_sweep_and_oracle_pass(self, workdir, capsys):
+        code, out, _ = run(capsys, "verify", "--only", "greedy_sweep,oracle", "--json")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["ok"] is True
+        assert [(r["check"], r["ok"]) for r in rec["checks"]] == [
+            ("greedy_sweep", True), ("oracle", True)]
+
+    @pytest.mark.parametrize("claim, target, fault", [
+        # a sweep that reports a violation at every size
+        ("greedy_sweep", (greedy, "pair_guarantee_sweep"),
+         lambda sweep: lambda n, **kw: (sweep(n, **kw)[0], 0)),
+        # an oracle that is off by one
+        ("oracle", (exact, "pair_sum_bruteforce"),
+         lambda oracle: lambda g: oracle(g) + 1),
+    ], ids=["sweep violation", "oracle off by one"])
+    def test_claim_fails_under_a_fault(self, workdir, capsys, monkeypatch, claim,
+                                       target, fault):
+        monkeypatch.setattr(*target, fault(getattr(*target)))
+        code, out, _ = run(capsys, "verify", "--only", claim, "--json")
+        assert code == 1
+        rec = json.loads(out)
+        assert rec["ok"] is False
+        assert [(r["check"], r["ok"]) for r in rec["checks"]] == [(claim, False)]
 
     def test_unknown_check_name(self, workdir, capsys):
         code, _, err = run(capsys, "verify", "--only", "nonsense")

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ascending_cliques, graphs, lex_min_max_clique, petersen, random_graph
+from helpers import (ascending_cliques, edge_colorings, graphs, lex_min_max_clique, petersen,
+                     random_graph)
 from ramseykit import (BudgetError, EdgeColoring, Graph, SearchCertificate,
                        UndecidedError, WitnessFamily, WitnessPair, bits,
                        bound_formulas, canonical_json, check_universal,
@@ -120,6 +121,18 @@ def test_clique_indep_pair_on_random_64_vertex_graphs(seed):
     g = random_graph(random.Random(seed), 64)
     a, b = (mask_of(max(ascending_cliques(h), key=len)) for h in (g, g.complement()))
     assert clique_indep_pair(g) == WitnessPair(a, b)
+
+
+@given(graphs(max_n=10))
+def test_pair_sum_value_counts_the_witness_pair(g):
+    # the rprime registry row scores a witness by the value alone
+    assert pair_sum_value(g) == clique_indep_pair(g).value
+
+
+@given(edge_colorings(max_n=7, max_m=3))
+def test_family_sum_value_counts_the_witness_family(c):
+    # the rprime_m registry row scores a witness by the value alone
+    assert family_sum_value(c) == mono_clique_family(c).value
 
 
 def test_bruteforce_rejects_large_graphs():

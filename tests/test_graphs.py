@@ -197,6 +197,36 @@ def test_graph6_parse_errors_carry_offsets():
     assert e.value.offset == 0
 
 
+def test_graph6_truncated_long_form_size():
+    with pytest.raises(Graph6ParseError) as e:
+        parse_graph6("~??")
+    assert str(e.value) == "truncated long-form size (byte offset 3)"
+    assert e.value.offset == 3
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Graph(0, ()), "vertex count 0 outside 1..64"),
+    (lambda: Graph(3, (0, 0)), "adjacency row count does not match vertex count"),
+    (lambda: Graph.cycle(2), "a cycle needs at least 3 vertices"),
+    (lambda: Graph.from_code(0, 0), "vertex count 0 outside 1..64"),
+    (lambda: Graph.from_code(65, 0), "vertex count 65 outside 1..64"),
+    (lambda: Graph.from_code(3, 8), "code 8 outside 0..2^3-1"),
+    (lambda: Graph.from_code(3, -1), "code -1 outside 0..2^3-1"),
+    (lambda: Graph.empty(3).is_independent(0b1000),
+     "selection names vertices outside the graph"),
+    (lambda: pair_index(3, 3), "loops are not representable"),
+    (lambda: EdgeColoring(0, 2, ()), "vertex count 0 outside 1..64"),
+    (lambda: EdgeColoring.from_code(3, 2, 8), "code 8 outside 0..2^3-1"),
+], ids=["graph n=0", "row count", "cycle n=2", "from_code n=0", "from_code n=65",
+        "from_code code=8", "from_code code=-1", "is_independent outside",
+        "pair_index loop", "coloring n=0", "coloring from_code code=8"])
+def test_constructors_reject_bad_input_with_a_message(call, message):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert type(e.value) is ValueError
+    assert str(e.value) == message
+
+
 @given(graphs(max_n=8))
 def test_graph6_roundtrip_small(g):
     assert parse_graph6(write_graph6(g)) == g

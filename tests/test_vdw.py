@@ -59,6 +59,19 @@ class TestIntervalColoring:
         with pytest.raises(ValueError):
             IntervalColoring(2, (0, 2))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: IntervalColoring.from_code(2, 3, 8), "code 8 outside 0..2^3-1"),
+        (lambda: IntervalColoring(2, (0, 1)).positions(2), "colour 2 outside 0..1"),
+        (lambda: classical_ap_check(0, 3, 5), "colour count 0 outside 1..8"),
+        (lambda: classical_ap_check(9, 3, 5), "colour count 9 outside 1..8"),
+    ], ids=["from_code code=8", "positions of colour m", "classical m=0",
+            "classical m=9"])
+    def test_rejects_bad_input_with_a_message(self, call, message):
+        with pytest.raises(ValueError) as e:
+            call()
+        assert type(e.value) is ValueError
+        assert str(e.value) == message
+
     def test_positions_bitmask(self):
         c = IntervalColoring.from_text("bbwbb", 2)
         # bit i stands for the integer i + 1
