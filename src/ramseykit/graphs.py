@@ -342,7 +342,7 @@ class EdgeColoring:
         if len(self.colors) != pair_count(self.n):
             raise ValueError("colour vector length does not match the pair count")
         for k, c in enumerate(self.colors):
-            if not 0 <= c < self.m:
+            if not isinstance(c, int) or not 0 <= c < self.m:
                 raise ValueError(f"pair {k} has colour {c} outside 0..{self.m - 1}")
 
     @classmethod

@@ -14,8 +14,9 @@ Every run records its steps as a trace; replay reruns the same core with the
 recorded pivots and rejects any step the rule would not take.  Every witness
 carries a guarantee floor that exhaustive sweeps (all graphs on up to 7
 vertices) confirm is never violated.  A sweep runs in one process and
-splits the graphs into cubes on exactly the pairs the rule reads; its
-result is the least violating code.
+splits the graphs into cubes on exactly the pairs the rule reads: on a
+pivot's whole open row at once, with each variant settled once per cube
+and not rerun inside it.  Its result is the least violating code.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ def seeded_pick(seed: int) -> PickRule:
     rng = random.Random(seed)
 
     def pick(mask: int, adj=None) -> int:
-        vs = list(bits(mask))
-        return vs[rng.randrange(len(vs))]
+        for _ in range(rng.randrange(mask.bit_count())):
+            mask &= mask - 1
+        return pick_lowest(mask)
 
     return pick
 
@@ -111,7 +113,9 @@ def _pair_core(adj, n: int, pick: PickRule, record, overlap: bool):
 
     The sweep's cubes rely on this: row v is read only after ``pick`` has
     returned v, and only on the remaining set ``cur`` (as ``row & cur``,
-    ``~row & (cur ^ vb)`` or ``adj[v] >> w & 1`` with w in ``cur``)."""
+    ``~row & (cur ^ vb)`` or ``adj[v] >> w & 1`` with w in ``cur``), so a
+    cube can split on all of ``row & cur`` at once when ``pick`` sees open
+    pairs there."""
     a = b = 0
     cur = (1 << n) - 1
     cnt = n
@@ -293,30 +297,34 @@ def replay_family_trace(c: EdgeColoring, trace: GreedyTrace) -> WitnessFamily:
 
 
 class _Undecided(Exception):
-    """The sweep's pick rule or leaf check needs pair (v, w), which the cube
-    leaves free."""
+    """The sweep's pick rule or leaf check needs pairs the cube leaves free:
+    args (v, mask), the pairs (v, w) for every w in ``mask``."""
 
 
 def _sweep_fails(ones, free, n: int, overlap: bool, floor: int) -> bool:
     """Run one pair variant on a cube and check its contract on the best and
     the worst completion (free pairs inside A present or absent, inside B
     absent or present).  True if every graph in the cube breaks it, False if
-    none does; _Undecided if the run reads a free pair or the two differ."""
+    none does; _Undecided if the run reads a free pair or the two differ.
+    A pivot whose row meets free pairs in the remaining set raises all of
+    them at once, since the run reads the whole row there; a leaf check that
+    differs raises its first free pair only."""
     def pick(cur: int, adj=None) -> int:
         v = pick_lowest(cur)
         if free[v] & cur:
-            raise _Undecided(v, pick_lowest(free[v] & cur))
+            raise _Undecided(v, free[v] & cur)
         return v
 
     a, b = _pair_core(ones, n, pick, None, overlap)
-    some = [row | f for row, f in zip(ones, free)]
-    if ((a & b).bit_count() > overlap or a.bit_count() + b.bit_count() < floor
-            or not _mask_is_clique(some, a) or not _mask_is_independent(ones, b)):
+    if (a & b).bit_count() > overlap or a.bit_count() + b.bit_count() < floor:
         return True
-    if _mask_is_clique(ones, a) and _mask_is_independent(some, b):
-        return False
+    if _mask_is_clique(ones, a) and not any((ones[v] | free[v]) & b for v in bits(b)):
+        return False  # the common case: passes on every completion
+    some = [row | f for row, f in zip(ones, free)]
+    if not _mask_is_clique(some, a) or not _mask_is_independent(ones, b):
+        return True
     v, s = next((v, s) for s in (a, b) for v in bits(s) if free[v] & s)
-    raise _Undecided(v, pick_lowest(free[v] & s))
+    raise _Undecided(v, 1 << pick_lowest(free[v] & s))
 
 
 def pair_guarantee_sweep(n: int, threads: int = 1) -> tuple[int, Optional[int]]:
@@ -329,11 +337,14 @@ def pair_guarantee_sweep(n: int, threads: int = 1) -> tuple[int, Optional[int]]:
     A violation is any broken contract: guarantee floor missed, output sets
     not a clique/independent set, disjointness broken, or an overlap of more
     than one vertex in the tie variant.  The sweep works on cubes: rows
-    ``ones`` of pairs known present and ``free`` of pairs not decided yet.
-    Both variants run on ``ones`` until one reads a free pair; the cube then
-    splits on that pair into its absent and present halves.  The leaves
-    partition every graph on n vertices, so their sizes must add up to
-    labeled_graph_count(n).
+    ``ones`` of pairs known present and ``free`` of pairs not decided yet,
+    the count ``open`` of free pairs, and the variants still to settle.
+    Each variant runs on ``ones`` until it reads free pairs; the cube then
+    splits on all of them at once (a pivot's whole free row in the
+    remaining set) into its 2^k sub-cubes.  A variant that passes on a cube
+    passes on all of its sub-cubes, so it does not run there again.  The
+    leaves partition every graph on n vertices, so their sizes must add up
+    to labeled_graph_count(n).
     """
     if n < 2:
         raise ValueError("sweep needs n >= 2")
@@ -341,25 +352,34 @@ def pair_guarantee_sweep(n: int, threads: int = 1) -> tuple[int, Optional[int]]:
         raise BudgetError(f"sweep over {labeled_graph_count(n)} graphs exceeds the n <= 7 cap")
     floors = ((False, disjoint_guarantee_floor(n)), (True, overlap_guarantee_floor(n)))
     full = (1 << n) - 1
-    cubes = [([0] * n, [full ^ 1 << v for v in range(n)])]
+    # (ones, free, open pairs, index of the first variant still to settle)
+    cubes = [([0] * n, [full ^ 1 << v for v in range(n)], n * (n - 1) // 2, 0)]
     checked = 0
     least = None
     while cubes:
-        ones, free = cubes.pop()
+        ones, free, open_, i = cubes.pop()
         try:
-            failed = any(_sweep_fails(ones, free, n, *f) for f in floors)
-        except _Undecided as pair:
-            v, w = pair.args
+            while i < len(floors) and not _sweep_fails(ones, free, n, *floors[i]):
+                i += 1
+        except _Undecided as pairs:
+            v, mask = pairs.args
             free = list(free)
-            free[v] ^= 1 << w
-            free[w] ^= 1 << v
-            joined = list(ones)
-            joined[v] |= 1 << w
-            joined[w] |= 1 << v
-            cubes += [(ones, free), (joined, free)]
+            free[v] ^= mask
+            for w in bits(mask):
+                free[w] ^= 1 << v
+            open_ -= mask.bit_count()
+            sub = mask
+            while sub:  # each nonempty subset of the split pairs, present
+                joined = list(ones)
+                joined[v] |= sub
+                for w in bits(sub):
+                    joined[w] |= 1 << v
+                cubes.append((joined, free, open_, i))
+                sub = (sub - 1) & mask
+            cubes.append((ones, free, open_, i))
             continue
-        checked += 1 << sum(row.bit_count() for row in free) // 2
-        if failed:  # the cube's least code has every free pair absent
+        checked += 1 << open_
+        if i < len(floors):  # failed: the cube's least code has every free pair absent
             code = _upper_code(ones, n)
             least = code if least is None else min(least, code)
     if checked != labeled_graph_count(n):

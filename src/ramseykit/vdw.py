@@ -42,7 +42,7 @@ class IntervalColoring:
         if not self.colors:
             raise ValueError("the interval must be nonempty")
         for i, c in enumerate(self.colors):
-            if not 0 <= c < self.m:
+            if not isinstance(c, int) or not 0 <= c < self.m:
                 raise ValueError(f"position {i + 1} has colour {c} outside 0..{self.m - 1}")
 
     @property

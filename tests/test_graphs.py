@@ -217,9 +217,11 @@ def test_graph6_truncated_long_form_size():
     (lambda: pair_index(3, 3), "loops are not representable"),
     (lambda: EdgeColoring(0, 2, ()), "vertex count 0 outside 1..64"),
     (lambda: EdgeColoring.from_code(3, 2, 8), "code 8 outside 0..2^3-1"),
+    (lambda: EdgeColoring(3, 2, (0, 1.0, 0)), "pair 1 has colour 1.0 outside 0..1"),
 ], ids=["graph n=0", "row count", "cycle n=2", "from_code n=0", "from_code n=65",
         "from_code code=8", "from_code code=-1", "is_independent outside",
-        "pair_index loop", "coloring n=0", "coloring from_code code=8"])
+        "pair_index loop", "coloring n=0", "coloring from_code code=8",
+        "coloring float colour"])
 def test_constructors_reject_bad_input_with_a_message(call, message):
     with pytest.raises(ValueError) as e:
         call()

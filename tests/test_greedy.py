@@ -144,6 +144,21 @@ def test_seeded_pick_is_reproducible():
     assert first == second
 
 
+def test_seeded_pick_matches_a_list_reference():
+    # The rule returns the k-th lowest remaining vertex for k drawn from the
+    # remaining count, so it picks what indexing the listed vertices picks.
+    rng = random.Random(20)
+    for _ in range(2_000):
+        seed = rng.getrandbits(32)
+        pick, ref = seeded_pick(seed), random.Random(seed)
+        mask = rng.getrandbits(rng.randint(1, 64)) | 1 << rng.randrange(64)
+        while mask:
+            vs = list(bits(mask))
+            v = pick(mask)
+            assert v == vs[ref.randrange(len(vs))], (seed, mask)
+            mask &= ~(1 << v) & rng.getrandbits(64)
+
+
 def test_highest_degree_rule_on_star():
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     pair, trace = greedy_pair_disjoint(star, pick=pick_highest_degree)
@@ -321,11 +336,17 @@ def test_sweep_catches_a_result_the_rule_did_not_earn(monkeypatch, side):
 def test_sweep_splits_only_on_pairs_the_rule_reads(monkeypatch):
     # One leaf per overlap run that finishes (none fails at the real floors):
     # 728 cubes cover the 32,768 graphs on 6 vertices, 4,984 the 2,097,152
-    # on 7, where the per-code sweep took seconds.
+    # on 7, where the per-code sweep took seconds.  The disjoint variant
+    # settles on larger cubes and is not rerun inside them, and a pivot's
+    # free row splits at once, so there are fewer runs than rerunning both
+    # variants after each single-pair split took (2,207 at n=6).
     leaves = []
+    runs = 0
     fails = greedy._sweep_fails
 
     def spy(ones, free, n, overlap, floor):
+        nonlocal runs
+        runs += 1
         out = fails(ones, free, n, overlap, floor)
         leaves.append(overlap)
         return out
@@ -333,8 +354,11 @@ def test_sweep_splits_only_on_pairs_the_rule_reads(monkeypatch):
     monkeypatch.setattr(greedy, "_sweep_fails", spy)
     assert pair_guarantee_sweep(6) == (32_768, None)
     assert leaves.count(True) == 728
+    assert leaves.count(False) == 704
+    assert runs <= 1_889
     leaves.clear()
     start = time.perf_counter()
     assert pair_guarantee_sweep(7, threads=2) == (2_097_152, None)
     assert time.perf_counter() - start < 5.0
     assert leaves.count(True) == 4_984
+    assert leaves.count(False) == 3_992
