@@ -15,10 +15,11 @@ from typing import Any, Optional
 
 WITNESS = "witness"
 EXHAUSTIVE = "exhaustive"
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 @dataclass(frozen=True)
@@ -53,28 +54,16 @@ class SearchCertificate:
                 raise ValueError("exhaustive certificates record a scanned count")
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "parameters": dict(self.parameters),
-            "value": self.value,
-            "witness_graph6": self.witness_graph6,
-            "witness_coloring": self.witness_coloring,
-            "scanned_count": self.scanned_count,
-        }
+        """Every field, with the parameters copied."""
+        return dict(vars(self), parameters=dict(self.parameters))
 
     def to_json(self) -> str:
         return canonical_json(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SearchCertificate":
-        return cls(
-            kind=d["kind"],
-            parameters=dict(d["parameters"]),
-            value=d["value"],
-            witness_graph6=d.get("witness_graph6"),
-            witness_coloring=d.get("witness_coloring"),
-            scanned_count=d.get("scanned_count"),
-        )
+        """The certificate ``to_json_dict`` wrote; unknown keys raise TypeError."""
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -125,19 +114,14 @@ class UndecidedError(RuntimeError):
 
 
 def revalidate(cert: SearchCertificate, deep: bool = False) -> bool:
-    """Recheck a certificate against a fresh computation.
-
-    The parameters must be exactly those a check records for their mode.
-    Witness certificates are always fully recomputed: the recorded instance
-    is parsed, rescored, and must land on the recorded value strictly below
-    the target.  Exhaustive certificates must claim their target and the
-    expected enumeration count (its closed form under ``pruned``);
-    ``deep=True`` additionally reruns the scan under a budget of its full
-    instance count, which the shallow checks hold to the enumeration cap, so
-    a certificate made under a raised budget reruns too.  A malformed
-    certificate is rejected (False), never raised on.
-    """
-    from .engine import MODES, check
+    """Recheck a certificate by emitting it again.  It stands only if its
+    canonical JSON is what ``engine.emit``, the builder of every check,
+    makes of its parameters (exhaustive) or of the instance its text reads
+    as (a witness, which must also score below the target).  ``deep=True``
+    reruns an exhaustive scan under a budget of its full instance count,
+    which the shallow checks hold to the enumeration cap.  A malformed
+    certificate is rejected (False), never raised on."""
+    from .engine import MODES, check, emit
     from .graphs import ENUMERATION_CAP, MAX_VERTICES
 
     p = cert.parameters
@@ -146,31 +130,22 @@ def revalidate(cert: SearchCertificate, deep: bool = False) -> bool:
         target, size = p["target"], p[mode.size_key]
         m, j, score = p.get("m", 2), p.get("j", 1), p.get("score", "clique")
         prune = p.get("pruned", False)
-        if (any(type(x) is not int for x in (target, size, m, j))
-                or canonical_json(p) != canonical_json(
-                    mode.params(target, size, m, j, score, prune))):
+        # The parameters would echo a True target back, so only ints pass.
+        if any(type(x) is not int for x in (target, size, m, j)):
             return False
-        if cert.kind == WITNESS:
-            text = getattr(cert, mode.field)
-            if not isinstance(text, str) or cert.scanned_count is not None:
-                return False
-            instance = mode.read(text, m)
-            value = mode.value(instance, p)
-            return (mode.size_of(instance) == size and value == cert.value
-                    and value < target)
+        params = mode.params(target, size, m, j, score, prune)
         # No check accounts for more than ENUMERATION_CAP instances; the size
         # test keeps a forged size from building a huge power.
-        if size > MAX_VERTICES and m > 1:
+        if size > MAX_VERTICES and m > 1 or mode.count(size, m) > ENUMERATION_CAP:
             return False
-        total = mode.count(size, m)
-        expected = mode.pruned(size, m) if prune else total
-        if (total > ENUMERATION_CAP or cert.scanned_count != expected
-                or cert.value != target):
+        again = emit(mode, params, getattr(cert, mode.field) if cert.kind == WITNESS else None)
+        emitted = again.to_json()
+        if emitted != cert.to_json() or again.kind == WITNESS and again.value >= target:
             return False
-    except (LookupError, TypeError, ValueError):
+    except (AttributeError, LookupError, TypeError, ValueError):
         return False
-    if not deep:
+    if not deep or again.kind == WITNESS:
         return True
-    rerun = check(mode.name, target, size, m=m, j=j, score=score, budget=total,
-                  prune=prune)
-    return rerun.certificate.to_json() == cert.to_json()
+    rerun = check(mode.name, target, size, m=m, j=j, score=score,
+                  budget=mode.count(size, m), prune=prune)
+    return rerun.certificate.to_json() == emitted

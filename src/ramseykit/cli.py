@@ -103,16 +103,25 @@ def _run_search(args, query: dict):
                          **{k: query[k] for k in engine.MODES[args.kind].keys})
 
 
+def _check_cache(path: str) -> None:
+    """Raise OSError now if a record could not be appended to ``path`` later."""
+    parent = os.path.dirname(path) or "."
+    if os.path.exists(path):
+        open(path, "ab").close()
+    elif not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise FileNotFoundError(f"no writable directory for the cache {path}")
+
+
 def _find_cached(path: str, query: dict):
     """The last record for ``query`` in the cache, read from the end so only
     the lines after it are decoded."""
     if not os.path.exists(path):
         return None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line in reversed(fh.readlines()):
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError:
+            except ValueError:  # not UTF-8, or not JSON
                 continue
             if (isinstance(rec, dict) and rec.get("schema") == SCHEMA
                     and rec.get("engine") == ENGINE and rec.get("query") == query):
@@ -189,17 +198,21 @@ def _print_record(rec: dict, as_json: bool, cached: bool, cache_path: str):
 
 def cmd_search(args) -> int:
     query = _search_query(args)
-    if args.resume:
-        hit = _find_cached(args.cache, query)
-        if hit is not None and _replay_ok(hit, query):
-            _print_record(hit, args.json, True, args.cache)
-            return 0
-        if hit is not None:
-            print("cached record fails its certificates; recomputing", file=sys.stderr)
-    t0 = time.perf_counter()
     try:
+        hit = _find_cached(args.cache, query) if args.resume else None
+    except OSError as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return 2
+    if hit is not None and _replay_ok(hit, query):
+        _print_record(hit, args.json, True, args.cache)
+        return 0
+    if hit is not None:
+        print("cached record fails its certificates; recomputing", file=sys.stderr)
+    try:
+        _check_cache(args.cache)  # a replay writes nothing, a search appends
+        t0 = time.perf_counter()
         result = _run_search(args, query)
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except UndecidedError as e:

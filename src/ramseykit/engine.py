@@ -4,10 +4,11 @@ A threshold is the least size at which every instance reaches a target.
 Each row of ``MODES`` says what an instance is, how many there are, how a
 witness is written and scored, and which closed form brackets the search.
 ``check`` settles one size: the least-code failing instance as a witness, or
-an exhaustive certificate counting every instance.  ``search`` probes sizes
-1, 2, ... until a check passes; passing is monotone upward (a failing
-instance restricts to a failing one a size down), so the first pass is the
-threshold.  Budget admission lives in ``check`` (and ``revalidate``) only:
+an exhaustive certificate counting every instance, both built by ``emit``,
+which ``revalidate`` compares against.  ``search`` probes sizes 1, 2, ...
+until a check passes; passing is monotone upward (a failing instance
+restricts to a failing one a size down), so the first pass is the
+threshold.  Budget admission lives in ``check`` only (``graphs.admit``):
 ``search`` turns the BudgetError of the first refused probe into an
 UndecidedError.
 
@@ -65,8 +66,8 @@ from . import exact, scores, vdw
 from .certificates import (EXHAUSTIVE, WITNESS, SearchCertificate,
                            SearchResult, UndecidedError)
 from .exact import CheckOutcome, _has_clique
-from .graphs import (ENUMERATION_CAP, BudgetError, EdgeColoring, Graph,
-                     pair_count, parse_graph6, write_graph6)
+from .graphs import (BudgetError, EdgeColoring, Graph, admit, pair_count,
+                     parse_graph6, write_graph6)
 from .scores import ScoreKind, _through
 
 
@@ -326,9 +327,9 @@ def _table(rows, per, passing, masks) -> tuple[int, list[int]]:
     return within[0][0] & ~up, gains
 
 
-def _interval_scan(name, size, m, j, score, target) -> Optional[tuple]:
-    """Colours of the least failing interval colouring (a serial prefix DFS)."""
-    return vdw._least_failing(m, size, target, False, ENUMERATION_CAP)
+def _interval_scan(name, size, m, j, score, target) -> Optional[int]:
+    """Code of the least failing interval colouring (a serial prefix DFS)."""
+    return vdw._least_failing(m, size, target, False)
 
 
 @dataclass(frozen=True)
@@ -341,7 +342,7 @@ class Mode:
     colors: range
     budget: int                                     # default per-probe budget
     field: str                                      # certificate witness field
-    write: Callable[[int, int, Any], str]           # (size, m, found) -> text
+    write: Callable[[int, int, int], str]           # (size, m, code) -> text
     read: Callable[[str, int], Any]                 # (text, m) -> instance
     value: Callable[[Any, dict], int]               # (instance, params) -> value
     bound: Callable[[int, int], Optional[int]] = lambda target, m: None
@@ -353,9 +354,6 @@ class Mode:
     def count(self, size: int, m: int) -> int:
         """All instances of one size: m^pairs, or m^length for intervals."""
         return m ** (size if self.size_key == "length" else pair_count(size))
-
-    def size_of(self, instance) -> int:
-        return instance.length if self.size_key == "length" else instance.n
 
     def params(self, target: int, size: int, m: int, j: int, score: str,
                prune: bool) -> dict:
@@ -408,7 +406,7 @@ MODES = {mode.name: mode for mode in (
                   lambda c, p: scores.score_sum(c, p["score"], p["j"])[0]),
     Mode("wprime", ("m",), range(1, vdw.MAX_INTERVAL_COLORS + 1),
          vdw.DEFAULT_INTERVAL_BUDGET, "witness_coloring",
-         lambda length, m, colors: vdw.IntervalColoring(m, colors).to_text(),
+         lambda length, m, code: vdw.IntervalColoring.from_code(m, length, code).to_text(),
          vdw.IntervalColoring.from_text, lambda c, p: vdw.ap_sum(c)[0],
          pruned=lambda length, m: vdw.orbit_count(m, length), size_key="length",
          scan=_interval_scan),
@@ -425,24 +423,28 @@ def check(name: str, target: int, size: int, m: int = 2, j: int = 1,
     when all m^pairs (or m^length) instances exceed the budget."""
     mode = MODES[name]
     params = mode.params(target, size, m, j, score, prune)
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget {budget} is negative")
-    total = mode.count(size, m)
-    if total > min(mode.budget if budget is None else budget, ENUMERATION_CAP):
-        raise BudgetError(f"{name} check at {mode.size_key}={size} needs {total}"
-                          " instances, over the budget")
+    admit(mode.count(size, m), budget, mode.budget, f"{name} check at {mode.size_key}={size}")
     # Modes without a j ("rprime", "rprime_m") sum the clique numbers of all
     # m classes, whatever ``score`` says: only "score" records it.
     found = mode.scan(name, size, m, j if "j" in mode.keys else m,
                       params.get("score", ScoreKind.CLIQUE.value), target)
-    if found is None:
-        scanned = mode.pruned(size, m) if prune else total
-        return CheckOutcome(True, SearchCertificate(EXHAUSTIVE, params, target,
-                                                    scanned_count=scanned))
-    text = mode.write(size, m, found)
-    value = mode.value(mode.read(text, m), params)
-    return CheckOutcome(False, SearchCertificate(WITNESS, params, value,
-                                                 **{mode.field: text}))
+    return CheckOutcome(found is None,
+                        emit(mode, params, None if found is None else mode.write(size, m, found)))
+
+
+def emit(mode: Mode, params: dict, text: Optional[str] = None) -> SearchCertificate:
+    """The certificate a check with ``params`` emits, and the only bytes
+    ``revalidate`` accepts: exhaustive without ``text`` (the target, every
+    instance counted, the orbits under ``pruned``), else a witness: the
+    instance read from ``text``, scored and written again from its code at
+    the recorded size, so only canonical text of that size comes back."""
+    size, m = params[mode.size_key], params.get("m", 2)
+    if text is None:
+        scanned = mode.pruned(size, m) if params.get("pruned") else mode.count(size, m)
+        return SearchCertificate(EXHAUSTIVE, params, params["target"], scanned_count=scanned)
+    instance = mode.read(text, m)
+    return SearchCertificate(WITNESS, params, mode.value(instance, params),
+                             **{mode.field: mode.write(size, m, instance.code)})
 
 
 def search(name: str, target: int, m: int = 2, j: int = 1, score: str = "clique",

@@ -18,7 +18,7 @@ import functools
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 MAX_VERTICES = 64
 MAX_COLORS = 8
@@ -34,6 +34,17 @@ MAX_EXHAUSTIVE_GRAPH_VERTICES = 7
 
 class BudgetError(RuntimeError):
     """An exhaustive enumeration or search would exceed its instance budget."""
+
+
+def admit(total: int, budget: Optional[int], default: int, what: str) -> None:
+    """Admit a scan over ``total`` instances or refuse it: a negative budget
+    is a bad query (ValueError); more than ``min(budget, ENUMERATION_CAP)``
+    instances, with ``default`` for a budget of None, is over the budget
+    (BudgetError)."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget {budget} is negative")
+    if total > min(default if budget is None else budget, ENUMERATION_CAP):
+        raise BudgetError(f"{what} needs {total} instances, over the budget")
 
 
 class Graph6ParseError(ValueError):

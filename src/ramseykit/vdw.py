@@ -21,7 +21,7 @@ from typing import Optional
 
 from .certificates import SearchResult
 from .exact import CheckOutcome
-from .graphs import ENUMERATION_CAP, COLOR_LETTERS, BudgetError
+from .graphs import COLOR_LETTERS, admit
 
 # A check at length N accounts for all m^N colourings of the interval.
 DEFAULT_INTERVAL_BUDGET = 1 << 26
@@ -146,22 +146,14 @@ def _partitions(m: int, top: int):
             yield (k,) + rest
 
 
-def _least_failing(m: int, length: int, target: int, single: bool,
-                   budget: Optional[int]) -> Optional[tuple[int, ...]]:
-    """Colours of the least-code colouring of 1..length whose longest
+def _least_failing(m: int, length: int, target: int, single: bool) -> Optional[int]:
+    """Code of the least-code colouring of 1..length whose longest
     monochromatic APs miss ``target`` (in every colour when ``single``, in
     sum otherwise), or None.  Positions are coloured from ``length`` down,
     most significant digit first, so leaves arrive in code order; a prefix
     (a sub-interval, whose AP lengths the whole interval can only exceed) is
-    extended only while it misses the target."""
-    if target < 1 or length < 1:
-        raise ValueError("target and interval length must be positive")
-    if not 1 <= m <= MAX_INTERVAL_COLORS:
-        raise ValueError(f"colour count {m} outside 1..{MAX_INTERVAL_COLORS}")
-    count = m**length
-    if count > min(DEFAULT_INTERVAL_BUDGET if budget is None else budget,
-                   ENUMERATION_CAP):
-        raise BudgetError(f"length {length} needs {count} colourings, over the budget")
+    extended only while it misses the target.  Callers validate and admit
+    the scan."""
     masks = [0] * m  # bit j = position length - j; AP lengths ignore reversal
     best = [0] * m   # longest AP per colour among the coloured positions
     stack = []       # (colour, its previous best) per coloured position
@@ -178,7 +170,7 @@ def _least_failing(m: int, length: int, target: int, single: bool,
             total += grown - best[c]
             best[c] = grown
             if depth + 1 == length:
-                return tuple(entry[0] for entry in reversed(stack))
+                return sum(d * m**i for i, (d, _) in enumerate(reversed(stack)))
             c = 0
         elif stack:
             c, previous = stack.pop()
@@ -213,4 +205,9 @@ def classical_ap_check(m: int, n: int, length: int,
                        budget: Optional[int] = None) -> bool:
     """True iff every m-colouring of 1..length has an n-term progression in
     a single colour (the classical van der Waerden property)."""
-    return _least_failing(m, length, n, True, budget) is None
+    if n < 1 or length < 1:
+        raise ValueError("target and interval length must be positive")
+    if not 1 <= m <= MAX_INTERVAL_COLORS:
+        raise ValueError(f"colour count {m} outside 1..{MAX_INTERVAL_COLORS}")
+    admit(m**length, budget, DEFAULT_INTERVAL_BUDGET, f"length {length}")
+    return _least_failing(m, length, n, True) is None

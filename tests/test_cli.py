@@ -222,6 +222,33 @@ class TestSearch:
         assert "input error" in err and "budget" in err
         assert not (workdir / "results.jsonl").exists()
 
+    def test_cache_in_a_missing_directory_is_input_error(self, workdir, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched although the cache cannot be written")
+
+        monkeypatch.setattr(engine, "search", refuse)
+        code, out, err = run(capsys, "search", "rprime", "--n", "4",
+                             "--cache", "missing/r.jsonl")
+        assert (code, out) == (2, "")
+        assert err == "input error: no writable directory for the cache missing/r.jsonl\n"
+        assert not (workdir / "missing").exists()
+
+    def test_resume_from_a_directory_is_input_error(self, workdir, capsys):
+        (workdir / "cache").mkdir()
+        code, out, err = run(capsys, "search", "rprime", "--n", "4",
+                             "--resume", "--cache", "cache")
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and "'cache'" in err
+
+    def test_resume_skips_cache_lines_that_are_not_utf8(self, workdir, capsys):
+        run(capsys, "search", "rprime", "--n", "4", "--json")
+        cache = workdir / "results.jsonl"
+        record = cache.read_bytes()
+        cache.write_bytes(record + b'\xff{"schema": 2}\n')
+        code, out, err = run(capsys, "search", "rprime", "--n", "4", "--resume", "--json")
+        assert (code, err) == (0, "")
+        assert out.encode() == record
+
     def test_resume_replays_the_newest_record(self, workdir, capsys):
         run(capsys, "search", "rprime", "--n", "4", "--json")
         cache = workdir / "results.jsonl"

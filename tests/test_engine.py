@@ -488,6 +488,36 @@ MALFORMED = {
     "removed mode ramsey_m":
         _witness({"mode": "ramsey_m", "m": 2, "n_vertices": 3, "target": 3}, 2,
                  witness_coloring="3:baa"),
+    "graph witness of another size":
+        _witness({"mode": "rprime", "target": 5, "n_vertices": 6}, 4, witness_graph6="DLo"),
+    "colouring witness of another size":
+        _witness({"mode": "rprime_m", "target": 5, "n_vertices": 6, "m": 2}, 4,
+                 witness_coloring="5:aabbabbbaa"),
+    "interval witness of another length":
+        _witness({"mode": "wprime", "target": 4, "length": 6, "m": 2}, 3,
+                 witness_coloring="aabaa"),
+    # Each below differs from a certificate ``check`` emits in one detail only.
+    "witness value as a float":
+        _witness({"mode": "wprime", "target": 4, "length": 5, "m": 2}, 3.0,
+                 witness_coloring="aabaa"),
+    "graph6 with its header":
+        _witness({"mode": "rprime", "target": 5, "n_vertices": 5}, 4,
+                 witness_graph6=">>graph6<<DLo"),
+    "graph6 with whitespace":
+        _witness({"mode": "rprime", "target": 5, "n_vertices": 5}, 4,
+                 witness_graph6=" DLo\n"),
+    "interval in b/w letters":
+        _witness({"mode": "wprime", "target": 4, "length": 5, "m": 2}, 3,
+                 witness_coloring="bbwbb"),
+    "interval with a trailing space":
+        _witness({"mode": "wprime", "target": 4, "length": 5, "m": 2}, 3,
+                 witness_coloring="aabaa "),
+    "colouring size with a leading zero":
+        _witness({"mode": "rprime_m", "target": 5, "n_vertices": 5, "m": 2}, 4,
+                 witness_coloring="05:aabbabbbaa"),
+    "colouring size with a plus sign":
+        _witness({"mode": "rprime_m", "target": 5, "n_vertices": 5, "m": 2}, 4,
+                 witness_coloring="+5:aabbabbbaa"),
 }
 
 
@@ -540,12 +570,14 @@ def emitted(draw):
 
 
 def _mutants(cert: SearchCertificate):
+    """Off by one, written as a float, or (where it is 1) as true: the value
+    and any scanned count."""
     d = cert.to_json_dict()
-    for delta in (-1, 1):
-        yield SearchCertificate.from_json_dict(dict(d, value=d["value"] + delta))
-        if d["scanned_count"] is not None:
-            yield SearchCertificate.from_json_dict(
-                dict(d, scanned_count=d["scanned_count"] + delta))
+    for key in ("value", "scanned_count"):
+        x = d[key]
+        if x is not None:
+            for wrong in (x - 1, x + 1, float(x)) + ((True,) if x == 1 else ()):
+                yield SearchCertificate.from_json_dict(dict(d, **{key: wrong}))
 
 
 @settings(max_examples=150)

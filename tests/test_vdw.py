@@ -65,8 +65,9 @@ class TestIntervalColoring:
         (lambda: classical_ap_check(0, 3, 5), "colour count 0 outside 1..8"),
         (lambda: classical_ap_check(9, 3, 5), "colour count 9 outside 1..8"),
         (lambda: IntervalColoring(2, (0, 1.0)), "position 2 has colour 1.0 outside 0..1"),
+        (lambda: classical_ap_check(2, 3, 5, budget=-1), "budget -1 is negative"),
     ], ids=["from_code code=8", "positions of colour m", "classical m=0",
-            "classical m=9", "float colour"])
+            "classical m=9", "float colour", "classical budget=-1"])
     def test_rejects_bad_input_with_a_message(self, call, message):
         with pytest.raises(ValueError) as e:
             call()
