@@ -116,11 +116,13 @@ class UndecidedError(RuntimeError):
 def revalidate(cert: SearchCertificate, deep: bool = False) -> bool:
     """Recheck a certificate by emitting it again.  It stands only if its
     canonical JSON is what ``engine.emit``, the builder of every check,
-    makes of its parameters (exhaustive) or of the instance its text reads
-    as (a witness, which must also score below the target).  ``deep=True``
-    reruns an exhaustive scan under a budget of its full instance count,
-    which the shallow checks hold to the enumeration cap.  A malformed
-    certificate is rejected (False), never raised on."""
+    makes of its parameters (exhaustive) or of the code its witness text
+    reads as, at the recorded size (a witness, which must also score below
+    the target).  ``deep=True`` reruns an exhaustive scan under a budget of
+    its full instance count.  Past the enumeration cap both checks refuse
+    exhaustive certificates, and path and cycle witnesses, whose rescoring
+    is exponential.  A malformed certificate is rejected (False), never
+    raised on."""
     from .engine import MODES, check, emit
     from .graphs import ENUMERATION_CAP, MAX_VERTICES
 
@@ -134,11 +136,14 @@ def revalidate(cert: SearchCertificate, deep: bool = False) -> bool:
         if any(type(x) is not int for x in (target, size, m, j)):
             return False
         params = mode.params(target, size, m, j, score, prune)
-        # No check accounts for more than ENUMERATION_CAP instances; the size
-        # test keeps a forged size from building a huge power.
-        if size > MAX_VERTICES and m > 1 or mode.count(size, m) > ENUMERATION_CAP:
+        # No check accounts for more than ENUMERATION_CAP instances, and past
+        # it a path or cycle rescoring can take minutes (clique and AP ones
+        # take milliseconds); the size test keeps off a huge power.
+        if size > MAX_VERTICES and m > 1 or (cert.kind == EXHAUSTIVE or score != "clique") \
+                and mode.count(size, m) > ENUMERATION_CAP:
             return False
-        again = emit(mode, params, getattr(cert, mode.field) if cert.kind == WITNESS else None)
+        code = mode.read(getattr(cert, mode.field), m).code if cert.kind == WITNESS else None
+        again = emit(mode, params, code)
         emitted = again.to_json()
         if emitted != cert.to_json() or again.kind == WITNESS and again.value >= target:
             return False

@@ -2,8 +2,8 @@
 
 A threshold is the least size at which every instance reaches a target.
 Each row of ``MODES`` says what an instance is, how many there are, how a
-witness is written and scored, and which closed form brackets the search.
-``check`` settles one size: the least-code failing instance as a witness, or
+witness is decoded, written and scored, and which closed form brackets the
+search.  ``check`` settles one size: the least failing code as a witness, or
 an exhaustive certificate counting every instance, both built by ``emit``,
 which ``revalidate`` compares against.  ``search`` probes sizes 1, 2, ...
 until a check passes; passing is monotone upward (a failing instance
@@ -335,14 +335,17 @@ def _interval_scan(name, size, m, j, score, target) -> Optional[int]:
 @dataclass(frozen=True)
 class Mode:
     """One threshold family.  ``keys`` are the parameters recorded beyond
-    mode, target and size; ``pruned`` is None where ``prune`` is refused."""
+    mode, target and size; ``pruned`` is None where ``prune`` is refused.
+    A witness is a code until ``emit`` decodes it and writes its text once;
+    ``read`` serves only ``revalidate``, which reads text back to a code."""
 
     name: str
     keys: tuple[str, ...]
     colors: range
     budget: int                                     # default per-probe budget
     field: str                                      # certificate witness field
-    write: Callable[[int, int, int], str]           # (size, m, code) -> text
+    decode: Callable[[int, int, int], Any]          # (size, m, code) -> instance
+    write: Callable[[Any], str]                     # instance -> witness text
     read: Callable[[str, int], Any]                 # (text, m) -> instance
     value: Callable[[Any, dict], int]               # (instance, params) -> value
     bound: Callable[[int, int], Optional[int]] = lambda target, m: None
@@ -381,15 +384,14 @@ def _keys(mode: Mode, m: int, j: int, score: str) -> dict:
 
 def _graph_row(name, value, bound, clique_test=False) -> Mode:
     return Mode(name, (), range(2, 3), exact.DEFAULT_GRAPH_BUDGET, "witness_graph6",
-                lambda n, m, code: write_graph6(Graph.from_code(n, code)),
+                lambda n, m, code: Graph.from_code(n, code), write_graph6,
                 lambda text, m: parse_graph6(text), value, bound,
                 lambda n, m: max(1, 2 ** pair_count(n) // 2), clique_test)
 
 
 def _coloring_row(name, keys, value, bound=lambda target, m: None) -> Mode:
     return Mode(name, keys, range(2, 9), exact.DEFAULT_COLORING_BUDGET,
-                "witness_coloring",
-                lambda n, m, code: EdgeColoring.from_code(n, m, code).to_text(),
+                "witness_coloring", EdgeColoring.from_code, EdgeColoring.to_text,
                 EdgeColoring.from_text, value, bound)
 
 
@@ -406,8 +408,9 @@ MODES = {mode.name: mode for mode in (
                   lambda c, p: scores.score_sum(c, p["score"], p["j"])[0]),
     Mode("wprime", ("m",), range(1, vdw.MAX_INTERVAL_COLORS + 1),
          vdw.DEFAULT_INTERVAL_BUDGET, "witness_coloring",
-         lambda length, m, code: vdw.IntervalColoring.from_code(m, length, code).to_text(),
-         vdw.IntervalColoring.from_text, lambda c, p: vdw.ap_sum(c)[0],
+         lambda length, m, code: vdw.IntervalColoring.from_code(m, length, code),
+         vdw.IntervalColoring.to_text, vdw.IntervalColoring.from_text,
+         lambda c, p: vdw.ap_sum(c)[0],
          pruned=lambda length, m: vdw.orbit_count(m, length), size_key="length",
          scan=_interval_scan),
 )}
@@ -428,23 +431,22 @@ def check(name: str, target: int, size: int, m: int = 2, j: int = 1,
     # m classes, whatever ``score`` says: only "score" records it.
     found = mode.scan(name, size, m, j if "j" in mode.keys else m,
                       params.get("score", ScoreKind.CLIQUE.value), target)
-    return CheckOutcome(found is None,
-                        emit(mode, params, None if found is None else mode.write(size, m, found)))
+    return CheckOutcome(found is None, emit(mode, params, found))
 
 
-def emit(mode: Mode, params: dict, text: Optional[str] = None) -> SearchCertificate:
+def emit(mode: Mode, params: dict, code: Optional[int] = None) -> SearchCertificate:
     """The certificate a check with ``params`` emits, and the only bytes
-    ``revalidate`` accepts: exhaustive without ``text`` (the target, every
+    ``revalidate`` accepts: exhaustive without ``code`` (the target, every
     instance counted, the orbits under ``pruned``), else a witness: the
-    instance read from ``text``, scored and written again from its code at
-    the recorded size, so only canonical text of that size comes back."""
+    instance of ``code`` at the recorded size, decoded once, scored and
+    written once.  A code out of range at that size raises ValueError."""
     size, m = params[mode.size_key], params.get("m", 2)
-    if text is None:
+    if code is None:
         scanned = mode.pruned(size, m) if params.get("pruned") else mode.count(size, m)
         return SearchCertificate(EXHAUSTIVE, params, params["target"], scanned_count=scanned)
-    instance = mode.read(text, m)
+    instance = mode.decode(size, m, code)
     return SearchCertificate(WITNESS, params, mode.value(instance, params),
-                             **{mode.field: mode.write(size, m, instance.code)})
+                             **{mode.field: mode.write(instance)})
 
 
 def search(name: str, target: int, m: int = 2, j: int = 1, score: str = "clique",

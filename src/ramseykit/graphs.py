@@ -337,8 +337,59 @@ def graphs_in_code_range(n: int, start: int, stop: int) -> Iterator[Graph]:
         yield Graph(n, tuple(_decode_adj(n, code)))
 
 
+# --- colourings as digit strings ------------------------------------------------
+
+
+_ASCII = bytes.maketrans(bytes(range(MAX_COLORS)), b"01234567")
+_LETTERS = bytes.maketrans(bytes(range(MAX_COLORS)), COLOR_LETTERS.encode())
+_UNLETTERS = bytes.maketrans(COLOR_LETTERS.encode(), bytes(range(MAX_COLORS)))
+
+
+def code_digits(code: int, m: int, count: int) -> tuple[int, ...]:
+    """The ``count`` base-m digits of ``code``, least significant first."""
+    if not 0 <= code < m**count:
+        raise ValueError(f"code {code} outside 0..{m}^{count}-1")
+    digits = []
+    for _ in range(count):
+        code, d = divmod(code, m)
+        digits.append(d)
+    return tuple(digits)
+
+
+def text_digits(text: str, m: int) -> tuple[int, ...]:
+    """Digits of letters, each among the first m of a..h."""
+    raw = text.encode()
+    if raw.translate(None, COLOR_LETTERS[:m].encode()):
+        raise ValueError(f"colour letters in {text!r} outside the first {m} of a..h")
+    return tuple(raw.translate(_UNLETTERS))
+
+
+class Digits:
+    """The codec of EdgeColoring and vdw.IntervalColoring: their ``colors``
+    as base-m digits, least significant first (``code_digits`` and
+    ``text_digits`` make them).  As bytes they convert in C: translated to
+    ASCII digits and read backwards they are the code in base m, to "1"
+    where one colour stands and "0" elsewhere the bitmask of that colour,
+    and to letters a..h the text."""
+
+    @property
+    def code(self) -> int:
+        digits = bytes(self.colors)
+        return int(digits.translate(_ASCII)[::-1], self.m) if digits and self.m > 1 else 0
+
+    def positions(self, color: int) -> int:
+        """Bitmask of the digits (bit k = digit k) of one colour."""
+        if not 0 <= color < self.m:
+            raise ValueError(f"colour {color} outside 0..{self.m - 1}")
+        ones = bytes(self.colors).translate(b"0" * color + b"1" + b"0" * (255 - color))
+        return int(ones[::-1], 2) if ones else 0
+
+    def to_text(self) -> str:
+        return bytes(self.colors).translate(_LETTERS).decode()
+
+
 @dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(Digits):
     """Colouring of all pairs of a complete graph; colors[k] colours pair k."""
 
     n: int
@@ -359,53 +410,23 @@ class EdgeColoring:
     @classmethod
     def from_code(cls, n: int, m: int, code: int) -> "EdgeColoring":
         """Decode base-m digits of ``code``, least significant digit = pair 0."""
-        np = pair_count(n)
-        total = m**np
-        if not 0 <= code < total:
-            raise ValueError(f"code {code} outside 0..{m}^{np}-1")
-        digits = []
-        c = code
-        for _ in range(np):
-            c, d = divmod(c, m)
-            digits.append(d)
-        return cls(n, m, tuple(digits))
-
-    @property
-    def code(self) -> int:
-        c = 0
-        for d in reversed(self.colors):
-            c = c * self.m + d
-        return c
+        return cls(n, m, code_digits(code, m, pair_count(n)))
 
     def color_class(self, color: int) -> Graph:
-        """The graph holding exactly the pairs of this colour."""
-        if not 0 <= color < self.m:
-            raise ValueError(f"colour {color} outside 0..{self.m - 1}")
-        # One ASCII digit per pair, "1" where the pair has this colour; read
-        # backwards in base 2 they are the class's graph code.
-        digits = bytes(self.colors).translate(b"0" * color + b"1" + b"0" * (255 - color))
-        code = int(digits[::-1], 2) if digits else 0
-        return Graph(self.n, tuple(_decode_adj(self.n, code)))
+        """The graph holding exactly the pairs of this colour: its pair mask
+        is the class's graph code."""
+        return Graph(self.n, tuple(_decode_adj(self.n, self.positions(color))))
 
     def to_text(self) -> str:
         """Compact text form ``"<n>:<letters>"`` with colours a..h per pair."""
-        return f"{self.n}:" + "".join(COLOR_LETTERS[c] for c in self.colors)
+        return f"{self.n}:" + super().to_text()
 
     @classmethod
     def from_text(cls, text: str, m: int) -> "EdgeColoring":
         head, sep, body = text.partition(":")
         if not sep:
             raise ValueError("expected '<n>:<letters>'")
-        n = int(head)
-        digits = tuple(_letter_color(ch, m) for ch in body)
-        return cls(n, m, digits)
-
-
-def _letter_color(ch: str, m: int) -> int:
-    c = COLOR_LETTERS.find(ch)
-    if c < 0 or c >= m:
-        raise ValueError(f"colour letter {ch!r} outside the first {m} of '{COLOR_LETTERS}'")
-    return c
+        return cls(int(head), m, text_digits(body, m))
 
 
 def coloring_count(n: int, m: int) -> int:

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .certificates import SearchResult
 from .exact import CheckOutcome
-from .graphs import COLOR_LETTERS, admit
+from .graphs import Digits, admit, code_digits, text_digits
 
 # A check at length N accounts for all m^N colourings of the interval.
 DEFAULT_INTERVAL_BUDGET = 1 << 26
@@ -30,7 +30,7 @@ MAX_INTERVAL_COLORS = 8
 
 
 @dataclass(frozen=True)
-class IntervalColoring:
+class IntervalColoring(Digits):
     """Colouring of the integers 1..N; ``colors[i]`` colours i + 1."""
 
     m: int
@@ -52,45 +52,16 @@ class IntervalColoring:
     @classmethod
     def from_code(cls, m: int, length: int, code: int) -> "IntervalColoring":
         """Decode base-m digits, least significant digit = position 1."""
-        if not 0 <= code < m**length:
-            raise ValueError(f"code {code} outside 0..{m}^{length}-1")
-        digits = []
-        for _ in range(length):
-            code, d = divmod(code, m)
-            digits.append(d)
-        return cls(m, tuple(digits))
-
-    @property
-    def code(self) -> int:
-        c = 0
-        for d in reversed(self.colors):
-            c = c * self.m + d
-        return c
-
-    def positions(self, color: int) -> int:
-        """Bitmask of the positions (bit i = integer i + 1) of one colour."""
-        if not 0 <= color < self.m:
-            raise ValueError(f"colour {color} outside 0..{self.m - 1}")
-        return sum(1 << i for i, c in enumerate(self.colors) if c == color)
-
-    def to_text(self) -> str:
-        return "".join(COLOR_LETTERS[c] for c in self.colors)
+        return cls(m, code_digits(code, m, length))
 
     @classmethod
     def from_text(cls, text: str, m: int) -> "IntervalColoring":
         """Parse letters a..h; two-colour strings may use 'b'/'w' instead
         (black = colour 0, white = colour 1), recognized by a 'w' present."""
         s = text.strip()
-        if m <= 2 and "w" in s:
-            table = {"b": 0, "w": 1}
-        else:
-            table = {ch: i for i, ch in enumerate(COLOR_LETTERS[:m])}
-        digits = []
-        for i, ch in enumerate(s):
-            if ch not in table:
-                raise ValueError(f"colour letter {ch!r} at position {i + 1}")
-            digits.append(table[ch])
-        return cls(m, tuple(digits))
+        if m <= 2 and "w" in s:  # b/w as a/b, and a stray 'a' as no letter
+            s = s.translate(str.maketrans("abw", "zab"))
+        return cls(m, text_digits(s, m))
 
 
 def _longest_ap_mask(mask: int, length: int) -> int:

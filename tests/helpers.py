@@ -170,6 +170,29 @@ def reference_code(n: int, rows) -> int:
     return code
 
 
+def reference_digit_code(digits, m: int) -> int:
+    """Code of base-m colour digits, least significant first, one digit at a
+    time (Horner)."""
+    code = 0
+    for d in reversed(digits):
+        code = code * m + d
+    return code
+
+
+def reference_digits(code: int, m: int, count: int) -> tuple[int, ...]:
+    """The ``count`` base-m digits of a code, each by its own division."""
+    return tuple(code // m**k % m for k in range(count))
+
+
+def reference_letters(digits) -> str:
+    return "".join("abcdefgh"[d] for d in digits)
+
+
+def reference_positions(digits, color: int) -> int:
+    """Bitmask of the digits equal to ``color``, one bit at a time."""
+    return sum(1 << k for k, d in enumerate(digits) if d == color)
+
+
 def reference_graph6(n: int, code: int) -> str:
     """graph6 text of a graph code, six code bits per body character."""
     if n <= 62:

@@ -12,6 +12,7 @@ raising.
 
 from __future__ import annotations
 
+import dataclasses
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -28,10 +29,10 @@ from ramseykit import (EdgeColoring, Graph, SearchCertificate, ScoreKind,
                        pair_guarantee_sweep, pair_sum_value, revalidate,
                        score_sum, write_graph6)
 import ramseykit
-from ramseykit import engine, graphs
+from ramseykit import engine, graphs, vdw
 from ramseykit.engine import MODES, check
 from ramseykit.exact import _has_clique, _omega
-from ramseykit.graphs import pair_count
+from ramseykit.graphs import pair_count, pair_table
 
 
 _VALUES: dict = {}  # values of codes 0, 1, ... scored so far, per instance family
@@ -354,7 +355,7 @@ def test_values_are_hereditary(case):
     mode = MODES[name]
 
     def value(size, c):
-        return mode.value(mode.read(mode.write(size, m, c), m), params)
+        return mode.value(mode.decode(size, m, c), params)
 
     assert value(n - 1, code % m ** pair_count(n - 1)) <= value(n, code)
 
@@ -424,6 +425,29 @@ def test_registry_rows():
     assert MODES["rprime"].pruned(1, 2) == 1 and MODES["rprime"].pruned(4, 2) == 32
 
 
+@pytest.mark.parametrize("name, target, kwargs", [
+    ("rprime", 5, {}), ("ramsey", 3, {}), ("rprime_m", 5, {"m": 3}),
+    ("score", 4, {"m": 2, "j": 1, "score": "path"}), ("wprime", 5, {"m": 2}),
+])
+def test_check_parses_no_witness_text_and_decodes_each_witness_once(monkeypatch, name,
+                                                                    target, kwargs):
+    """A witness stays a code until ``emit`` decodes it and writes its text:
+    a search decodes one instance per failing size and parses no text."""
+    def parse(*args):
+        raise AssertionError("check parsed witness text")
+
+    decoded = []
+    mode = MODES[name]
+    monkeypatch.setattr(engine, "parse_graph6", parse)
+    monkeypatch.setattr(EdgeColoring, "from_text", parse)
+    monkeypatch.setattr(vdw.IntervalColoring, "from_text", parse)
+    monkeypatch.setitem(MODES, name, dataclasses.replace(
+        mode, read=parse, decode=lambda *a: decoded.append(a) or mode.decode(*a)))
+    result = engine.search(name, target, **kwargs)
+    assert result.value > 2
+    assert [a[0] for a in decoded] == list(range(1, result.value))
+
+
 # --- revalidate on malformed certificates ---------------------------------------
 
 
@@ -433,6 +457,55 @@ def _witness(params, value, **witness):
 
 def _exhaustive(params, value, count):
     return SearchCertificate("exhaustive", params, value, scanned_count=count)
+
+
+def _paley17() -> Graph:
+    """The Paley graph on Z_17: ω = α = 3, so an ``rprime`` t=7 witness."""
+    squares = {x * x % 17 for x in range(1, 17)}
+    return Graph.from_edges(17, [(u, v) for u, v in pair_table(17) if v - u in squares])
+
+
+def _greenwood_gleason() -> EdgeColoring:
+    """The 3-colouring of K16 by the cubic-residue classes of GF(16) (x^4 =
+    x + 1): {u, v} has the colour log(u + v) mod 3.  Each class is a
+    triangle-free Clebsch graph, so an ``rprime_m`` m=3 t=7 witness."""
+    log, x = {}, 1
+    for e in range(15):
+        log[x] = e
+        x = x << 1 ^ (0b10011 if x & 8 else 0)
+    return EdgeColoring(16, 3, tuple(log[u ^ v] % 3 for u, v in pair_table(16)))
+
+
+def _bipartite(score: str, target: int) -> SearchCertificate:
+    """A true ``score`` witness on 15 vertices (2^105 colourings, over the
+    cap): K_{6,9} against K6 + K9, longest path 13 and longest cycle 12."""
+    c = EdgeColoring(15, 2, tuple(int(not u < 6 <= v) for u, v in pair_table(15)))
+    return _witness({"mode": "score", "score": score, "j": 1, "m": 2, "target": target,
+                     "n_vertices": 15}, target - 1, witness_coloring=c.to_text())
+
+
+# Witnesses whose sizes count more instances than ENUMERATION_CAP; rescoring
+# them takes milliseconds.
+ABOVE_THE_CAP = {
+    "P17, rprime t=7":
+        _witness({"mode": "rprime", "target": 7, "n_vertices": 17}, 6,
+                 witness_graph6=write_graph6(_paley17())),
+    "Greenwood-Gleason K16, rprime_m m=3 t=7":
+        _witness({"mode": "rprime_m", "target": 7, "n_vertices": 16, "m": 3}, 6,
+                 witness_coloring=_greenwood_gleason().to_text()),
+    "Greenwood-Gleason K16, score clique j=3":
+        _witness({"mode": "score", "score": "clique", "j": 3, "m": 3, "target": 7,
+                  "n_vertices": 16}, 6, witness_coloring=_greenwood_gleason().to_text()),
+    "wprime m=2 at length 41":  # the least failing colouring, AP lengths 4 + 3
+        _witness({"mode": "wprime", "target": 8, "length": 41, "m": 2}, 7,
+                 witness_coloring="abaabbabaaaabbaabababaabaaababbbaaaabaaaa"),
+}
+
+
+@pytest.mark.parametrize("deep", [False, True])
+@pytest.mark.parametrize("case", sorted(ABOVE_THE_CAP))
+def test_witnesses_above_the_cap_revalidate(case, deep):
+    assert revalidate(ABOVE_THE_CAP[case], deep=deep) is True
 
 
 MALFORMED = {
@@ -518,6 +591,10 @@ MALFORMED = {
     "colouring size with a plus sign":
         _witness({"mode": "rprime_m", "target": 5, "n_vertices": 5, "m": 2}, 4,
                  witness_coloring="+5:aabbabbbaa"),
+    # P17 is the only graph on 17 vertices with ω, α <= 3: any flip raises one.
+    "P17 with one edge flipped":
+        _witness({"mode": "rprime", "target": 7, "n_vertices": 17}, 6,
+                 witness_graph6=write_graph6(Graph.from_code(17, _paley17().code ^ 1))),
 }
 
 
@@ -545,6 +622,22 @@ def test_forged_certificate_past_the_cap_is_rejected_without_a_rerun(monkeypatch
                          2 ** pair_count(n))
     assert revalidate(forged) is False
     assert revalidate(forged, deep=True) is False
+
+
+@pytest.mark.parametrize("cert", [
+    _exhaustive({"mode": "wprime", "target": 9, "length": 41, "m": 2}, 9, 2 ** 41),
+    # true witnesses, but rescoring a path or cycle on 15 vertices takes minutes
+    _bipartite("path", 14),
+    _bipartite("cycle", 13),
+], ids=["wprime exhaustive", "score path witness", "score cycle witness"])
+def test_past_the_cap_only_clique_and_ap_witnesses_are_rescored(monkeypatch, cert):
+    def rescore(*args, **kwargs):
+        raise AssertionError("revalidate reran or rescored past the enumeration cap")
+
+    monkeypatch.setattr(engine, "check", rescore)
+    monkeypatch.setattr(engine, "emit", rescore)
+    assert revalidate(cert) is False
+    assert revalidate(cert, deep=True) is False
 
 
 # --- mutation ---------------------------------------------------------------------

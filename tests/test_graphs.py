@@ -7,11 +7,13 @@ with per-pair reference bodies from ``helpers`` at every size up to 64.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (edge_colorings, graphs, reference_code, reference_graph6,
-                     reference_pairs, reference_parse_graph6, reference_rows)
+from helpers import (edge_colorings, graphs, reference_code, reference_digit_code,
+                     reference_digits, reference_graph6, reference_letters,
+                     reference_pairs, reference_parse_graph6, reference_positions,
+                     reference_rows)
 from ramseykit import (BudgetError, EdgeColoring, Graph, Graph6ParseError,
                        bits, coloring_count, enumerate_edge_colorings,
                        enumerate_labeled_graphs, graphs_in_code_range,
@@ -295,11 +297,21 @@ def test_codec_matches_the_per_pair_reference(n, data):
 
 
 @settings(max_examples=60)
-@given(st.integers(1, 64), st.integers(2, 4), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 64), st.integers(2, 8), st.integers(0, 2**32 - 1))
+@example(64, 3, 0)
+@example(1, 2, 0)
+@example(2, 8, 0)
 def test_color_class_matches_a_per_pair_rebuild(n, m, seed):
     rng = random.Random(seed)
     c = EdgeColoring(n, m, tuple(rng.randrange(m) for _ in range(pair_count(n))))
+    # the digit codec against one step per digit
+    code = reference_digit_code(c.colors, m)
+    assert c.code == code
+    assert EdgeColoring.from_code(n, m, code).colors == reference_digits(code, m, pair_count(n))
+    assert c.to_text() == f"{n}:" + reference_letters(c.colors)
+    assert EdgeColoring.from_text(c.to_text(), m) == c
     for color in range(m):
+        assert c.positions(color) == reference_positions(c.colors, color)
         rows = [0] * n
         for k, (i, j) in enumerate(reference_pairs(n)):
             if c.colors[k] == color:

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ramseykit import (
     BudgetError,
@@ -19,7 +19,9 @@ from ramseykit import (
     revalidate,
 )
 from ramseykit.vdw import orbit_count
-from helpers import interval_colorings, longest_ap_oracle, orbit_count_oracle
+from helpers import (interval_colorings, longest_ap_oracle, orbit_count_oracle,
+                     reference_digit_code, reference_digits, reference_letters,
+                     reference_positions)
 
 
 class TestIntervalColoring:
@@ -80,8 +82,19 @@ class TestIntervalColoring:
         assert c.positions(0) == 0b11011
         assert c.positions(1) == 0b00100
 
-    @given(interval_colorings(max_m=4, max_len=16))
+    @given(interval_colorings(max_m=8, max_len=64))
+    @example(IntervalColoring(1, (0,)))
+    @example(IntervalColoring(1, (0,) * 64))
+    @example(IntervalColoring(8, tuple(range(8)) * 8))
     def test_code_text_roundtrips(self, c):
+        # the digit codec against one step per digit
+        code = reference_digit_code(c.colors, c.m)
+        assert c.code == code
+        assert IntervalColoring.from_code(c.m, c.length, code).colors == \
+            reference_digits(code, c.m, c.length)
+        assert c.to_text() == reference_letters(c.colors)
+        for color in range(c.m):
+            assert c.positions(color) == reference_positions(c.colors, color)
         assert IntervalColoring.from_code(c.m, c.length, c.code) == c
         assert IntervalColoring.from_text(c.to_text(), c.m) == c
 
