@@ -38,9 +38,3 @@ lengths no enumeration of 2^N colourings could (Chvatal 1970: W(2,4) = 35):
 """)
 print("  N=35:", classical_ap_check(2, 4, 35, budget=1 << 35),
       "  N=34:", classical_ap_check(2, 4, 34, budget=1 << 34))
-
-print("\nwith prune=True the certificate counts colourings up to reversal and")
-print("colour swap instead of all of them; verdict and witness are identical:")
-r = ap_sum_threshold(2, 4, prune=True)
-print(f"  pruned search: N = {r.value}, witness {r.lower.witness_coloring}, "
-      f"orbits accounted for at top: {r.upper.scanned_count}")

@@ -20,10 +20,8 @@ from .exact import (BoundSet, CheckOutcome, WitnessFamily, WitnessPair,
                     pair_sum_bound, pair_sum_bruteforce, pair_sum_value,
                     search_threshold, two_color_ramsey_bound)
 from .graphs import (BudgetError, EdgeColoring, Graph, Graph6ParseError,
-                     bits, coloring_count, enumerate_edge_colorings,
-                     enumerate_labeled_graphs, graphs_in_code_range,
-                     labeled_graph_count, mask_of, pair_count, parse_graph6,
-                     write_graph6)
+                     bits, labeled_graph_count, mask_of, pair_count,
+                     parse_graph6, write_graph6)
 from .greedy import (GreedyStep, GreedyTrace, disjoint_guarantee_floor,
                      family_guarantee_floor, greedy_family,
                      greedy_pair_disjoint, greedy_pair_overlap,
@@ -44,10 +42,8 @@ __all__ = [
     "ap_sum", "ap_sum_threshold", "bits", "bound_formulas",
     "canonical_json", "check_universal", "check_universal_ap_sum",
     "check_universal_score", "classical_ap_check", "clique_indep_pair",
-    "clique_number", "coloring_count", "disjoint_guarantee_floor",
-    "enumerate_edge_colorings", "enumerate_labeled_graphs",
-    "family_guarantee_floor", "family_sum_bound", "family_sum_value",
-    "graphs_in_code_range", "greedy_family", "greedy_pair_disjoint",
+    "clique_number", "disjoint_guarantee_floor", "family_guarantee_floor",
+    "family_sum_bound", "family_sum_value", "greedy_family", "greedy_pair_disjoint",
     "greedy_pair_overlap", "independence_number", "labeled_graph_count",
     "longest_mono_ap", "mask_of", "max_clique", "max_independent_set",
     "mono_clique_family", "multicolor_ramsey_bound", "overlap_guarantee_floor",

@@ -49,8 +49,8 @@ invariant under permuting colours (complementing, at m = 2), and swapping
 the top digit's colour with colour 0 lowers a code, so the least failing
 code, when one exists, has top digit 0: the last level's highs lie in
 [0, m^(size-2)).  The certificate still accounts for all m^pairs instances;
-``prune`` changes only that recorded count, to the complement pairs of
-graphs or the orbits of intervals under reversal x S_m.
+``prune``, on the two graph modes only, changes just that recorded count, to
+the complement pairs of graphs.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ from . import exact, scores, vdw
 from .certificates import (EXHAUSTIVE, WITNESS, SearchCertificate,
                            SearchResult, UndecidedError)
 from .exact import CheckOutcome, _has_clique
-from .graphs import (BudgetError, EdgeColoring, Graph, admit, pair_count,
-                     parse_graph6, write_graph6)
+from .graphs import (MAX_COLORS, BudgetError, EdgeColoring, Graph, admit,
+                     pair_count, parse_graph6, write_graph6)
 from .scores import ScoreKind, _through
 
 
@@ -390,7 +390,7 @@ def _graph_row(name, value, bound, clique_test=False) -> Mode:
 
 
 def _coloring_row(name, keys, value, bound=lambda target, m: None) -> Mode:
-    return Mode(name, keys, range(2, 9), exact.DEFAULT_COLORING_BUDGET,
+    return Mode(name, keys, range(2, MAX_COLORS + 1), exact.DEFAULT_COLORING_BUDGET,
                 "witness_coloring", EdgeColoring.from_code, EdgeColoring.to_text,
                 EdgeColoring.from_text, value, bound)
 
@@ -406,13 +406,11 @@ MODES = {mode.name: mode for mode in (
                   lambda t, m: exact.family_sum_bound(m, t - m) if t >= m else None),
     _coloring_row("score", ("score", "j", "m"),
                   lambda c, p: scores.score_sum(c, p["score"], p["j"])[0]),
-    Mode("wprime", ("m",), range(1, vdw.MAX_INTERVAL_COLORS + 1),
+    Mode("wprime", ("m",), range(1, MAX_COLORS + 1),
          vdw.DEFAULT_INTERVAL_BUDGET, "witness_coloring",
          lambda length, m, code: vdw.IntervalColoring.from_code(m, length, code),
          vdw.IntervalColoring.to_text, vdw.IntervalColoring.from_text,
-         lambda c, p: vdw.ap_sum(c)[0],
-         pruned=lambda length, m: vdw.orbit_count(m, length), size_key="length",
-         scan=_interval_scan),
+         lambda c, p: vdw.ap_sum(c)[0], size_key="length", scan=_interval_scan),
 )}
 
 

@@ -7,8 +7,8 @@ AND.  Vertex pairs are ordered column-major along the upper triangle,
     (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), (0,4), ...
 
 which is exactly the bit order of the graph6 format, so a graph's integer
-``code`` doubles as its position in exhaustive enumerations and as the body of
-its graph6 encoding.  Codes, rows, graph6 text and the symmetry check convert
+``code`` is both the body of its graph6 encoding and its rank in code order,
+the order in which a scan reports its least failing instance.  Codes, rows, graph6 text and the symmetry check convert
 with a few big-int operations per column or row, never one step per pair.
 """
 
@@ -21,19 +21,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 MAX_VERTICES = 64
-MAX_COLORS = 8
+MAX_COLORS = 8  # the letters a..h: edge and interval colourings alike
 COLOR_LETTERS = "abcdefgh"
 
 # Hard ceiling on the size of any exhaustive instance scan.
 ENUMERATION_CAP = 1 << 40
 
-# Full exhaustion over labeled graphs is only offered up to this many
-# vertices (2^21 graphs at n=7); larger n must be sharded explicitly.
-MAX_EXHAUSTIVE_GRAPH_VERTICES = 7
-
 
 class BudgetError(RuntimeError):
-    """An exhaustive enumeration or search would exceed its instance budget."""
+    """An exhaustive scan or search would exceed its instance budget."""
 
 
 def admit(total: int, budget: Optional[int], default: int, what: str) -> None:
@@ -312,31 +308,6 @@ def labeled_graph_count(n: int) -> int:
     return 1 << pair_count(n)
 
 
-def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All 2^(n(n-1)/2) labeled graphs on n vertices, in code order.
-
-    Full exhaustion is only offered for n <= 7; beyond that the caller must
-    shard explicitly over ``graphs_in_code_range``.
-    """
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
-    if n > MAX_EXHAUSTIVE_GRAPH_VERTICES:
-        raise BudgetError(
-            f"exhaustion over {labeled_graph_count(n)} graphs on {n} vertices "
-            f"exceeds the n <= {MAX_EXHAUSTIVE_GRAPH_VERTICES} cap; shard explicitly"
-        )
-    return graphs_in_code_range(n, 0, labeled_graph_count(n))
-
-
-def graphs_in_code_range(n: int, start: int, stop: int) -> Iterator[Graph]:
-    """Graphs with start <= code < stop, ascending; the sharding entry point."""
-    total = labeled_graph_count(n)
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"code range [{start}, {stop}) outside [0, {total})")
-    for code in range(start, stop):
-        yield Graph(n, tuple(_decode_adj(n, code)))
-
-
 # --- colourings as digit strings ------------------------------------------------
 
 
@@ -427,21 +398,6 @@ class EdgeColoring(Digits):
         if not sep:
             raise ValueError("expected '<n>:<letters>'")
         return cls(int(head), m, text_digits(body, m))
-
-
-def coloring_count(n: int, m: int) -> int:
-    return m ** pair_count(n)
-
-
-def enumerate_edge_colorings(n: int, m: int) -> Iterator[EdgeColoring]:
-    """All m^(n(n-1)/2) colourings in code order, guarded by the global cap."""
-    total = coloring_count(n, m)
-    if total > ENUMERATION_CAP:
-        raise BudgetError(
-            f"exhaustion over {total} colourings exceeds the 2^40 cap; shard explicitly"
-        )
-    for code in range(total):
-        yield EdgeColoring.from_code(n, m, code)
 
 
 # --- graph6 ---------------------------------------------------------------

@@ -112,10 +112,10 @@ def _pair_core(adj, n: int, pick: PickRule, record, overlap: bool):
     joins both sets.
 
     The sweep's cubes rely on this: row v is read only after ``pick`` has
-    returned v, and only on the remaining set ``cur`` (as ``row & cur``,
-    ``~row & (cur ^ vb)`` or ``adj[v] >> w & 1`` with w in ``cur``), so a
-    cube can split on all of ``row & cur`` at once when ``pick`` sees open
-    pairs there."""
+    returned v, and only on the remaining set ``cur`` (as ``row & cur`` or
+    ``~row & (cur ^ vb)``), so a cube can split on all of ``row & cur`` at
+    once when ``pick`` sees open pairs there.  The disjoint ending reads one
+    pair only, ``adj[v] >> w & 1`` for its two picks v and w."""
     a = b = 0
     cur = (1 << n) - 1
     cnt = n
@@ -307,12 +307,23 @@ def _sweep_fails(ones, free, n: int, overlap: bool, floor: int) -> bool:
     absent or present).  True if every graph in the cube breaks it, False if
     none does; _Undecided if the run reads a free pair or the two differ.
     A pivot whose row meets free pairs in the remaining set raises all of
-    them at once, since the run reads the whole row there; a leaf check that
-    differs raises its first free pair only."""
+    them at once, since the run reads the whole row there; the disjoint
+    ending reads only the pair of its two picks, which its first pick raises
+    and its second, taken on a pair already decided, does not.  A leaf check
+    that differs raises its first free pair only."""
+    ending = False  # set by the disjoint ending's first pick
+
     def pick(cur: int, adj=None) -> int:
+        nonlocal ending
         v = pick_lowest(cur)
-        if free[v] & cur:
-            raise _Undecided(v, free[v] & cur)
+        if ending:
+            return v
+        reads = free[v] & cur
+        if not overlap and cur.bit_count() < 4:
+            ending = True
+            reads &= 1 << pick_lowest(cur ^ 1 << v)  # the pair (v, w) only
+        if reads:
+            raise _Undecided(v, reads)
         return v
 
     a, b = _pair_core(ones, n, pick, None, overlap)
@@ -341,10 +352,11 @@ def pair_guarantee_sweep(n: int, threads: int = 1) -> tuple[int, Optional[int]]:
     the count ``open`` of free pairs, and the variants still to settle.
     Each variant runs on ``ones`` until it reads free pairs; the cube then
     splits on all of them at once (a pivot's whole free row in the
-    remaining set) into its 2^k sub-cubes.  A variant that passes on a cube
-    passes on all of its sub-cubes, so it does not run there again.  The
-    leaves partition every graph on n vertices, so their sizes must add up
-    to labeled_graph_count(n).
+    remaining set, or the one pair the disjoint ending reads) into its 2^k
+    sub-cubes.  A variant that passes on a cube passes on all of its
+    sub-cubes, so it does not run there again.  The leaves partition every
+    graph on n vertices, so their sizes must add up to
+    labeled_graph_count(n).
     """
     if n < 2:
         raise ValueError("sweep needs n >= 2")

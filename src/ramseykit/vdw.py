@@ -6,7 +6,7 @@ colours of the longest monochromatic arithmetic progression.  Thresholds
 summing to n?") are settled with certificates, alongside the classical
 single-colour check.  Both are decided by a prefix search that colours
 N, N-1, ... and extends only prefixes still missing the target, instead of
-enumerating all m^N colourings; pruned counts are Burnside orbit counts.
+enumerating all m^N colourings.
 
 Positions are bitmasks, and an AP chain is grown by one term per step with
 ``cur &= cur >> d``: after k steps, set bits mark the starts of (k+1)-term
@@ -15,18 +15,15 @@ progressions of difference d.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .certificates import SearchResult
 from .exact import CheckOutcome
-from .graphs import Digits, admit, code_digits, text_digits
+from .graphs import MAX_COLORS, Digits, admit, code_digits, text_digits
 
 # A check at length N accounts for all m^N colourings of the interval.
 DEFAULT_INTERVAL_BUDGET = 1 << 26
-
-MAX_INTERVAL_COLORS = 8
 
 
 @dataclass(frozen=True)
@@ -37,8 +34,8 @@ class IntervalColoring(Digits):
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.m <= MAX_INTERVAL_COLORS:
-            raise ValueError(f"colour count {self.m} outside 1..{MAX_INTERVAL_COLORS}")
+        if not 1 <= self.m <= MAX_COLORS:
+            raise ValueError(f"colour count {self.m} outside 1..{MAX_COLORS}")
         if not self.colors:
             raise ValueError("the interval must be nonempty")
         for i, c in enumerate(self.colors):
@@ -91,32 +88,6 @@ def ap_sum(c: IntervalColoring) -> tuple[int, tuple[int, ...]]:
     return sum(per), per
 
 
-def orbit_count(m: int, length: int) -> int:
-    """m-colourings of 1..length up to reversal and colour permutation, by
-    Burnside's lemma over cycle types (partitions of m): m! / prod(k^c_k c_k!)
-    permutations with f fixed colours and t 2-cycles each fix f^N colourings,
-    and (f + 2t)^(N // 2) * f^(N % 2) when composed with reversal."""
-    half, odd = divmod(length, 2)
-    total = 0
-    for parts in _partitions(m, m):
-        share = math.factorial(m)
-        for k in set(parts):
-            share //= k**parts.count(k) * math.factorial(parts.count(k))
-        fix = parts.count(1)
-        fix2 = fix + 2 * parts.count(2)
-        total += share * (fix**length + fix2**half * fix**odd)
-    return total // (2 * math.factorial(m))
-
-
-def _partitions(m: int, top: int):
-    """Partitions of m into parts of at most ``top``, largest first."""
-    if m == 0:
-        yield ()
-    for k in range(min(m, top), 0, -1):
-        for rest in _partitions(m - k, k):
-            yield (k,) + rest
-
-
 def _least_failing(m: int, length: int, target: int, single: bool) -> Optional[int]:
     """Code of the least-code colouring of 1..length whose longest
     monochromatic APs miss ``target`` (in every colour when ``single``, in
@@ -154,22 +125,19 @@ def _least_failing(m: int, length: int, target: int, single: bool) -> Optional[i
 
 
 def check_universal_ap_sum(target: int, length: int, m: int,
-                           budget: Optional[int] = None, prune: bool = False
-                           ) -> CheckOutcome:
+                           budget: Optional[int] = None) -> CheckOutcome:
     """Does every m-colouring of 1..length have AP lengths summing to
-    ``target``?  Failures report the minimum-code colouring.  ``prune``
-    changes only the exhaustive count: orbits under reversal and colour
-    permutation, not all m^length."""
+    ``target``?  Failures report the minimum-code colouring; a pass counts
+    all m^length colourings."""
     from .engine import check
-    return check("wprime", target, length, m=m, budget=budget, prune=prune)
+    return check("wprime", target, length, m=m, budget=budget)
 
 
-def ap_sum_threshold(m: int, target: int, budget: Optional[int] = None,
-                     prune: bool = False) -> SearchResult:
+def ap_sum_threshold(m: int, target: int, budget: Optional[int] = None) -> SearchResult:
     """Least interval length from which every m-colouring reaches an AP sum
     of ``target``; raises UndecidedError past the budget (no closed form)."""
     from .engine import search
-    return search("wprime", target, m=m, budget=budget, prune=prune)
+    return search("wprime", target, m=m, budget=budget)
 
 
 def classical_ap_check(m: int, n: int, length: int,
@@ -178,7 +146,7 @@ def classical_ap_check(m: int, n: int, length: int,
     a single colour (the classical van der Waerden property)."""
     if n < 1 or length < 1:
         raise ValueError("target and interval length must be positive")
-    if not 1 <= m <= MAX_INTERVAL_COLORS:
-        raise ValueError(f"colour count {m} outside 1..{MAX_INTERVAL_COLORS}")
+    if not 1 <= m <= MAX_COLORS:
+        raise ValueError(f"colour count {m} outside 1..{MAX_COLORS}")
     admit(m**length, budget, DEFAULT_INTERVAL_BUDGET, f"length {length}")
     return _least_failing(m, length, n, True) is None

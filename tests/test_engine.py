@@ -371,6 +371,7 @@ def test_score_is_ignored_where_the_mode_does_not_record_it():
 @pytest.mark.parametrize("args, kwargs", [
     (("score", 3), {"j": 5, "budget": 0}),
     (("rprime", 0), {"budget": 0}),
+    (("wprime", 3), {"prune": True, "budget": 0}),
 ])
 def test_search_validates_before_its_first_probe_is_refused(args, kwargs):
     # Admission lives in ``check``, which validates first: a bad query is an
@@ -418,11 +419,19 @@ def test_import_loads_no_pool_modules():
     assert out.stdout.strip() == "[]"
 
 
+def test_star_import_binds_every_name_in_all():
+    # A stale ``__all__`` entry breaks ``import *`` while a plain import passes.
+    namespace: dict = {}
+    exec("from ramseykit import *", namespace)
+    assert set(ramseykit.__all__) <= set(namespace)
+
+
 def test_registry_rows():
     assert sorted(MODES) == sorted(["rprime", "ramsey", "rprime_m", "score", "wprime"])
     assert MODES["wprime"].count(5, 3) == 3**5
     assert MODES["score"].count(4, 3) == 3**6
     assert MODES["rprime"].pruned(1, 2) == 1 and MODES["rprime"].pruned(4, 2) == 32
+    assert [name for name, mode in MODES.items() if mode.pruned] == ["rprime", "ramsey"]
 
 
 @pytest.mark.parametrize("name, target, kwargs", [
@@ -544,6 +553,13 @@ MALFORMED = {
     "prune on a colouring mode":
         _exhaustive({"mode": "rprime_m", "target": 2, "n_vertices": 2, "m": 2,
                      "pruned": True}, 2, 1),
+    # Orbit counts under reversal and colour swap, as intervals once recorded.
+    "prune on an interval pass":
+        _exhaustive({"mode": "wprime", "target": 3, "length": 3, "m": 2,
+                     "pruned": True}, 3, 3),
+    "prune on an interval witness":
+        _witness({"mode": "wprime", "target": 4, "length": 5, "m": 2, "pruned": True}, 3,
+                 witness_coloring="aabaa"),
     "m out of range": _exhaustive({"mode": "wprime", "target": 1, "length": 1, "m": 9},
                                   1, 9),
     "target as text": _exhaustive({"mode": "rprime", "target": "2", "n_vertices": 2},
@@ -651,9 +667,8 @@ def emitted(draw):
     if mode in ("rprime", "ramsey"):
         return check(mode, target, draw(st.integers(1, 5)), prune=draw(st.booleans()))
     if mode == "wprime":
-        m = draw(st.integers(1, 3))
-        return check_universal_ap_sum(target, draw(st.integers(1, 8)), m,
-                                      prune=draw(st.booleans()))
+        return check_universal_ap_sum(target, draw(st.integers(1, 8)),
+                                      draw(st.integers(1, 3)))
     m = draw(st.integers(2, 3))
     n = draw(st.integers(1, 4 if m == 2 else 3))
     if mode == "score":

@@ -12,8 +12,7 @@ from helpers import (ascending_cliques, edge_colorings, graphs, lex_min_max_cliq
 from ramseykit import (BudgetError, EdgeColoring, Graph, SearchCertificate,
                        UndecidedError, WitnessFamily, WitnessPair, bits,
                        bound_formulas, canonical_json, check_universal,
-                       clique_indep_pair, clique_number,
-                       enumerate_labeled_graphs, family_sum_bound,
+                       clique_indep_pair, clique_number, family_sum_bound,
                        family_sum_value, independence_number,
                        labeled_graph_count, mask_of, max_clique,
                        max_independent_set, mono_clique_family,
@@ -51,7 +50,8 @@ def test_lex_min_witness_on_cycle():
 
 def test_lex_min_witness_matches_subset_oracle_exhaustively():
     for n in range(1, 6):
-        for g in enumerate_labeled_graphs(n):
+        for code in range(labeled_graph_count(n)):
+            g = Graph.from_code(n, code)
             size, expected = lex_min_max_clique(g)
             got_size, got_mask = max_clique(g)
             assert got_size == size

@@ -29,7 +29,7 @@ import pytest
 
 from helpers import random_graph
 from ramseykit import cli, exact, greedy, scores, vdw
-from ramseykit.graphs import EdgeColoring, enumerate_edge_colorings, enumerate_labeled_graphs
+from ramseykit.graphs import EdgeColoring, Graph, labeled_graph_count, pair_count
 from ramseykit.certificates import SearchResult, UndecidedError, canonical_json
 
 DATA = Path(__file__).with_name("golden_certificates.json")
@@ -102,11 +102,10 @@ def _check_cases():
                                 scores.check_universal_score(tg, n, k, m=m, j=j),))
     for m, top in ((1, 12), (2, 12), (3, 8), (4, 6)):
         for length in range(1, top + 1):
-            for target in range(1, 2 * m + 4):
-                for prune in (False, True):
-                    yield ("check_interval", f"wprime m={m} len={length} t={target} prune={prune}",
-                           (lambda m=m, ln=length, tg=target, p=prune:
-                            vdw.check_universal_ap_sum(tg, ln, m, prune=p),))
+            for target in range(1, 2 * m + 4):  # frozen names keep "prune=False"
+                yield ("check_interval", f"wprime m={m} len={length} t={target} prune=False",
+                       (lambda m=m, ln=length, tg=target:
+                        vdw.check_universal_ap_sum(tg, ln, m),))
     for m, n, top in ((1, 3, 4), (2, 3, 10), (2, 4, 28), (3, 3, 12)):
         for length in range(1, top + 1):
             yield ("check_interval", f"classical m={m} n={n} len={length}",
@@ -140,9 +139,8 @@ def _search_cases():
                             scores.search_threshold_score(k, m, j, tg, budget=1 << 12),))
     for m, targets in ((1, range(1, 6)), (2, range(1, 7)), (3, range(1, 7)), (4, range(1, 6))):
         for target in targets:
-            for prune in (False, True):
-                yield ("search_interval", f"wprime m={m} t={target} prune={prune}",
-                       (lambda m=m, tg=target, p=prune: vdw.ap_sum_threshold(m, tg, prune=p),))
+            yield ("search_interval", f"wprime m={m} t={target} prune=False",
+                   (lambda m=m, tg=target: vdw.ap_sum_threshold(m, tg),))
     for budget in (0, 1, 64, 1 << 10):
         yield ("search_interval", f"wprime m=2 t=6 budget={budget}",
                (lambda b=budget: vdw.ap_sum_threshold(2, 6, budget=b),))
@@ -236,7 +234,9 @@ def _greedy_cases():
         one = rule()
         return [run(h, one if shared else rule())[1].to_json_dict() for h in hosts]
 
-    pair_hosts = [(f"n={n}", lambda n=n: list(enumerate_labeled_graphs(n))) for n in range(1, 6)]
+    pair_hosts = [(f"n={n}", lambda n=n: [Graph.from_code(n, c)
+                                          for c in range(labeled_graph_count(n))])
+                  for n in range(1, 6)]
     pair_hosts.append(("seeded", lambda: seeded_graphs))
     for variant in ("disjoint", "overlap"):
         run = getattr(greedy, f"greedy_pair_{variant}")
@@ -246,7 +246,8 @@ def _greedy_cases():
                 yield ("greedy", name,
                        (lambda run=run, hosts=hosts, rule=rule, sh=shared:
                         batch(run, hosts(), rule, sh),))
-    family_hosts = [(f"m={m} n={n}", lambda n=n, m=m: list(enumerate_edge_colorings(n, m)))
+    family_hosts = [(f"m={m} n={n}", lambda n=n, m=m: [EdgeColoring.from_code(n, m, c)
+                                                       for c in range(m ** pair_count(n))])
                     for m, top in ((2, 4), (3, 3)) for n in range(1, top + 1)]
     family_hosts.append(("seeded n=64", lambda: seeded_colorings))
     for host, hosts in family_hosts:

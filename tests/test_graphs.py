@@ -1,4 +1,4 @@
-"""Containers, enumeration order, and graph6 I/O.
+"""Containers, code order, and graph6 I/O.
 
 The codec (codes, rows, graph6 text and the symmetry check) is compared
 with per-pair reference bodies from ``helpers`` at every size up to 64.
@@ -14,9 +14,7 @@ from helpers import (edge_colorings, graphs, reference_code, reference_digit_cod
                      reference_digits, reference_graph6, reference_letters,
                      reference_pairs, reference_parse_graph6, reference_positions,
                      reference_rows)
-from ramseykit import (BudgetError, EdgeColoring, Graph, Graph6ParseError,
-                       bits, coloring_count, enumerate_edge_colorings,
-                       enumerate_labeled_graphs, graphs_in_code_range,
+from ramseykit import (EdgeColoring, Graph, Graph6ParseError, bits,
                        labeled_graph_count, mask_of, pair_count, parse_graph6,
                        write_graph6)
 from ramseykit.graphs import _decode_adj, pair_index, pair_table
@@ -95,33 +93,6 @@ def test_clique_and_independent_checks():
     assert not c5.is_independent(0b00011)
     with pytest.raises(ValueError):
         c5.is_clique(1 << 6)
-
-
-def test_enumeration_counts_and_order():
-    seen = list(enumerate_labeled_graphs(3))
-    assert len(seen) == 8 == labeled_graph_count(3)
-    assert [g.code for g in seen] == list(range(8))
-    histogram = [0] * 4
-    for g in seen:
-        histogram[g.edge_count()] += 1
-    assert histogram == [1, 3, 3, 1]
-
-
-def test_enumeration_guard_and_sharding():
-    with pytest.raises(BudgetError):
-        enumerate_labeled_graphs(8)
-    part = list(graphs_in_code_range(4, 10, 14))
-    assert [g.code for g in part] == [10, 11, 12, 13]
-    with pytest.raises(ValueError):
-        list(graphs_in_code_range(3, 0, 9))
-
-
-def test_coloring_counts_and_guard():
-    assert len(list(enumerate_edge_colorings(3, 2))) == 8
-    assert len(list(enumerate_edge_colorings(2, 5))) == 5
-    assert coloring_count(3, 3) == 27
-    with pytest.raises(BudgetError):
-        list(enumerate_edge_colorings(10, 8))
 
 
 def test_coloring_class_partition():
@@ -245,7 +216,8 @@ def test_graph6_roundtrip_any_size(n, data):
 
 def test_graph6_roundtrip_exhaustive_n_le_5():
     for n in range(1, 6):
-        for g in enumerate_labeled_graphs(n):
+        for code in range(labeled_graph_count(n)):
+            g = Graph.from_code(n, code)
             assert parse_graph6(write_graph6(g)) == g
 
 

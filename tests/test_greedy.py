@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from helpers import edge_colorings, graphs, random_graph
 from ramseykit import (BudgetError, EdgeColoring, Graph, GreedyStep, GreedyTrace, bits,
-                       disjoint_guarantee_floor, enumerate_edge_colorings,
-                       enumerate_labeled_graphs, family_guarantee_floor,
+                       disjoint_guarantee_floor, family_guarantee_floor,
                        family_sum_value, greedy_family, greedy_pair_disjoint,
                        greedy_pair_overlap, labeled_graph_count, mask_of,
-                       overlap_guarantee_floor, pair_guarantee_sweep,
+                       overlap_guarantee_floor, pair_count, pair_guarantee_sweep,
                        pair_sum_value, pick_highest_degree, pick_lowest,
                        replay_family_trace, replay_pair_trace, seeded_pick,
                        WitnessFamily, WitnessPair)
@@ -96,7 +95,8 @@ def _assert_pair_contract(g, pair, disjoint: bool):
 
 def test_exhaustive_contract_small_graphs():
     for n in range(2, 6):
-        for g in enumerate_labeled_graphs(n):
+        for code in range(labeled_graph_count(n)):
+            g = Graph.from_code(n, code)
             exact = pair_sum_value(g)
             pd, td = greedy_pair_disjoint(g)
             _assert_pair_contract(g, pd, disjoint=True)
@@ -181,7 +181,8 @@ def test_family_on_known_coloring():
 def test_family_exhaustive_small():
     cases = [(n, 2) for n in (1, 2, 3, 4)] + [(n, 3) for n in (1, 2, 3)]
     for n, m in cases:
-        for c in enumerate_edge_colorings(n, m):
+        for code in range(m ** pair_count(n)):
+            c = EdgeColoring.from_code(n, m, code)
             fam, trace = greedy_family(c)
             assert fam.validate(c)
             assert fam.value >= family_guarantee_floor(n, m)
@@ -335,11 +336,13 @@ def test_sweep_catches_a_result_the_rule_did_not_earn(monkeypatch, side):
 
 def test_sweep_splits_only_on_pairs_the_rule_reads(monkeypatch):
     # One leaf per overlap run that finishes (none fails at the real floors):
-    # 728 cubes cover the 32,768 graphs on 6 vertices, 4,984 the 2,097,152
+    # 600 cubes cover the 32,768 graphs on 6 vertices, 3,600 the 2,097,152
     # on 7, where the per-code sweep took seconds.  The disjoint variant
-    # settles on larger cubes and is not rerun inside them, and a pivot's
-    # free row splits at once, so there are fewer runs than rerunning both
-    # variants after each single-pair split took (2,207 at n=6).
+    # settles on larger cubes and is not rerun inside them, a pivot's free
+    # row splits at once, and the disjoint ending splits on the one pair it
+    # reads, so there are fewer runs than rerunning both variants after each
+    # single-pair split took (2,207 at n=6), or than splitting the ending on
+    # both picks' rows did (728 and 704 leaves, 1,889 runs at n=6).
     leaves = []
     runs = 0
     fails = greedy._sweep_fails
@@ -353,12 +356,12 @@ def test_sweep_splits_only_on_pairs_the_rule_reads(monkeypatch):
 
     monkeypatch.setattr(greedy, "_sweep_fails", spy)
     assert pair_guarantee_sweep(6) == (32_768, None)
-    assert leaves.count(True) == 728
-    assert leaves.count(False) == 704
-    assert runs <= 1_889
+    assert leaves.count(True) == 600
+    assert leaves.count(False) == 320
+    assert runs <= 1_377
     leaves.clear()
     start = time.perf_counter()
     assert pair_guarantee_sweep(7, threads=2) == (2_097_152, None)
     assert time.perf_counter() - start < 5.0
-    assert leaves.count(True) == 4_984
-    assert leaves.count(False) == 3_992
+    assert leaves.count(True) == 3_600
+    assert leaves.count(False) == 1_880

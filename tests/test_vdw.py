@@ -18,10 +18,8 @@ from ramseykit import (
     longest_mono_ap,
     revalidate,
 )
-from ramseykit.vdw import orbit_count
-from helpers import (interval_colorings, longest_ap_oracle, orbit_count_oracle,
-                     reference_digit_code, reference_digits, reference_letters,
-                     reference_positions)
+from helpers import (interval_colorings, longest_ap_oracle, reference_digit_code,
+                     reference_digits, reference_letters, reference_positions)
 
 
 class TestIntervalColoring:
@@ -182,23 +180,6 @@ class TestPairSumThresholds:
             c = IntervalColoring.from_code(2, 5, code)
             assert ap_sum(c)[0] >= 4
 
-    def test_pruned_scan_same_witness_fewer_colorings(self):
-        plain = check_universal_ap_sum(4, 5, 2)
-        pruned = check_universal_ap_sum(4, 5, 2, prune=True)
-        assert pruned.certificate.witness_coloring == plain.certificate.witness_coloring
-        assert pruned.certificate.parameters["pruned"] is True
-
-    def test_pruned_pass_counts_representatives_only(self):
-        plain = check_universal_ap_sum(3, 3, 2)
-        pruned = check_universal_ap_sum(3, 3, 2, prune=True)
-        assert plain.ok and pruned.ok
-        assert plain.certificate.scanned_count == 8
-        assert pruned.certificate.scanned_count < 8
-        assert revalidate(pruned.certificate, deep=True)
-
-    def test_pruned_threshold_identical(self):
-        assert ap_sum_threshold(2, 4, prune=True).value == 6
-
     def test_budget_exhaustion(self):
         with pytest.raises(UndecidedError) as exc:
             ap_sum_threshold(2, 50, budget=256)
@@ -226,27 +207,15 @@ def _profiles(m, length):
     return out
 
 
-def _orbits(m, length):
-    """Colourings up to reversal and colour permutation, by listing them."""
-    keys = set()
-    for digits in itertools.product(range(m), repeat=length):
-        keys.add(min(tuple(perm[d] for d in seq)
-                     for perm in itertools.permutations(range(m))
-                     for seq in (digits, digits[::-1])))
-    return len(keys)
-
-
-def _ap_sum_oracle(target, length, m, prune, profiles, orbits):
+def _ap_sum_oracle(target, length, m, profiles):
     params = {"mode": "wprime", "target": target, "length": length, "m": m}
-    if prune:
-        params["pruned"] = True
     for code, profile in enumerate(profiles):
         if sum(profile) < target:
             text = IntervalColoring.from_code(m, length, code).to_text()
             return SearchCertificate("witness", params, sum(profile),
                                      witness_coloring=text)
     return SearchCertificate("exhaustive", params, target,
-                             scanned_count=orbits if prune else m**length)
+                             scanned_count=m**length)
 
 
 class TestPrefixSearchAgainstEnumeration:
@@ -256,14 +225,11 @@ class TestPrefixSearchAgainstEnumeration:
     def test_ap_sum_certificates_match_enumeration(self, m, max_length):
         for length in range(1, max_length + 1):
             profiles = _profiles(m, length)
-            orbits = _orbits(m, length)
             for target in range(1, m * 6 + 2):
-                for prune in (False, True):
-                    got = check_universal_ap_sum(target, length, m, prune=prune)
-                    want = _ap_sum_oracle(target, length, m, prune,
-                                          profiles, orbits)
-                    assert got.certificate.to_json() == want.to_json()
-                    assert got.ok == (want.kind == "exhaustive")
+                got = check_universal_ap_sum(target, length, m)
+                want = _ap_sum_oracle(target, length, m, profiles)
+                assert got.certificate.to_json() == want.to_json()
+                assert got.ok == (want.kind == "exhaustive")
 
     @pytest.mark.parametrize("m, max_length", CASES)
     def test_classical_matches_enumeration(self, m, max_length):
@@ -272,22 +238,6 @@ class TestPrefixSearchAgainstEnumeration:
             for n in range(1, length + 2):
                 want = all(max(profile) >= n for profile in profiles)
                 assert classical_ap_check(m, n, length) is want
-
-    def test_pruned_count_is_checked_in_closed_form(self):
-        cert = check_universal_ap_sum(3, 5, 3, prune=True).certificate
-        assert cert.scanned_count == _orbits(3, 5)
-        assert revalidate(cert)
-        for forged in (
-                SearchCertificate(cert.kind, cert.parameters, cert.value,
-                                  scanned_count=cert.scanned_count + 1),
-                SearchCertificate(cert.kind, cert.parameters, cert.value + 1,
-                                  scanned_count=cert.scanned_count)):
-            assert not revalidate(forged)
-
-    def test_orbit_count_matches_permutation_sum(self):
-        for m in range(1, 8):
-            for length in range(1, 13):
-                assert orbit_count(m, length) == orbit_count_oracle(m, length)
 
     def test_one_color_runs_past_the_recursion_limit(self):
         # m = 1 admits any length within the budget; the search is iterative
