@@ -27,19 +27,21 @@ being row u: a child's word is its parent's OR one constant per ``high``, so
 the replay for every ``high`` decodes nothing and a kernel reads a word's
 bytes.
 
-Clique children are decided by per-parent tables, other children by the
-kernel.  A child's class-d clique number is its parent's, or one more
-exactly when the new vertex's class-d neighbourhood holds a largest clique
-of the parent's class d.  Over all highs that is one m^(k-1)-bit int per
-class: the OR, over those cliques, of the highs whose digits on the clique
-are all d.  One more int holds the highs whose increments leave the child
-failing, so a child costs one bit test and its scores are read off the same
-ints (the "feasible neighbourhood" view of one-vertex extension: McKay and
+Children are decided by per-parent tables.  A child's class-d score is its
+parent's, or more where the new vertex's class-d neighbourhood holds an end
+set that lifts it: a largest clique of the parent's class d (one more), or
+one or two ends of a path or cycle through the new vertex (the most
+vertices on it, capped at the target: ``scores._ends``).  Over all highs,
+each score a class can reach is one m^(k-1)-bit int: the OR, over the end
+sets that lift that far, of the highs whose digits on the set are all d.
+One more int holds the highs whose scores leave the child failing, so a
+child costs one bit test and its scores are read off the same ints (the
+"feasible neighbourhood" view of one-vertex extension: McKay and
 Radziszowski, "R(4,5) = 25", J. Graph Theory 1995).  A parent's table is
-built once it has been visited often enough to pay (``_TABLE_SWITCH``); the
-parent is then listed under its next failing high only, and a high visits
-just the parents listed under it.  Before the switch, and for path and cycle
-scores, each child is scored by ``_has_clique`` or ``_through`` on the new
+built once it has been visited often enough to pay (``_TABLE_SWITCH``,
+``_PAIR_SWITCH``); the parent is then listed under its next failing high
+only, and a high visits just the parents listed under it.  Before the
+switch, each child is scored by ``_has_clique`` or ``_through`` on the new
 vertex, except a clique class whose new neighbourhood is the whole parent:
 its clique number goes up by one, so at high 0 (every digit 0) a clique
 child costs no kernel call.
@@ -58,9 +60,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cache
-from itertools import count
-from operator import or_
-from typing import Any, Callable, Iterator, Optional
+from itertools import count, product
+from operator import add, mul, or_
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from . import exact, scores, vdw
 from .certificates import (EXHAUSTIVE, WITNESS, SearchCertificate,
@@ -82,6 +84,14 @@ from .scores import ScoreKind, _through
 # 2^(k-1) or more highs over each parent, unless the scan stops; the last
 # level stops at its first failing code, often within the first few highs.
 _TABLE_SWITCH = (0, 4)
+# The same for path and cycle scans.  A table there costs a few kernel
+# visits too (the pair walks of ``scores._ends``), but a visit at high 0
+# needs the kernel on class 0 alone, and a scan that stops early reads
+# mostly the high-0 children of each level: with tables from high 0, checks
+# whose witness is a low code ran 3 to 7 times slower than with the kernel
+# at high 0 (cycle m=2 j=2 t=7 on 7 vertices: 50 against 14 ms; path m=2
+# j=1 t=6 on 7 vertices: 114 against 14 ms), while full scans ran alike.
+_PAIR_SWITCH = (1, 1)
 
 
 def _labeled_scan(name, n, m, j, score, target) -> Optional[int]:
@@ -102,18 +112,32 @@ def _labeled_scan(name, n, m, j, score, target) -> Optional[int]:
     kind = ScoreKind(score)
     if kind is ScoreKind.CLIQUE:
         through = lambda rows, nbrs, s: s + _has_clique(rows, nbrs, s)
-        inner, last = _TABLE_SWITCH
+        ends, (inner, last) = _cliques, _TABLE_SWITCH
     else:  # capped: a class that reaches the target makes the child pass
         cycle = kind is ScoreKind.CYCLE
         through = lambda rows, nbrs, s: _through(rows, nbrs, target, cycle)
-        inner = last = None
+        ends = lambda rows, per, within: [scores._ends(r, s, target, cycle, lift)
+                                          for r, s, lift in zip(rows, per, within)]
+        inner, last = _PAIR_SWITCH
+    top = 1 if MODES[name].clique_test else j  # a child passes once its top scores sum to target
+    rule = _Rule(fails, through, kind is ScoreKind.CLIQUE, ends,
+                 lambda per, rises: _passing(bytes(per), rises, top, target))
     # the empty graph fails every target
     level = _Level(m, iter([(0, bytes(m), [0] * m)]))
     for k in range(1, n):
-        level = _Level(m, _extend(level, k, m, range(m ** (k - 1)), through, fails, inner))
+        level = _Level(m, _extend(level, k, m, range(m ** (k - 1)), rule, inner))
     highs = range(m ** (n - 2) if n > 1 else 1)
-    return next((code for code, _, _ in _extend(level, n, m, highs, through, fails, last)),
-                None)
+    return next((code for code, _, _ in _extend(level, n, m, highs, rule, last)), None)
+
+
+class _Rule(NamedTuple):
+    """How a labeled scan decides a failing parent's children."""
+
+    fails: Callable     # class scores -> does the code still fail?
+    through: Callable   # (rows, nbrs, score) -> a child's class score, below the switch
+    spans: bool         # a class joined to the whole parent goes one up (cliques)
+    ends: Callable      # (rows, scores, within) -> each class's levels (``_table``)
+    passing: Callable   # (scores, rises) -> the least passing increments (``_passing``)
 
 
 class _Level:
@@ -124,19 +148,20 @@ class _Level:
     d holding row u of that class in byte u.  A stored level has at most 8
     vertices, because ``ENUMERATION_CAP`` stops every scan at 9 vertices
     (m = 2), so the k rows fit in 64 bits; lifting the cap means widening
-    the word.  ``entry`` reads back one stored entry."""
+    the word.  ``entry`` reads back one stored code and its words (a
+    listed parent's scores are in its table)."""
 
     def __init__(self, m: int, source: Iterator[tuple]):
         self.m, self.source = m, source
         self.codes, self.scores, self.words = array("Q"), bytearray(), array("Q")
 
-    def entry(self, i: int) -> tuple[int, bytes, list]:
+    def entry(self, i: int) -> tuple[int, list]:
         m = self.m
-        return self.codes[i], self.scores[i * m:i * m + m], self.words[i * m:i * m + m]
+        return self.codes[i], self.words[i * m:i * m + m]
 
     def __iter__(self) -> Iterator[tuple]:
         m, scores, words = self.m, self.scores, self.words
-        for i, code in enumerate(self.codes):  # ``entry`` inlined: the kernel's hot loop
+        for i, code in enumerate(self.codes):  # ``entry`` inlined, with the scores
             yield code, scores[i * m:i * m + m], words[i * m:i * m + m]
         for code, per, grown in self.source:
             self.codes.append(code)
@@ -151,19 +176,19 @@ def _spans(nbrs: int, v: int) -> bool:
     return nbrs == (1 << v) - 1
 
 
-def _extend(parents, k: int, m: int, highs, through, fails,
-            switch: Optional[int]) -> Iterator[tuple[int, bytes, list]]:
+def _extend(parents, k: int, m: int, highs, rule,
+            switch: int) -> Iterator[tuple[int, bytes, list]]:
     """Failing codes on k vertices, ascending, with their class scores and
     class words: ``low + high * m^pairs(k-1)`` with ``low`` a failing parent
     and ``high``'s digit u the colour of the pair (u, k-1).  Every predicate
     is hereditary, so no other code fails.  Only failing children get words,
     each by ``_grow``: one OR per class with a constant of the ``high``.
     ``highs`` starts at 0, so a high is also its position among them.
+    ``rule`` says how a child is decided (``_Rule``).
 
-    Below the high ``switch`` (at every high when ``switch`` is None: path
-    and cycle scores), a child's class score is the parent's or, when
-    larger, ``through(rows, nbrs, score)`` on the parent's class rows (the
-    word's k-1 bytes): one more for a clique in the new vertex's class
+    Below the high ``switch``, a child's class score is the parent's or,
+    when larger, ``through(rows, nbrs, score)`` on the parent's class rows
+    (the word's k-1 bytes): one more for a clique in the new vertex's class
     neighbours, or the longest path or cycle through the new vertex; scoring
     stops once the child passes.  A clique class whose neighbours are all
     k-1 parent vertices (``_spans``) goes up by one with no kernel call: its
@@ -171,19 +196,22 @@ def _extend(parents, k: int, m: int, highs, through, fails,
     cliques grows by the new vertex.
 
     At the high ``switch`` each parent's ``_table`` is built on its visit,
-    one parent at a time: each child is one bit test, and a failing child's
-    scores are read off the same table.  A parent with failing children
-    ahead is listed (by its index in the level) under its next failing high;
+    one parent at a time, from the end sets ``ends`` finds in its class
+    rows: each child is one bit test, and a failing child's scores are read
+    off the same table (``_ups``).  A parent with failing children ahead is
+    listed (by its index in the level) under its next failing high;
     visiting it there lists it under the one after.  So a high visits just
     its listed parents, sorted back into level order, and a level that the
     next one reads only partly lists no parent beyond the highs it reaches."""
+    fails, through, spans, ends, passing = rule
     v = k - 1
     base = m ** pair_count(v)
     new = 1 << v
-    passing = {}  # class scores -> the class sets whose increments pass
-    tables = {}  # parent index -> (failing, ups, scores as an int), while children lie ahead
+    tables = {}  # parent index -> (failing, index, children), while children lie ahead
     listed = []  # per high, the parents whose next failing child is there
     for high in highs:
+        if high > switch and not listed[high]:
+            continue
         nbrs, joins = [0] * m, [0] * m
         h = high
         for u in range(v):
@@ -192,8 +220,8 @@ def _extend(parents, k: int, m: int, highs, through, fails,
             joins[d] |= new << 8 * u
         joins = [j | nb << 8 * v for j, nb in zip(joins, nbrs)]
         offset = high * base
-        if switch is None or high < switch:
-            full = [switch is not None and _spans(nb, v) for nb in nbrs]
+        if high < switch:
+            full = [spans and _spans(nb, v) for nb in nbrs]
             for low, per, words in parents:
                 child = bytearray(per)
                 for d in range(m):
@@ -207,33 +235,26 @@ def _extend(parents, k: int, m: int, highs, through, fails,
                 else:
                     yield low + offset, child, _grow(words, joins)
         elif high == switch:  # each parent's table is built on this visit
-            masks, ahead = _masks(v, m), ((1 << len(highs)) - 1) >> high << high
-            # a byte of ``_ups`` -> what it adds to the scores read as one int
-            spread = [sum((c >> d & 1) << 8 * d for d in range(m)) for c in range(1 << m)]
+            within = _within(v, m, len(highs))
             listed = [array("I") for _ in highs]
             for p, (low, per, words) in enumerate(parents):
-                key = bytes(per)
-                if key not in passing:
-                    passing[key] = _passing(per, fails)
-                f, gains = _table([w.to_bytes(v, "little") for w in words], per,
-                                  passing[key], masks)
-                f &= ahead
+                f, levels = _table([w.to_bytes(v, "little") for w in words], per, ends,
+                                   passing, within)
+                f = f >> high << high
                 if not f:
                     continue
-                ups, packed = _ups(gains, len(highs)), int.from_bytes(per, "little")
-                if f & 1 << high:
-                    yield (low + offset, (packed + spread[ups[high]]).to_bytes(m, "little"),
-                           _grow(words, joins))
+                index, children = _ups(per, levels, len(highs))
+                if f >> high & 1:
+                    yield low + offset, children[index[high]], _grow(words, joins)
                 after = f >> high + 1
                 if after:
-                    tables[p] = f, ups, packed
+                    tables[p] = f, index, children
                     listed[high + (after & -after).bit_length()].append(p)
-        elif listed[high]:
+        else:
             for p in sorted(listed[high]):
-                f, ups, packed = tables[p]
-                low, _, words = parents.entry(p)
-                yield (low + offset, (packed + spread[ups[high]]).to_bytes(m, "little"),
-                       _grow(words, joins))
+                f, index, children = tables[p]
+                low, words = parents.entry(p)
+                yield low + offset, children[index[high]], _grow(words, joins)
                 after = f >> high + 1
                 if after:
                     listed[high + (after & -after).bit_length()].append(p)
@@ -242,14 +263,38 @@ def _extend(parents, k: int, m: int, highs, through, fails,
             listed[high] = None
 
 
-def _ups(gains, n: int) -> bytes:
-    """Byte h has bit d set when the class-d score of the child at high h is
-    one up (bit h of ``gains[d]``), for the highs h < n.  Each class's bits
-    are spread one to a byte through their binary digits."""
-    ups, zero = 0, int.from_bytes(b"0" * n, "big")
-    for d, gain in enumerate(gains):
-        ups |= int.from_bytes(format(gain & (1 << n) - 1, f"0{n}b").encode(), "big") - zero << d
-    return ups.to_bytes(n, "little")
+def _ups(per, levels, n: int) -> tuple:
+    """(index, children): the child at high h < n has the class scores
+    ``children[index[h]]``.  ``children`` lists every score vector a child
+    can have (``_children``); index[h] is the child's increments in mixed
+    radix, class d's count of ``levels[d]`` holding bit h times the product
+    of len(levels[e]) + 1 over the classes e < d.  Each level's bits are
+    spread one to a byte through their binary digits; an index too large
+    for one byte per high is summed per high instead."""
+    digits, zero = f"0{n}b", int.from_bytes(b"0" * n, "big")
+    counts, strides, stride = [], [], 1
+    for reach in levels:
+        count = -len(reach) * zero
+        for level in reach:
+            count += int.from_bytes(format(level, digits).encode(), "big")
+        counts.append(count)
+        strides.append(stride)
+        stride *= len(reach) + 1
+    if stride <= 256:
+        index = sum(map(mul, counts, strides)).to_bytes(n, "little")
+    else:
+        index = [sum(map(mul, column, strides))
+                 for column in zip(*(count.to_bytes(n, "little") for count in counts))]
+    return index, _children(bytes(per), bytes(map(len, levels)))
+
+
+@cache
+def _children(per: bytes, rises: bytes) -> tuple[bytes, ...]:
+    """Every class-score vector a child can have, ``per`` plus up to
+    ``rises[d]`` in class d, listed in ``_ups``'s mixed radix (class 0's
+    increment varies fastest)."""
+    return tuple(bytes(map(add, per, reversed(ups)))
+                 for ups in product(*(range(r + 1) for r in reversed(rises))))
 
 
 def _grow(words, joins) -> list[int]:
@@ -259,54 +304,67 @@ def _grow(words, joins) -> list[int]:
     return list(map(or_, words, joins))
 
 
-def _passing(per, fails) -> list[int]:
-    """The sets of classes (bit d for class d) whose scores, each one up from
-    ``per``, make a child pass; each is minimal."""
-    found = []
-    for classes in sorted(range(1, 1 << len(per)), key=int.bit_count):
-        if not any(c & classes == c for c in found) and not fails(
-                bytes([s + (classes >> d & 1) for d, s in enumerate(per)])):
-            found.append(classes)
-    return found
+@cache
+def _passing(per: bytes, rises: bytes, j: int, target: int) -> tuple:
+    """The least increments of the class scores ``per``, up to ``rises[d]``
+    in class d, that make a child pass (its j best class scores sum to
+    ``target`` or more), each as its (class, increment - 1) pairs: a child
+    passes exactly when its increments reach one of them.  Increments are
+    visited in mixed-radix order, so each one-down neighbour comes first."""
+    strides, size = [], 1
+    for r in reversed(rises):
+        strides.insert(0, size)
+        size *= r + 1
+    passes, least = [], []
+    for ups in product(*(range(r + 1) for r in rises)):
+        ok = sum(sorted(map(add, per, ups), reverse=True)[:j]) >= target
+        if ok and not any(passes[len(passes) - s] for s, u in zip(strides, ups) if u):
+            least.append(tuple((d, u - 1) for d, u in enumerate(ups) if u))
+        passes.append(ok)
+    return tuple(least)
 
 
 @cache
-def _masks(v: int, m: int) -> tuple:
-    """Constant masks for the tables of parents on v vertices, m colours.
-
-    Sets of parent vertices are indices in [0, 2^v): ``inside[x]`` is the
-    sets inside x, ``sized[s]`` those of s vertices.  Highs are indices in
-    [0, m^v): ``within[d][c]`` is the highs whose digit u is d for every u
-    in c, the new vertices whose class-d neighbourhood contains c."""
-    sets = range(1 << v)
-    inside, sized = [1] * len(sets), [0] * (v + 1)
-    for c in sets:
+def _subsets(v: int) -> tuple[list[int], list[int]]:
+    """Sets of v parent vertices are indices in [0, 2^v): ``inside[x]`` is
+    the sets inside x, ``sized[s]`` those of s vertices, as index bits."""
+    inside, sized = [1] * (1 << v), [0] * (v + 1)
+    for c in range(1 << v):
         sized[c.bit_count()] |= 1 << c
         if c:
             low = c & -c
             inside[c] = inside[c ^ low] | inside[c ^ low] << low
+    return inside, sized
+
+
+@cache
+def _within(v: int, m: int, size: int) -> list[list[int]]:
+    """``within[d][c]`` is the highs h < size whose digit u is d for every u
+    in the set c of parent vertices (an index in [0, 2^v)): the new vertices
+    whose class-d neighbourhood holds c.  ``size`` is m^v in inner levels
+    and m^(v-1) in the last, whose highs have top digit 0."""
+    every = (1 << size) - 1
     within = []
     for d in range(m):
         # digit u is d on a run of m^u highs in every m^(u+1)
         digit = [((1 << m ** u) - 1 << d * m ** u) * ((1 << m ** v) - 1)
-                 // ((1 << m ** (u + 1)) - 1) for u in range(v)]
-        w = [(1 << m ** v) - 1] * len(sets)
-        for c in sets[1:]:
+                 // ((1 << m ** (u + 1)) - 1) & every for u in range(v)]
+        w = [every] * (1 << v)
+        for c in range(1, 1 << v):
             low = c & -c
             w[c] = w[c ^ low] & digit[low.bit_length() - 1]
         within.append(w)
-    return inside, sized, within
+    return within
 
 
-def _table(rows, per, passing, masks) -> tuple[int, list[int]]:
-    """A failing parent's children at every high: (failing, gains).  Bit
-    ``high`` of ``gains[d]`` says the new vertex's class-d neighbourhood
-    holds a ``per[d]``-clique of the parent's class d (so the child's class-d
-    score is one up); bit ``high`` of ``failing`` says the child still
-    fails, that is, no set of classes in ``passing`` all go up."""
-    inside, sized, within = masks
-    gains = []
-    for d, (r, s) in enumerate(zip(rows, per)):
+def _cliques(rows, per, within) -> list[list[int]]:
+    """Where a new vertex lifts the clique classes with clique numbers
+    ``per``: class d to per[d] + 1 when its class-d neighbourhood holds a
+    per[d]-clique, so the one level of class d is the OR of ``within[d][c]``
+    over those cliques c (set indices)."""
+    inside, sized = _subsets(len(rows[0]))
+    levels = []
+    for r, s, lift in zip(rows, per, within):
         cliques = 1  # the cliques on vertices below u, as a set of index bits
         for u, row in enumerate(r):
             cliques |= (cliques & inside[row]) << (1 << u)
@@ -314,17 +372,28 @@ def _table(rows, per, passing, masks) -> tuple[int, list[int]]:
         gain = 0
         while cliques:
             low = cliques & -cliques
-            gain |= within[d][low.bit_length() - 1]
+            gain |= lift[low.bit_length() - 1]
             cliques ^= low
-        gains.append(gain)
+        levels.append([gain])
+    return levels
+
+
+def _table(rows, per, ends, passing, within) -> tuple[int, list[list[int]]]:
+    """A failing parent's children at every high: (failing, levels).
+    ``levels = ends(rows, per, within)``: entry i of ``levels[d]`` is the
+    highs whose class-d score is at least per[d] + 1 + i, the OR of
+    ``within[d][c]`` over the end sets c of those scores, the sets of parent
+    vertices in the new vertex's class-d neighbourhood that lift the score
+    that far.  Bit ``high`` of ``failing`` says the child still fails: its
+    increments reach none of ``passing(per, rises)``."""
+    levels = ends(rows, per, within)
     up = 0
-    for classes in passing:
+    for need in passing(per, bytes(map(len, levels))):
         all_up = -1
-        for d, gain in enumerate(gains):
-            if classes >> d & 1:
-                all_up &= gain
+        for d, i in need:
+            all_up &= levels[d][i]
         up |= all_up
-    return within[0][0] & ~up, gains
+    return within[0][0] & ~up, levels
 
 
 def _interval_scan(name, size, m, j, score, target) -> Optional[int]:

@@ -29,7 +29,7 @@ from ramseykit import (EdgeColoring, Graph, SearchCertificate, ScoreKind,
                        pair_guarantee_sweep, pair_sum_value, revalidate,
                        score_sum, write_graph6)
 import ramseykit
-from ramseykit import engine, graphs, vdw
+from ramseykit import engine, graphs, scores, vdw
 from ramseykit.engine import MODES, check
 from ramseykit.exact import _has_clique, _omega
 from ramseykit.graphs import pair_count, pair_table
@@ -195,21 +195,18 @@ def test_each_failing_code_is_grown_once_and_none_is_decoded(monkeypatch):
 def tabled_parents(draw):
     """A failing parent on v vertices, its class clique numbers from
     ``_omega``, and its failing rule: m = 2 with v <= 7, and m = 3..8 with
-    at most 1,024 highs (every m a clique scan builds tables for).  The rule
-    is a largest or a j-best-sum class score below a target that the
-    children can reach only with up to m + 1 increments."""
+    at most 1,024 highs (every m a clique scan builds tables for).  A code
+    fails while its j best class scores (j = 1: the largest) sum below a
+    target that the children can reach only with up to m + 1 increments."""
     m = draw(st.integers(2, 8))
     v = draw(st.integers(1, max(v for v in range(8) if m ** v <= 1024)))
     coloring = EdgeColoring.from_code(v, m, draw(st.integers(0, m ** pair_count(v) - 1)))
     rows = [list(coloring.color_class(d).adj) for d in range(m)]
     per = bytes(_omega(adj, (1 << v) - 1) for adj in rows)
-    j = draw(st.integers(1, m))
-    if draw(st.booleans()):
-        value = lambda per: max(per)
-    else:
-        value = lambda per: sum(sorted(per, reverse=True)[:j])
+    j = draw(st.integers(1, m)) if draw(st.booleans()) else 1  # j = 1: the largest
+    value = lambda per: sum(sorted(per, reverse=True)[:j])
     target = value(per) + draw(st.integers(1, m + 1))
-    return v, m, rows, per, lambda per: value(per) < target
+    return v, m, rows, per, j, target
 
 
 @settings(max_examples=150)
@@ -217,9 +214,13 @@ def tabled_parents(draw):
 def test_tables_match_the_kernel_at_every_high(case):
     """A failing parent's table gives, for every high, the same class-score
     increments and the same verdict as one ``_has_clique`` per class."""
-    v, m, rows, per, fails = case
-    failing, gains = engine._table(rows, per, engine._passing(per, fails),
-                                   engine._masks(v, m))
+    v, m, rows, per, j, target = case
+    fails = lambda per: sum(sorted(per, reverse=True)[:j]) < target
+    failing, levels = engine._table(rows, per, engine._cliques,
+                                    lambda per, rises: engine._passing(per, rises, j, target),
+                                    engine._within(v, m, m ** v))
+    assert all(len(reach) == 1 for reach in levels)
+    gains = [reach[0] for reach in levels]
     assert failing >> m ** v == 0 and all(g >> m ** v == 0 for g in gains)
     for high in range(m ** v):
         nbrs = [0] * m
@@ -230,19 +231,121 @@ def test_tables_match_the_kernel_at_every_high(case):
         assert bool(failing >> high & 1) == fails(bytes(map(sum, zip(per, ups)))), high
 
 
+@st.composite
+def pair_tabled_parents(draw):
+    """A failing parent on v vertices for a path or cycle scan, its class
+    scores from ``score_color_class``, and its cap and failing rule: the j
+    best class scores sum below a target, which also caps every score.
+    m = 2 with v <= 7, m = 3 with v <= 5."""
+    m = draw(st.integers(2, 3))
+    v = draw(st.integers(1, 7 if m == 2 else 5))
+    coloring = EdgeColoring.from_code(v, m, draw(st.integers(0, m ** pair_count(v) - 1)))
+    kind = draw(st.sampled_from([ScoreKind.PATH, ScoreKind.CYCLE]))
+    per = bytes(scores.score_color_class(coloring, d, kind) for d in range(m))
+    j = draw(st.integers(1, m))
+    cap = sum(sorted(per, reverse=True)[:j]) + draw(st.integers(1, 4))
+    rows = [list(coloring.color_class(d).adj) for d in range(m)]
+    return v, m, rows, per, kind is ScoreKind.CYCLE, j, cap
+
+
+@settings(max_examples=150)
+@given(pair_tabled_parents())
+def test_path_and_cycle_tables_match_the_kernel_at_every_high(case):
+    """A failing parent's path or cycle table gives every high the same
+    class scores, capped at the target, and the same verdict as one
+    ``_through`` per class on the new vertex."""
+    v, m, rows, per, cycle, j, cap = case
+    fails = lambda per: sum(sorted(per, reverse=True)[:j]) < cap
+    failing, levels = engine._table(
+        rows, per, lambda rows, per, within: [scores._ends(r, s, cap, cycle, lift)
+                                              for r, s, lift in zip(rows, per, within)],
+        lambda per, rises: engine._passing(per, rises, j, cap), engine._within(v, m, m ** v))
+    assert failing >> m ** v == 0
+    for high in range(m ** v):
+        nbrs = [0] * m
+        for u in range(v):
+            nbrs[high // m ** u % m] |= 1 << u
+        kernel = [min(max(s, scores._through(rows[d], nbrs[d], cap, cycle)), cap)
+                  for d, s in enumerate(per)]
+        table = [s + sum(level >> high & 1 for level in levels[d]) for d, s in enumerate(per)]
+        assert table == kernel, high
+        assert bool(failing >> high & 1) == fails(bytes(kernel)), high
+
+
+@st.composite
+def nested_levels(draw):
+    """Parent class scores and, per class, up to 12 nested levels of highs
+    (as from a path or cycle table whose scores can rise that far), over m
+    <= 4 classes: their score vectors number up to 13^4, past one byte."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 300))
+    per = bytes(draw(st.lists(st.integers(0, 20), min_size=m, max_size=m)))
+    levels = []
+    for _ in range(m):
+        reach, highs = [], (1 << n) - 1
+        for mask in draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12)):
+            highs &= mask
+            reach.append(highs)
+        levels.append(reach)
+    return per, levels, n
+
+
+@settings(max_examples=150)
+@given(nested_levels())
+def test_ups_adds_the_levels_each_high_reaches(case):
+    """A child's class-d score is its parent's plus the number of class-d
+    levels holding its high, however many levels and classes there are."""
+    per, levels, n = case
+    index, children = engine._ups(per, levels, n)
+    assert [children[index[high]] for high in range(n)] == [
+        bytes(s + sum(level >> high & 1 for level in reach) for s, reach in zip(per, levels))
+        for high in range(n)]
+
+
 def test_a_table_fault_reaches_the_oracle(monkeypatch):
     """Tables that look for (s-1)-cliques where a parent's clique number is
     s make ``check`` disagree with the loop over every code at n <= 6: the
     switch to tables happens within reach of the oracles."""
     real = engine._table
-    monkeypatch.setattr(engine, "_table", lambda rows, per, passing, masks: real(
-        rows, bytes(max(s - 1, 0) for s in per), passing, masks))
+    monkeypatch.setattr(engine, "_table", lambda rows, per, *rest: real(
+        rows, bytes(max(s - 1, 0) for s in per), *rest))
     wrong = {(mode, m, target, n)
              for mode, m in (("rprime", 2), ("ramsey", 2), ("rprime_m", 3))
              for n in range(2, 7 - (m > 2)) for target in range(2, 7)
              if _as_triple(check(mode, target, n, m).certificate)
              != _full_scan(mode, target, n, m)}
     assert {mode for mode, *_ in wrong} == {"rprime", "ramsey", "rprime_m"}
+
+
+def test_a_pair_table_fault_reaches_the_oracle(monkeypatch):
+    """Pair tables one vertex long (each pair end set above the parent's
+    score one level higher, up to the cap, as from an off-by-one in the most
+    vertices on an a-b path or on two arms) make ``check`` disagree with the
+    loop over every code at n <= 6, for path and cycle scores with j = 1 and
+    2, once tables decide every child from high 0.  (At the scans' own
+    switch, high 1, the fault changes no path check with j = 2 within
+    n <= 6.)"""
+    real = scores._ends
+
+    def long(rows, lo, cap, cycle, lift):
+        levels = real(rows, lo, cap, cycle, lift)
+        pairs = real(rows, lo, cap, cycle,
+                     [h if c.bit_count() == 2 else 0 for c, h in enumerate(lift)])
+        levels += [0] * (min(len(pairs) + 1, cap - lo) - len(levels))
+        return [h | (pairs[i - 1] if 0 < i <= len(pairs) else 0)
+                for i, h in enumerate(levels)]
+
+    monkeypatch.setattr(scores, "_ends", long)
+    monkeypatch.setattr(engine, "_PAIR_SWITCH", (0, 0))
+    wrong = set()
+    for score in ("path", "cycle"):
+        for j in (1, 2):
+            for n in range(2, 7):
+                if (score, j) not in wrong and any(
+                        _as_triple(check("score", target, n, 2, j, score).certificate)
+                        != _full_scan("score", target, n, 2, j, score)
+                        for target in range(3, 8)):
+                    wrong.add((score, j))
+    assert wrong == {("path", 1), ("path", 2), ("cycle", 1), ("cycle", 2)}
 
 
 def test_the_last_level_tables_and_grows_only_up_to_its_witness(monkeypatch):
@@ -267,6 +370,22 @@ def test_the_last_level_tables_and_grows_only_up_to_its_witness(monkeypatch):
     assert events.count("grow") == sum(map(len, failing.values())) + 1
 
 
+@pytest.mark.parametrize("target, n, j, score", [(6, 7, 1, "path"), (5, 6, 1, "cycle")])
+def test_an_early_witness_tables_no_parent_of_the_last_two_levels(monkeypatch, target, n,
+                                                                  j, score):
+    """Path and cycle scans score high 0 with the kernel and table a parent
+    on its next visit (``_PAIR_SWITCH``), so a check whose witness is a low
+    code (here at high 0) builds no table for the parents on n-2 or n-1
+    vertices: the scan reads only the high-0 children there."""
+    tabled = set()
+    real = engine._table
+    monkeypatch.setattr(engine, "_table", lambda rows, *a: tabled.add(len(rows[0]))
+                        or real(rows, *a))
+    code = engine._labeled_scan("score", n, 2, j, score, target)
+    assert code is not None and code < 2 ** pair_count(n - 1)  # high 0
+    assert max(tabled) < n - 2
+
+
 def test_a_full_neighbourhood_fault_reaches_the_oracle(monkeypatch):
     """A full-neighbourhood rule that also fires when one parent vertex is
     missing makes ``check`` disagree with the loop over every code at n <= 6:
@@ -286,7 +405,7 @@ def test_a_full_neighbourhood_fault_reaches_the_oracle(monkeypatch):
 def test_a_full_neighbourhood_raises_every_clique_number(case):
     """The rule and the kernel agree: a new vertex joined to all v parent
     vertices in class d extends each of the class's largest cliques."""
-    v, m, rows, per, _ = case
+    v, m, rows, per, _, _ = case
     full = (1 << v) - 1
     assert engine._spans(full, v)
     assert all(_has_clique(rows[d], full, per[d]) for d in range(m))
