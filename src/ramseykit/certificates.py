@@ -118,12 +118,13 @@ def revalidate(cert: SearchCertificate, deep: bool = False) -> bool:
     canonical JSON is what ``engine.emit``, the builder of every check,
     makes of its parameters (exhaustive) or of the code its witness text
     reads as, at the recorded size (a witness, which must also score below
-    the target).  ``deep=True`` reruns an exhaustive scan under a budget of
-    its full instance count.  Past the enumeration cap both checks refuse
+    the target).  ``deep=True`` reruns an exhaustive scan through
+    ``engine._check``, as ``check`` runs it, under a budget of its full
+    instance count.  Past the enumeration cap both checks refuse
     exhaustive certificates, and path and cycle witnesses, whose rescoring
     is exponential.  A malformed certificate is rejected (False), never
     raised on."""
-    from .engine import MODES, check, emit
+    from .engine import MODES, _check, emit
     from .graphs import ENUMERATION_CAP, MAX_VERTICES
 
     p = cert.parameters
@@ -131,11 +132,7 @@ def revalidate(cert: SearchCertificate, deep: bool = False) -> bool:
         mode = MODES[p["mode"]]
         target, size = p["target"], p[mode.size_key]
         m, j, score = p.get("m", 2), p.get("j", 1), p.get("score", "clique")
-        prune = p.get("pruned", False)
-        # The parameters would echo a True target back, so only ints pass.
-        if any(type(x) is not int for x in (target, size, m, j)):
-            return False
-        params = mode.params(target, size, m, j, score, prune)
+        params = mode.params(target, size, m, j, score, p.get("pruned", False))
         # No check accounts for more than ENUMERATION_CAP instances, and past
         # it a path or cycle rescoring can take minutes (clique and AP ones
         # take milliseconds); the size test keeps off a huge power.
@@ -151,6 +148,4 @@ def revalidate(cert: SearchCertificate, deep: bool = False) -> bool:
         return False
     if not deep or again.kind == WITNESS:
         return True
-    rerun = check(mode.name, target, size, m=m, j=j, score=score,
-                  budget=mode.count(size, m), prune=prune)
-    return rerun.certificate.to_json() == emitted
+    return _check(mode, params, mode.count(size, m)).certificate.to_json() == emitted

@@ -1,16 +1,17 @@
 """One certified check and one threshold search for every mode.
 
 A threshold is the least size at which every instance reaches a target.
-Each row of ``MODES`` says what an instance is, how many there are, how a
-witness is decoded, written and scored, and which closed form brackets the
-search.  ``check`` settles one size: the least failing code as a witness, or
-an exhaustive certificate counting every instance, both built by ``emit``,
-which ``revalidate`` compares against.  ``search`` probes sizes 1, 2, ...
-until a check passes; passing is monotone upward (a failing instance
-restricts to a failing one a size down), so the first pass is the
-threshold.  Budget admission lives in ``check`` only (``graphs.admit``):
-``search`` turns the BudgetError of the first refused probe into an
-UndecidedError.
+Each row of ``MODES`` says what an instance is, how many there are, which
+parameters a check records (``Mode.params``) and how many class scores
+count (``Mode.top``), how a witness is scored, and which closed form
+brackets the search.  ``_check``, run by ``check`` and by a deep
+``revalidate``, admits a size's scan and emits its least failing code as a
+witness, or an exhaustive certificate counting every instance.  ``search``
+probes sizes 1, 2, ... until a check passes; passing is monotone upward (a
+failing instance restricts to a failing one a size down), so the first
+pass is the threshold.  Budget admission lives in ``_check`` only
+(``graphs.admit``): ``search`` turns the BudgetError of the first refused
+probe into an UndecidedError.
 
 Labeled scans (every mode but "wprime") extend failing codes one vertex at a
 time.  Every labeled predicate is hereditary: a class's clique number, path
@@ -94,21 +95,20 @@ _TABLE_SWITCH = (0, 4)
 _PAIR_SWITCH = (1, 1)
 
 
-def _labeled_scan(name, n, m, j, score, target) -> Optional[int]:
+def _labeled_scan(n, m, top, score, target) -> Optional[int]:
     """Least failing code on n vertices, or None.
 
-    A code is split into its m colour classes; it fails when no class has a
-    ``target`` clique (clique modes) or when its j best class scores sum
-    below ``target``.  Levels 0..n-1 of failing codes are built lazily, each
-    produced only as far as the next level asks for it and carrying its
-    class rows; the last level's highs are [0, m^(n-2)), codes with top
-    digit 0."""
-    if MODES[name].clique_test:
+    A code is split into its m colour classes; it fails while its ``top``
+    best class scores sum below ``target`` (top = 1: no class reaches it).
+    Levels 0..n-1 of failing codes are built lazily, each produced only as
+    far as the next level asks for it and carrying its class rows; the last
+    level's highs are [0, m^(n-2)), codes with top digit 0."""
+    if top == 1:
         fails = lambda per: max(per) < target
-    elif j == m:
+    elif top == m:
         fails = lambda per: sum(per) < target
     else:
-        fails = lambda per: sum(sorted(per, reverse=True)[:j]) < target
+        fails = lambda per: sum(sorted(per, reverse=True)[:top]) < target
     kind = ScoreKind(score)
     if kind is ScoreKind.CLIQUE:
         through = lambda rows, nbrs, s: s + _has_clique(rows, nbrs, s)
@@ -119,7 +119,6 @@ def _labeled_scan(name, n, m, j, score, target) -> Optional[int]:
         ends = lambda rows, per, within: [scores._ends(r, s, target, cycle, lift)
                                           for r, s, lift in zip(rows, per, within)]
         inner, last = _PAIR_SWITCH
-    top = 1 if MODES[name].clique_test else j  # a child passes once its top scores sum to target
     rule = _Rule(fails, through, kind is ScoreKind.CLIQUE, ends,
                  lambda per, rises: _passing(bytes(per), rises, top, target))
     # the empty graph fails every target
@@ -396,11 +395,6 @@ def _table(rows, per, ends, passing, within) -> tuple[int, list[list[int]]]:
     return within[0][0] & ~up, levels
 
 
-def _interval_scan(name, size, m, j, score, target) -> Optional[int]:
-    """Code of the least failing interval colouring (a serial prefix DFS)."""
-    return vdw._least_failing(m, size, target, False)
-
-
 @dataclass(frozen=True)
 class Mode:
     """One threshold family.  ``keys`` are the parameters recorded beyond
@@ -419,9 +413,9 @@ class Mode:
     value: Callable[[Any, dict], int]               # (instance, params) -> value
     bound: Callable[[int, int], Optional[int]] = lambda target, m: None
     pruned: Optional[Callable[[int, int], int]] = None
-    clique_test: bool = False   # labeled predicate: a target clique in some class
+    top: Optional[int] = None   # best class scores counted; None: j, or all m classes
     size_key: str = "n_vertices"
-    scan: Callable = _labeled_scan
+    scan: Callable = _labeled_scan  # (size, m, top, score, target) -> least failing code
 
     def count(self, size: int, m: int) -> int:
         """All instances of one size: m^pairs, or m^length for intervals."""
@@ -430,6 +424,8 @@ class Mode:
     def params(self, target: int, size: int, m: int, j: int, score: str,
                prune: bool) -> dict:
         """Validated certificate parameters of one check."""
+        if any(type(x) is not int for x in (target, size, m, j)) or min(target, size) < 1:
+            raise ValueError("target and size must be positive ints, m and j ints")
         if m not in self.colors:
             raise ValueError(f"{self.name} takes {self.colors[0]}..{self.colors[-1]}"
                              f" colours, not {m}")
@@ -437,8 +433,6 @@ class Mode:
             raise ValueError(f"{self.name} has no symmetry pruning")
         if "j" in self.keys and not 1 <= j <= m:
             raise ValueError(f"j={j} outside 1..{m}")
-        if target < 1 or size < 1:
-            raise ValueError("target and size must be positive")
         p = {"mode": self.name, "target": target, self.size_key: size,
              **_keys(self, m, j, score)}
         if prune:
@@ -451,11 +445,11 @@ def _keys(mode: Mode, m: int, j: int, score: str) -> dict:
     return {k: given[k] for k in mode.keys}
 
 
-def _graph_row(name, value, bound, clique_test=False) -> Mode:
+def _graph_row(name, value, bound, top=None) -> Mode:
     return Mode(name, (), range(2, 3), exact.DEFAULT_GRAPH_BUDGET, "witness_graph6",
                 lambda n, m, code: Graph.from_code(n, code), write_graph6,
                 lambda text, m: parse_graph6(text), value, bound,
-                lambda n, m: max(1, 2 ** pair_count(n) // 2), clique_test)
+                lambda n, m: max(1, 2 ** pair_count(n) // 2), top)
 
 
 def _coloring_row(name, keys, value, bound=lambda target, m: None) -> Mode:
@@ -470,7 +464,7 @@ MODES = {mode.name: mode for mode in (
     _graph_row("ramsey",
                lambda g, p: max(exact.clique_number(g), exact.independence_number(g)),
                lambda t, m: exact.two_color_ramsey_bound(t) if t >= 2 else None,
-               clique_test=True),
+               top=1),
     _coloring_row("rprime_m", ("m",), lambda c, p: exact.family_sum_value(c),
                   lambda t, m: exact.family_sum_bound(m, t - m) if t >= m else None),
     _coloring_row("score", ("score", "j", "m"),
@@ -479,7 +473,8 @@ MODES = {mode.name: mode for mode in (
          vdw.DEFAULT_INTERVAL_BUDGET, "witness_coloring",
          lambda length, m, code: vdw.IntervalColoring.from_code(m, length, code),
          vdw.IntervalColoring.to_text, vdw.IntervalColoring.from_text,
-         lambda c, p: vdw.ap_sum(c)[0], size_key="length", scan=_interval_scan),
+         lambda c, p: vdw.ap_sum(c)[0], size_key="length",
+         scan=lambda length, m, top, score, target: vdw._least_failing(m, length, target, False)),
 )}
 
 
@@ -492,12 +487,17 @@ def check(name: str, target: int, size: int, m: int = 2, j: int = 1,
     """Does every instance of ``size`` reach ``target``?  Raises BudgetError
     when all m^pairs (or m^length) instances exceed the budget."""
     mode = MODES[name]
-    params = mode.params(target, size, m, j, score, prune)
-    admit(mode.count(size, m), budget, mode.budget, f"{name} check at {mode.size_key}={size}")
-    # Modes without a j ("rprime", "rprime_m") sum the clique numbers of all
-    # m classes, whatever ``score`` says: only "score" records it.
-    found = mode.scan(name, size, m, j if "j" in mode.keys else m,
-                      params.get("score", ScoreKind.CLIQUE.value), target)
+    return _check(mode, mode.params(target, size, m, j, score, prune), budget)
+
+
+def _check(mode: Mode, params: dict, budget: Optional[int]) -> CheckOutcome:
+    """Admit, run and emit the scan of validated ``params``: the one path of
+    ``check`` and of a deep ``revalidate``."""
+    size, m = params[mode.size_key], params.get("m", 2)
+    admit(mode.count(size, m), budget, mode.budget,
+          f"{mode.name} check at {mode.size_key}={size}")
+    found = mode.scan(size, m, mode.top or params.get("j", m),
+                      params.get("score", ScoreKind.CLIQUE.value), params["target"])
     return CheckOutcome(found is None, emit(mode, params, found))
 
 

@@ -442,32 +442,32 @@ def write_graph6(g: Graph) -> str:
 
 def parse_graph6(text: str) -> Graph:
     """Parse one graph6 line; raises Graph6ParseError with a byte offset."""
-    s = text.strip()
+    s, skip = text.strip(), len(text) - len(text.lstrip())  # offsets count from text[0]
     if s.startswith(_G6_HEADER):
-        s = s[len(_G6_HEADER):]
+        s, skip = s[len(_G6_HEADER):], skip + len(_G6_HEADER)
     if not s:
-        raise Graph6ParseError("empty graph6 string", 0)
+        raise Graph6ParseError("empty graph6 string", skip)
     if not ("?" <= min(s) and max(s) <= "~"):
-        for pos, ch in enumerate(s):
+        for pos, ch in enumerate(s, skip):
             if not "?" <= ch <= "~":
                 raise Graph6ParseError(f"character {ch!r} outside the graph6 alphabet", pos)
     if s[0] == "~":  # long size form
         if len(s) < 4:
-            raise Graph6ParseError("truncated long-form size", len(s))
+            raise Graph6ParseError("truncated long-form size", skip + len(s))
         n = (ord(s[1]) - 63 << 12) | (ord(s[2]) - 63 << 6) | ord(s[3]) - 63
         at = 4
     else:
         n = ord(s[0]) - 63
         at = 1
     if not 1 <= n <= MAX_VERTICES:
-        raise Graph6ParseError(f"vertex count {n} outside 1..{MAX_VERTICES}", 0)
+        raise Graph6ParseError(f"vertex count {n} outside 1..{MAX_VERTICES}", skip)
     np = pair_count(n)
     need = (np + 5) // 6
     if len(s) - at < need:
-        raise Graph6ParseError(f"body too short for {n} vertices", len(s))
+        raise Graph6ParseError(f"body too short for {n} vertices", skip + len(s))
     if len(s) - at > need:
-        raise Graph6ParseError(f"trailing data after {n}-vertex body", at + need)
+        raise Graph6ParseError(f"trailing data after {n}-vertex body", skip + at + need)
     code = _graph6_code(s[at:])
     if code >> np:  # padding lives in the last character only
-        raise Graph6ParseError("nonzero padding bits", at + need - 1)
+        raise Graph6ParseError("nonzero padding bits", skip + at + need - 1)
     return Graph(n, tuple(_decode_adj(n, code)))

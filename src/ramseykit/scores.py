@@ -78,13 +78,13 @@ def _through(rows, row: int, cap: int, cycle: bool) -> int:
 
 
 def _ends(rows, lo: int, cap: int, cycle: bool, lift) -> list[int]:
-    """Where a new vertex v = len(rows) lifts a class score above ``lo``:
-    entry i is the OR of ``lift[c]`` over the end sets c (set indices) whose
-    score is at least lo + 1 + i, for the scores in (lo, cap].  An end set
-    is the new vertex's neighbours on a path or cycle through it: a pair
-    {a, b} joined by a path (``cycle``) or starting two disjoint arms, or
-    one vertex {a} (a path ending at v; the empty set for the lone v).  Its
-    score is the most vertices on such a path or cycle, capped at ``cap``.
+    """Where a new vertex v = len(rows) lifts the parent's class score ``lo``
+    (lo <= v): entry i is the OR of ``lift[c]`` over the end sets c (set
+    indices) scoring at least lo + 1 + i, for the scores in (lo, cap].  An
+    end set is the new vertex's neighbours on a path or cycle through it: a
+    pair {a, b} joined by a path (``cycle``) or starting two disjoint arms,
+    or one vertex {a} (a path ending at v; the empty set, the lone v, lifts
+    only an empty parent), scoring the most vertices on it, capped at ``cap``.
     Walks from each a record, per b > a, the most vertices on an a-b path
     or on two arms from a and b (the first arms also give the longest path
     from a).  A walk stops once its free vertices cannot lift a score above
@@ -92,8 +92,6 @@ def _ends(rows, lo: int, cap: int, cycle: bool, lift) -> list[int]:
     capped; an a-b walk one step from the cap records the cap for every
     vertex in reach."""
     v, found = len(rows), {}
-    if v < lo:  # nothing through v has more than v + 1 vertices
-        return []
     everyone, least = (1 << v) - 1, max(lo, 1)
     if cycle:
         def walk(u: int, free: int, count: int) -> None:

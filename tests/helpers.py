@@ -201,36 +201,36 @@ def reference_graph6(n: int, code: int) -> str:
 def reference_parse_graph6(text: str) -> tuple[int, int]:
     """(n, code) of one graph6 line, bit by bit; raises Graph6ParseError with
     the same message and byte offset as ``parse_graph6``."""
-    s = text.strip()
+    s, skip = text.strip(), len(text) - len(text.lstrip())  # offsets count from text[0]
     if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
+        s, skip = s[len(">>graph6<<"):], skip + len(">>graph6<<")
     if not s:
-        raise Graph6ParseError("empty graph6 string", 0)
+        raise Graph6ParseError("empty graph6 string", skip)
     data = []
-    for pos, ch in enumerate(s):
+    for pos, ch in enumerate(s, skip):
         if not 63 <= ord(ch) <= 126:
             raise Graph6ParseError(f"character {ch!r} outside the graph6 alphabet", pos)
         data.append(ord(ch) - 63)
     if data[0] == 63:
         if len(data) < 4:
-            raise Graph6ParseError("truncated long-form size", len(s))
+            raise Graph6ParseError("truncated long-form size", skip + len(s))
         n, at = (data[1] << 12) | (data[2] << 6) | data[3], 4
     else:
         n, at = data[0], 1
     if not 1 <= n <= 64:
-        raise Graph6ParseError(f"vertex count {n} outside 1..64", 0)
+        raise Graph6ParseError(f"vertex count {n} outside 1..64", skip)
     np = n * (n - 1) // 2
     need = (np + 5) // 6
     if len(data) - at < need:
-        raise Graph6ParseError(f"body too short for {n} vertices", len(s))
+        raise Graph6ParseError(f"body too short for {n} vertices", skip + len(s))
     if len(data) - at > need:
-        raise Graph6ParseError(f"trailing data after {n}-vertex body", at + need)
+        raise Graph6ParseError(f"trailing data after {n}-vertex body", skip + at + need)
     code = 0
     for idx in range(need):
         for t in range(6):
             if data[at + idx] >> (5 - t) & 1:
                 k = 6 * idx + t
                 if k >= np:
-                    raise Graph6ParseError("nonzero padding bits", at + idx)
+                    raise Graph6ParseError("nonzero padding bits", skip + at + idx)
                 code |= 1 << k
     return n, code

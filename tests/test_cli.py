@@ -53,6 +53,8 @@ class TestRho:
         code, _, err = run(capsys, "rho", "D~~~")
         assert code == 2
         assert "input error" in err
+        code, _, err = run(capsys, "rho", " D!o")  # the offset counts the leading space
+        assert code == 2 and "byte offset 2" in err
 
     def test_missing_n_for_edges(self, capsys):
         code, _, err = run(capsys, "rho", "--edges", "0-1")

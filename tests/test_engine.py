@@ -186,7 +186,7 @@ def test_each_failing_code_is_grown_once_and_none_is_decoded(monkeypatch):
     monkeypatch.setattr(engine, "_grow", lambda *a: grown.append(a) or real_grow(*a))
     monkeypatch.setattr(graphs, "_decode_adj",
                         lambda *a: decoded.append(a) or real_decode(*a))
-    code = engine._labeled_scan("rprime", 7, 2, 2, "clique", 6)
+    code = engine._labeled_scan(7, 2, 2, "clique", 6)
     assert (len(grown), len(decoded)) == (6331 + 1, 0)
     assert write_graph6(Graph.from_code(7, code)) == "F@Tc?"
 
@@ -363,7 +363,7 @@ def test_the_last_level_tables_and_grows_only_up_to_its_witness(monkeypatch):
     monkeypatch.setattr(engine, "_table", lambda rows, *a: events.append(len(rows[0]))
                         or real_table(rows, *a))
     monkeypatch.setattr(engine, "_grow", lambda *a: events.append("grow") or real_grow(*a))
-    assert engine._labeled_scan("rprime_m", 5, 3, 3, "clique", 6) == 3195
+    assert engine._labeled_scan(5, 3, 3, "clique", 6) == 3195
     last = events.index(4)  # the last level's first table: parents on 4 vertices
     assert events[last:].count(4) == failing[4].index(low) + 1
     assert events[last:].count("grow") == 1
@@ -381,7 +381,7 @@ def test_an_early_witness_tables_no_parent_of_the_last_two_levels(monkeypatch, t
     real = engine._table
     monkeypatch.setattr(engine, "_table", lambda rows, *a: tabled.add(len(rows[0]))
                         or real(rows, *a))
-    code = engine._labeled_scan("score", n, 2, j, score, target)
+    code = engine._labeled_scan(n, 2, j, score, target)
     assert code is not None and code < 2 ** pair_count(n - 1)  # high 0
     assert max(tabled) < n - 2
 
@@ -481,16 +481,25 @@ def test_values_are_hereditary(case):
 
 def test_score_is_ignored_where_the_mode_does_not_record_it():
     # rprime(5) = 6: a path-score scan would wrongly pass every 4-vertex graph.
+    # Nor does ``j`` count there: "ramsey" counts its best class, the others
+    # all m classes, whatever j the call passes (the default j=1 included).
     for name, m in (("rprime", 2), ("ramsey", 2), ("rprime_m", 3)):
-        for score in ("cycle", "path"):
-            assert check(name, 5, 4, m=m, score=score) == check(name, 5, 4, m=m), \
-                (name, score)
+        for score in ("clique", "cycle", "path"):
+            for j in range(1, m + 1):
+                assert check(name, 5, 4, m=m, j=j, score=score) == check(name, 5, 4, m=m), \
+                    (name, score, j)
+    # rprime(5) = 6 sums both classes' clique numbers; ramsey counts the best one
+    assert [check(name, 5, 6).ok for name in ("rprime", "ramsey")] == [True, False]
 
 
 @pytest.mark.parametrize("args, kwargs", [
     (("score", 3), {"j": 5, "budget": 0}),
     (("rprime", 0), {"budget": 0}),
     (("wprime", 3), {"prune": True, "budget": 0}),
+    # a bool is no int, though ``True == 1`` would pass a range test
+    (("rprime", True), {"budget": 0}),
+    (("wprime", 3), {"m": True, "budget": 0}),
+    (("score", 3), {"j": True, "budget": 0}),
 ])
 def test_search_validates_before_its_first_probe_is_refused(args, kwargs):
     # Admission lives in ``check``, which validates first: a bad query is an
@@ -751,7 +760,7 @@ def test_forged_certificate_past_the_cap_is_rejected_without_a_rerun(monkeypatch
     def rerun(*args, **kwargs):
         raise AssertionError("revalidate reran a check past the enumeration cap")
 
-    monkeypatch.setattr(engine, "check", rerun)
+    monkeypatch.setattr(engine, "_check", rerun)
     n = 10  # 2^45 labeled graphs, over the 2^40 cap
     forged = _exhaustive({"mode": "rprime", "target": 7, "n_vertices": n}, 7,
                          2 ** pair_count(n))
@@ -769,7 +778,7 @@ def test_past_the_cap_only_clique_and_ap_witnesses_are_rescored(monkeypatch, cer
     def rescore(*args, **kwargs):
         raise AssertionError("revalidate reran or rescored past the enumeration cap")
 
-    monkeypatch.setattr(engine, "check", rescore)
+    monkeypatch.setattr(engine, "_check", rescore)
     monkeypatch.setattr(engine, "emit", rescore)
     assert revalidate(cert) is False
     assert revalidate(cert, deep=True) is False

@@ -225,6 +225,8 @@ def test_check_universal_rejects_bad_arguments():
         check_universal(3, 3, "rprime_m", m=1)
     with pytest.raises(ValueError):
         check_universal(3, 3, "rprime_m", m=2, prune=True)
+    with pytest.raises(ValueError):  # a size that is no int, not a TypeError
+        check_universal(4, 3.0, "rprime")
     with pytest.raises(BudgetError):
         check_universal(4, 8, "rprime")
     with pytest.raises(BudgetError):

@@ -150,24 +150,25 @@ def test_graph6_long_size_form():
 
 
 def test_graph6_parse_errors_carry_offsets():
-    with pytest.raises(Graph6ParseError) as e:
-        parse_graph6("")
-    assert e.value.offset == 0
-    with pytest.raises(Graph6ParseError) as e:
-        parse_graph6("A" + chr(30))
-    assert e.value.offset == 1
-    with pytest.raises(Graph6ParseError) as e:
-        parse_graph6("D")  # body missing
-    assert e.value.offset == 1
-    with pytest.raises(Graph6ParseError) as e:
-        parse_graph6("Dhcc")  # trailing byte
-    assert e.value.offset == 3
-    with pytest.raises(Graph6ParseError) as e:
-        parse_graph6("AO")  # nonzero padding for n=2
-    assert e.value.offset == 1
-    with pytest.raises(Graph6ParseError) as e:
-        parse_graph6("?")  # zero vertices
-    assert e.value.offset == 0
+    """Offsets count from the start of the input, past any leading
+    whitespace and header."""
+    for text, offset in [
+        ("", 0),
+        ("A" + chr(30), 1),
+        ("D", 1),              # body missing
+        ("Dhcc", 3),           # trailing byte
+        ("AO", 1),             # nonzero padding for n=2
+        ("?", 0),              # zero vertices
+        (">>graph6<<D!o", 11),
+        ("  D!o", 3),
+        (">>graph6<<", 10),    # empty after the header
+        (" >>graph6<<?", 11),
+        ("\t>>graph6<<Dhcc", 14),
+    ]:
+        for parse in (parse_graph6, reference_parse_graph6):
+            with pytest.raises(Graph6ParseError) as e:
+                parse(text)
+            assert e.value.offset == offset, (text, parse)
 
 
 def test_graph6_truncated_long_form_size():
