@@ -4,18 +4,22 @@ A threshold is the least size at which every instance reaches a target.
 Each row of ``MODES`` says what an instance is, how many there are, which
 parameters a check records (``Mode.params``) and how many class scores
 count (``Mode.top``), how a witness is scored, and which closed form
-brackets the search.  ``_check``, run by ``check`` and by a deep
-``revalidate``, admits a size's scan and emits its least failing code as a
-witness, or an exhaustive certificate counting every instance.  ``search``
-probes sizes 1, 2, ... until a check passes; passing is monotone upward (a
+brackets the search.  A mode's scan yields the least failing code at each
+size from its first one up, and ends with None at the first size where no
+code fails.  ``_check``, run by ``check`` and by a deep ``revalidate``,
+admits a size's scan and emits its first code as a witness, or an
+exhaustive certificate counting every instance.  ``search`` probes sizes
+1, 2, ... from one scan until no code fails; passing is monotone upward (a
 failing instance restricts to a failing one a size down), so the first
-pass is the threshold.  Budget admission lives in ``_check`` only
-(``graphs.admit``): ``search`` turns the BudgetError of the first refused
-probe into an UndecidedError.
+pass is the threshold.  Each probe is admitted as a check at its size
+would be (``graphs.admit``) before the scan runs on to that size:
+``search`` turns the BudgetError of the first refused probe into an
+UndecidedError.
 
 Labeled scans (every mode but "wprime") extend failing codes one vertex at a
-time.  Every labeled predicate is hereditary: a class's clique number, path
-or cycle score cannot grow when a vertex is dropped, and the first k-1
+time, and keep their levels from one size to the next.  Every labeled
+predicate is hereditary: a class's clique number, path or cycle score
+cannot grow when a vertex is dropped, and the first k-1
 vertices of a code on k vertices are the code ``low = code mod
 m^pairs(k-1)``.  So a code fails only if ``low`` fails, and level k is
 exactly the failing ``low + high * m^pairs(k-1)``, where ``high``'s base-m
@@ -47,13 +51,13 @@ vertex, except a clique class whose new neighbourhood is the whole parent:
 its clique number goes up by one, so at high 0 (every digit 0) a clique
 child costs no kernel call.
 
-The top-digit symmetry still applies at the last level.  Each predicate is
-invariant under permuting colours (complementing, at m = 2), and swapping
-the top digit's colour with colour 0 lowers a code, so the least failing
-code, when one exists, has top digit 0: the last level's highs lie in
-[0, m^(size-2)).  The certificate still accounts for all m^pairs instances;
-``prune``, on the two graph modes only, changes just that recorded count, to
-the complement pairs of graphs.
+The top-digit symmetry applies where a size's code is read.  Each predicate
+is invariant under permuting colours (complementing, at m = 2), and
+swapping the top digit's colour with colour 0 lowers a code, so the least
+failing code, when one exists, has top digit 0: it is read off a last level
+whose highs lie in [0, m^(size-2)).  The certificate still accounts for all
+m^pairs instances; ``prune``, on the two graph modes only, changes just
+that recorded count, to the complement pairs of graphs.
 """
 
 from __future__ import annotations
@@ -95,14 +99,17 @@ _TABLE_SWITCH = (0, 4)
 _PAIR_SWITCH = (1, 1)
 
 
-def _labeled_scan(n, m, top, score, target) -> Optional[int]:
-    """Least failing code on n vertices, or None.
+def _labeled_scan(first, m, top, score, target) -> Iterator[Optional[int]]:
+    """Least failing code on n vertices for n = first, first + 1, ..., and
+    then None at the first n where no code fails.
 
     A code is split into its m colour classes; it fails while its ``top``
     best class scores sum below ``target`` (top = 1: no class reaches it).
-    Levels 0..n-1 of failing codes are built lazily, each produced only as
-    far as the next level asks for it and carrying its class rows; the last
-    level's highs are [0, m^(n-2)), codes with top digit 0."""
+    Levels of failing codes are built lazily, each produced only as far as
+    the next level asks for it and carrying its class rows, and kept from
+    one size to the next.  Size n reads the first code of a last level over
+    level n-1, whose highs are [0, m^(n-2)), codes with top digit 0; level n
+    with every high is built only when size n+1 is asked for."""
     if top == 1:
         fails = lambda per: max(per) < target
     elif top == m:
@@ -123,10 +130,15 @@ def _labeled_scan(n, m, top, score, target) -> Optional[int]:
                  lambda per, rises: _passing(bytes(per), rises, top, target))
     # the empty graph fails every target
     level = _Level(m, iter([(0, bytes(m), [0] * m)]))
-    for k in range(1, n):
-        level = _Level(m, _extend(level, k, m, range(m ** (k - 1)), rule, inner))
-    highs = range(m ** (n - 2) if n > 1 else 1)
-    return next((code for code, _, _ in _extend(level, n, m, highs, rule, last)), None)
+    for n in count(1):
+        if n >= first:
+            highs = range(m ** (n - 2) if n > 1 else 1)
+            found = next((code for code, _, _ in _extend(level, n, m, highs, rule, last)),
+                         None)
+            yield found
+            if found is None:
+                return
+        level = _Level(m, _extend(level, n, m, range(m ** (n - 1)), rule, inner))
 
 
 class _Rule(NamedTuple):
@@ -415,7 +427,7 @@ class Mode:
     pruned: Optional[Callable[[int, int], int]] = None
     top: Optional[int] = None   # best class scores counted; None: j, or all m classes
     size_key: str = "n_vertices"
-    scan: Callable = _labeled_scan  # (size, m, top, score, target) -> least failing code
+    scan: Callable = _labeled_scan  # (first, m, top, score, target) -> least failing codes
 
     def count(self, size: int, m: int) -> int:
         """All instances of one size: m^pairs, or m^length for intervals."""
@@ -474,7 +486,7 @@ MODES = {mode.name: mode for mode in (
          lambda length, m, code: vdw.IntervalColoring.from_code(m, length, code),
          vdw.IntervalColoring.to_text, vdw.IntervalColoring.from_text,
          lambda c, p: vdw.ap_sum(c)[0], size_key="length",
-         scan=lambda length, m, top, score, target: vdw._least_failing(m, length, target, False)),
+         scan=lambda first, m, top, score, target: vdw._least_failing(m, first, target, False)),
 )}
 
 
@@ -493,12 +505,23 @@ def check(name: str, target: int, size: int, m: int = 2, j: int = 1,
 def _check(mode: Mode, params: dict, budget: Optional[int]) -> CheckOutcome:
     """Admit, run and emit the scan of validated ``params``: the one path of
     ``check`` and of a deep ``revalidate``."""
-    size, m = params[mode.size_key], params.get("m", 2)
-    admit(mode.count(size, m), budget, mode.budget,
-          f"{mode.name} check at {mode.size_key}={size}")
-    found = mode.scan(size, m, mode.top or params.get("j", m),
-                      params.get("score", ScoreKind.CLIQUE.value), params["target"])
+    _admit(mode, params, budget)
+    found = next(_scan(mode, params))
     return CheckOutcome(found is None, emit(mode, params, found))
+
+
+def _admit(mode: Mode, params: dict, budget: Optional[int]) -> None:
+    size = params[mode.size_key]
+    admit(mode.count(size, params.get("m", 2)), budget, mode.budget,
+          f"{mode.name} check at {mode.size_key}={size}")
+
+
+def _scan(mode: Mode, params: dict) -> Iterator[Optional[int]]:
+    """The mode's scan from the size of ``params`` upward: the least failing
+    code at each size, then None where none fails."""
+    m = params.get("m", 2)
+    return mode.scan(params[mode.size_key], m, mode.top or params.get("j", m),
+                     params.get("score", ScoreKind.CLIQUE.value), params["target"])
 
 
 def emit(mode: Mode, params: dict, code: Optional[int] = None) -> SearchCertificate:
@@ -519,19 +542,25 @@ def emit(mode: Mode, params: dict, code: Optional[int] = None) -> SearchCertific
 def search(name: str, target: int, m: int = 2, j: int = 1, score: str = "clique",
            budget: Optional[int] = None, prune: bool = False) -> SearchResult:
     """Least size from which every instance reaches ``target``, with a witness
-    at size - 1 and an exhaustive certificate at the size.  Each probe is a
-    ``check``, which validates the parameters and admits the probe; when it
-    refuses one as over the budget, raises UndecidedError with the bracket."""
+    at size - 1 and an exhaustive certificate at the size.  One scan serves
+    every probe: probe n validates its parameters and is admitted as a
+    ``check`` at n would be, and only then reads the scan's code at n, so a
+    refused probe scans nothing.  When one is refused as over the budget,
+    raises UndecidedError with the bracket."""
     mode = MODES[name]
-    params = {"kind": name, "target": target, **_keys(mode, m, j, score)}
+    result = {"kind": name, "target": target, **_keys(mode, m, j, score)}
+    scan: Optional[Iterator[Optional[int]]] = None
     last_fail: Optional[SearchCertificate] = None
     for size in count(1):
+        params = mode.params(target, size, m, j, score, prune)
         try:
-            outcome = check(name, target, size, m, j, score, budget, prune)
+            _admit(mode, params, budget)
         except BudgetError:
-            raise UndecidedError(name, params, size, mode.bound(target, m),
+            raise UndecidedError(name, result, size, mode.bound(target, m),
                                  lower=last_fail) from None
-        if outcome.ok:
-            return SearchResult(name, params, size, lower=last_fail,
-                                upper=outcome.certificate)
-        last_fail = outcome.certificate
+        scan = scan or _scan(mode, params)
+        found = next(scan)
+        if found is None:
+            return SearchResult(name, result, size, lower=last_fail,
+                                upper=emit(mode, params))
+        last_fail = emit(mode, params, found)

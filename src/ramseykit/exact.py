@@ -265,10 +265,11 @@ def search_threshold(kind: str, target: int, m: int = 2, budget: Optional[int] =
                      prune: bool = False) -> SearchResult:
     """Least vertex count from which every instance reaches ``target``.
 
-    Probes n_vertices = 1, 2, ... until a scan passes; passing is monotone
-    upward (an induced subgraph argument), so the first pass is the
-    threshold.  When the next probe would blow the instance budget, raises
-    UndecidedError carrying the best-known bracket.
+    Probes n_vertices = 1, 2, ... from one scan, which keeps the failing
+    instances it has built from one probe to the next, until no instance
+    fails; passing is monotone upward (an induced subgraph argument), so
+    the first pass is the threshold.  When the next probe would blow the
+    instance budget, raises UndecidedError carrying the best-known bracket.
     """
     if kind not in GRAPH_MODES + COLORING_MODES:
         raise ValueError(f"unknown search kind {kind!r}")

@@ -6,7 +6,10 @@ colours of the longest monochromatic arithmetic progression.  Thresholds
 summing to n?") are settled with certificates, alongside the classical
 single-colour check.  Both are decided by a prefix search that colours
 N, N-1, ... and extends only prefixes still missing the target, instead of
-enumerating all m^N colourings.
+enumerating all m^N colourings.  It places colours in first-use order (a
+colour only once every lower one is used), and one search yields the least
+failing colouring at every length in turn, so a threshold search scans
+once.
 
 Positions are bitmasks, and an AP chain is grown by one term per step with
 ``cur &= cur >> d``: after k steps, set bits mark the starts of (k+1)-term
@@ -16,7 +19,7 @@ progressions of difference d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .certificates import SearchResult
 from .exact import CheckOutcome
@@ -67,6 +70,8 @@ def _longest_ap_mask(mask: int, length: int) -> int:
         return 0
     best = 1
     for d in range(1, length):
+        if (length - 1) // d + 1 <= best:  # no AP of difference d or more is longer
+            break
         cur = mask & (mask >> d)
         ln = 1
         while cur:
@@ -88,21 +93,30 @@ def ap_sum(c: IntervalColoring) -> tuple[int, tuple[int, ...]]:
     return sum(per), per
 
 
-def _least_failing(m: int, length: int, target: int, single: bool) -> Optional[int]:
-    """Code of the least-code colouring of 1..length whose longest
+def _least_failing(m: int, first: int, target: int,
+                   single: bool) -> Iterator[Optional[int]]:
+    """Codes of the least-code colourings of 1..N whose longest
     monochromatic APs miss ``target`` (in every colour when ``single``, in
-    sum otherwise), or None.  Positions are coloured from ``length`` down,
-    most significant digit first, so leaves arrive in code order; a prefix
-    (a sub-interval, whose AP lengths the whole interval can only exceed) is
-    extended only while it misses the target.  Callers validate and admit
-    the scan."""
-    masks = [0] * m  # bit j = position length - j; AP lengths ignore reversal
+    sum otherwise), for N = first, first + 1, ..., then None at the first N
+    where none does.  Callers validate and admit the scan.
+
+    One depth-first search serves every N.  The first position placed is
+    position N, the most significant digit, so prefixes are visited in
+    code order at every N, and a prefix (a sub-interval, whose AP lengths
+    the whole interval can only exceed) is extended only while it misses
+    the target: the first node reached at depth N is the least failing
+    colouring of length N.  A colour is placed only once every lower one
+    is (first-use order): the predicate is invariant under permuting
+    colours, and first-use order is the least code of each permutation
+    class."""
+    masks = [0] * m  # bit j = the j-th placed position; AP lengths ignore reversal
     best = [0] * m   # longest AP per colour among the coloured positions
     stack = []       # (colour, its previous best) per coloured position
     total = c = 0
+    reached = first - 1  # the depth whose code was yielded last
     while True:  # iterative: with m = 1 the depth is unbounded
         depth = len(stack)
-        if c < m:
+        if c < m and (not c or masks[c - 1]):  # first use: colour c - 1 is placed
             grown = _longest_ap_mask(masks[c] | 1 << depth, depth + 1)
             if (grown if single else total - best[c] + grown) >= target:
                 c += 1
@@ -111,8 +125,9 @@ def _least_failing(m: int, length: int, target: int, single: bool) -> Optional[i
             masks[c] |= 1 << depth
             total += grown - best[c]
             best[c] = grown
-            if depth + 1 == length:
-                return sum(d * m**i for i, (d, _) in enumerate(reversed(stack)))
+            if depth == reached:
+                reached += 1
+                yield sum(d * m**i for i, (d, _) in enumerate(reversed(stack)))
             c = 0
         elif stack:
             c, previous = stack.pop()
@@ -121,7 +136,8 @@ def _least_failing(m: int, length: int, target: int, single: bool) -> Optional[i
             best[c] = previous
             c += 1
         else:
-            return None
+            yield None
+            return
 
 
 def check_universal_ap_sum(target: int, length: int, m: int,
@@ -149,4 +165,4 @@ def classical_ap_check(m: int, n: int, length: int,
     if not 1 <= m <= MAX_COLORS:
         raise ValueError(f"colour count {m} outside 1..{MAX_COLORS}")
     admit(m**length, budget, DEFAULT_INTERVAL_BUDGET, f"length {length}")
-    return _least_failing(m, length, n, True) is None
+    return next(_least_failing(m, length, n, True)) is None

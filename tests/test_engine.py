@@ -186,9 +186,37 @@ def test_each_failing_code_is_grown_once_and_none_is_decoded(monkeypatch):
     monkeypatch.setattr(engine, "_grow", lambda *a: grown.append(a) or real_grow(*a))
     monkeypatch.setattr(graphs, "_decode_adj",
                         lambda *a: decoded.append(a) or real_decode(*a))
-    code = engine._labeled_scan(7, 2, 2, "clique", 6)
+    code = next(engine._labeled_scan(7, 2, 2, "clique", 6))
     assert (len(grown), len(decoded)) == (6331 + 1, 0)
     assert write_graph6(Graph.from_code(7, code)) == "F@Tc?"
+
+
+def test_a_search_grows_each_failing_code_once_across_its_probes(monkeypatch):
+    """A search keeps its levels from one probe to the next: it grows the
+    failing codes on 1..5 vertices once, as the passing check on 6 vertices
+    does, and each of the five probes grows its witness."""
+    grown = []
+    real_grow = engine._grow
+    monkeypatch.setattr(engine, "_grow", lambda *a: grown.append(a) or real_grow(*a))
+    assert check("rprime", 5, 6).ok
+    checked = len(grown)
+    grown.clear()
+    assert engine.search("rprime", 5).value == 6
+    assert len(grown) == checked + 5
+
+
+@pytest.mark.parametrize("m, top, score, target", [
+    (2, 2, "clique", 5), (3, 3, "clique", 5), (2, 1, "clique", 3),
+    (2, 1, "cycle", 4), (3, 3, "path", 5),
+])
+def test_one_labeled_scan_yields_every_size_in_turn(m, top, score, target):
+    """The scan from size 1 yields the code a scan started at each size
+    yields first, then None at the first size where no code fails."""
+    codes = list(engine._labeled_scan(1, m, top, score, target))
+    assert codes[-1] is None and None not in codes[:-1]
+    assert codes == [next(engine._labeled_scan(n, m, top, score, target))
+                     for n in range(1, len(codes) + 1)]
+    assert list(engine._labeled_scan(3, m, top, score, target)) == codes[2:]
 
 
 @st.composite
@@ -363,7 +391,7 @@ def test_the_last_level_tables_and_grows_only_up_to_its_witness(monkeypatch):
     monkeypatch.setattr(engine, "_table", lambda rows, *a: events.append(len(rows[0]))
                         or real_table(rows, *a))
     monkeypatch.setattr(engine, "_grow", lambda *a: events.append("grow") or real_grow(*a))
-    assert engine._labeled_scan(5, 3, 3, "clique", 6) == 3195
+    assert next(engine._labeled_scan(5, 3, 3, "clique", 6)) == 3195
     last = events.index(4)  # the last level's first table: parents on 4 vertices
     assert events[last:].count(4) == failing[4].index(low) + 1
     assert events[last:].count("grow") == 1
@@ -381,7 +409,7 @@ def test_an_early_witness_tables_no_parent_of_the_last_two_levels(monkeypatch, t
     real = engine._table
     monkeypatch.setattr(engine, "_table", lambda rows, *a: tabled.add(len(rows[0]))
                         or real(rows, *a))
-    code = engine._labeled_scan(n, 2, j, score, target)
+    code = next(engine._labeled_scan(n, 2, j, score, target))
     assert code is not None and code < 2 ** pair_count(n - 1)  # high 0
     assert max(tabled) < n - 2
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -18,6 +19,7 @@ from ramseykit import (
     longest_mono_ap,
     revalidate,
 )
+from ramseykit import vdw
 from helpers import (interval_colorings, longest_ap_oracle, reference_digit_code,
                      reference_digits, reference_letters, reference_positions)
 
@@ -131,6 +133,13 @@ class TestLongestProgression:
             for color in range(m):
                 positions = {i + 1 for i, d in enumerate(c.colors) if d == color}
                 assert per_color[color] == longest_ap_oracle(positions)
+        # dense and all-one masks, where the bound on each difference cuts in
+        for length in range(1, 201):
+            dense = IntervalColoring(2, tuple(int(rng.random() < 0.1) for _ in range(length)))
+            for c in (dense, IntervalColoring(1, (0,) * length)):
+                for color in range(c.m):
+                    positions = {i + 1 for i, d in enumerate(c.colors) if d == color}
+                    assert longest_mono_ap(c, color) == longest_ap_oracle(positions)
 
     @given(interval_colorings(max_m=3, max_len=16))
     def test_reversal_preserves_sums(self, c):
@@ -242,6 +251,62 @@ class TestPrefixSearchAgainstEnumeration:
     def test_one_color_runs_past_the_recursion_limit(self):
         # m = 1 admits any length within the budget; the search is iterative
         assert check_universal_ap_sum(1100, 1100, 1).ok
+
+    @pytest.mark.parametrize("m, max_length", [(3, 6), (4, 5)])
+    def test_colors_are_placed_in_first_use_order(self, monkeypatch, m, max_length):
+        """The DFS never tries colour c before colours 0..c-1 are placed, and
+        its least failing colourings still match enumeration: AP sums, and
+        the single-colour predicate, whose witnesses need a third colour."""
+        real = vdw._longest_ap_mask
+
+        def spy(mask, length):
+            frame = sys._getframe(1)
+            if frame.f_code is vdw._least_failing.__code__:
+                used = {d for d, _ in frame.f_locals["stack"]}
+                assert used == set(range(len(used))) and frame.f_locals["c"] <= len(used)
+            return real(mask, length)
+
+        monkeypatch.setattr(vdw, "_longest_ap_mask", spy)
+        third = 0
+        for length in range(1, max_length + 1):
+            profiles = _profiles(m, length)
+            for target in range(1, m * 6 + 2):
+                want = _ap_sum_oracle(target, length, m, profiles)
+                assert check_universal_ap_sum(target, length, m).certificate.to_json() \
+                    == want.to_json()
+            for n in range(2, length + 1):
+                want = next((code for code, profile in enumerate(profiles)
+                             if max(profile) < n), None)
+                assert next(vdw._least_failing(m, length, n, True)) == want
+                third += want is not None and max(IntervalColoring.from_code(
+                    m, length, want).colors) >= 2
+        assert third
+
+    @pytest.mark.parametrize("m, target, single", [(1, 5, False), (2, 5, False),
+                                                   (3, 6, False), (2, 4, True),
+                                                   (4, 2, True)])
+    def test_one_dfs_yields_every_length_in_turn(self, m, target, single):
+        """The scan from length 1 yields the code a scan started at each
+        length yields first, then None at the first length where none fails."""
+        codes = list(vdw._least_failing(m, 1, target, single))
+        assert codes[-1] is None and None not in codes[:-1]
+        assert codes == [next(vdw._least_failing(m, length, target, single))
+                         for length in range(1, len(codes) + 1)]
+        assert list(vdw._least_failing(m, 3, target, single)) == codes[2:]
+
+    def test_a_search_scores_as_the_passing_check_does(self, monkeypatch):
+        """One DFS serves every probe of a search: ``ap_sum_threshold(2, 6)``
+        tries the colours that the passing check at length 18 tries, plus one
+        score per colour of each of its 17 witnesses (``engine.emit``)."""
+        calls = []
+        real = vdw._longest_ap_mask
+        monkeypatch.setattr(vdw, "_longest_ap_mask",
+                            lambda *a: calls.append(a) or real(*a))
+        assert check_universal_ap_sum(6, 18, 2).ok
+        checked = len(calls)
+        calls.clear()
+        assert ap_sum_threshold(2, 6).value == 18
+        assert len(calls) == checked + 2 * 17
 
 
 class TestClassicalCheck:
