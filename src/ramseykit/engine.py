@@ -25,9 +25,10 @@ m^pairs(k-1)``.  So a code fails only if ``low`` fails, and level k is
 exactly the failing ``low + high * m^pairs(k-1)``, where ``high``'s base-m
 digit u colours the pair (u, k-1).  Each level is produced in ascending code
 order (highs outer, the stored parent level inner; ``low`` is below
-m^pairs(k-1)), and only as far as the next level asks, so the first failing
-code of the last level is the least failing code and no code above it is
-scored.  Each code carries its class rows as one word per class, byte u
+m^pairs(k-1)), and only as far as it is read.  Size k reads the first code
+of level k, the least failing code, and size k + 1 extends that same
+level, so no level is scored twice and a check scores no code of its size
+above its witness.  Each code carries its class rows as one word per class, byte u
 being row u: a child's word is its parent's OR one constant per ``high``, so
 the replay for every ``high`` decodes nothing and a kernel reads a word's
 bytes.
@@ -44,20 +45,21 @@ child costs one bit test and its scores are read off the same ints (the
 "feasible neighbourhood" view of one-vertex extension: McKay and
 Radziszowski, "R(4,5) = 25", J. Graph Theory 1995).  A parent's table is
 built once it has been visited often enough to pay (``_TABLE_SWITCH``,
-``_PAIR_SWITCH``); the parent is then listed under its next failing high
+``_PAIR_SWITCH``), or, in a level read past its first code, from the next
+high on; the parent is then listed under its next failing high
 only, and a high visits just the parents listed under it.  Before the
 switch, each child is scored by ``_has_clique`` or ``_through`` on the new
 vertex, except a clique class whose new neighbourhood is the whole parent:
 its clique number goes up by one, so at high 0 (every digit 0) a clique
 child costs no kernel call.
 
-The top-digit symmetry applies where a size's code is read.  Each predicate
-is invariant under permuting colours (complementing, at m = 2), and
-swapping the top digit's colour with colour 0 lowers a code, so the least
-failing code, when one exists, has top digit 0: it is read off a last level
-whose highs lie in [0, m^(size-2)).  The certificate still accounts for all
-m^pairs instances; ``prune``, on the two graph modes only, changes just
-that recorded count, to the complement pairs of graphs.
+Reading a size stops within the level's first m^(size-2) highs.  Each
+predicate is invariant under permuting colours (complementing, at m = 2),
+and swapping the top digit's colour with colour 0 lowers a code, so the
+level's first code, the least failing code, has top digit 0 when it exists.
+The certificate still accounts for all m^pairs instances; ``prune``, on the
+two graph modes only, changes just that recorded count, to the complement
+pairs of graphs.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cache
-from itertools import count, product
+from itertools import chain, count, product
 from operator import add, mul, or_
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
@@ -81,13 +83,15 @@ from .scores import ScoreKind, _through
 # --- the registry ------------------------------------------------------------
 
 # The high from which a clique scan decides children by parent tables
-# (``_extend``), in inner levels and in the last level.  A table costs about
+# (``_extend``), in inner levels (below the first size read) and in read
+# levels (a size's own level, read up to its first code).  A table costs about
 # three kernel visits of its parent (m = 2, parents on 6 vertices: 5.1 us, and
 # 3 us more for ``_ups`` when the parent has failing children, against 1.9 us
 # for a visit at high 1, 2 or 3).  A visit at high 0 calls no kernel (class 0
 # spans the parent) and costs 0.9 us.  Inner levels are read to the end,
-# 2^(k-1) or more highs over each parent, unless the scan stops; the last
-# level stops at its first failing code, often within the first few highs.
+# 2^(k-1) or more highs over each parent, unless the scan stops; a read
+# level stops at its first failing code, often within the first few highs,
+# and tables from the next high on if a search reads it further.
 _TABLE_SWITCH = (0, 4)
 # The same for path and cycle scans.  A table there costs a few kernel
 # visits too (the pair walks of ``scores._ends``), but a visit at high 0
@@ -106,10 +110,11 @@ def _labeled_scan(first, m, top, score, target) -> Iterator[Optional[int]]:
     A code is split into its m colour classes; it fails while its ``top``
     best class scores sum below ``target`` (top = 1: no class reaches it).
     Levels of failing codes are built lazily, each produced only as far as
-    the next level asks for it and carrying its class rows, and kept from
-    one size to the next.  Size n reads the first code of a last level over
-    level n-1, whose highs are [0, m^(n-2)), codes with top digit 0; level n
-    with every high is built only when size n+1 is asked for."""
+    it is read and carrying its class rows, and kept from one size to the
+    next.  Size n reads the first code of level n, the level that size n+1
+    extends, and the level is stored only once size n+1 asks for it.
+    Levels below ``first`` table from the ``inner`` switch, read levels from
+    the ``last`` one."""
     if top == 1:
         fails = lambda per: max(per) < target
     elif top == m:
@@ -131,14 +136,14 @@ def _labeled_scan(first, m, top, score, target) -> Iterator[Optional[int]]:
     # the empty graph fails every target
     level = _Level(m, iter([(0, bytes(m), [0] * m)]))
     for n in count(1):
+        children = _extend(level, n, m, rule, last if n >= first else inner)
         if n >= first:
-            highs = range(m ** (n - 2) if n > 1 else 1)
-            found = next((code for code, _, _ in _extend(level, n, m, highs, rule, last)),
-                         None)
-            yield found
+            found = next(children, None)
+            yield None if found is None else found[0]
             if found is None:
                 return
-        level = _Level(m, _extend(level, n, m, range(m ** (n - 1)), rule, inner))
+            children = chain([found], children)
+        level = _Level(m, children)
 
 
 class _Rule(NamedTuple):
@@ -157,9 +162,9 @@ class _Level:
     more from ``source`` and stores them compactly: codes in an array, m
     score bytes each, and m words each in one array("Q"), the word of class
     d holding row u of that class in byte u.  A stored level has at most 8
-    vertices, because ``ENUMERATION_CAP`` stops every scan at 9 vertices
-    (m = 2), so the k rows fit in 64 bits; lifting the cap means widening
-    the word.  ``entry`` reads back one stored code and its words (a
+    vertices, because a level is stored only as the next size extends it
+    and ``ENUMERATION_CAP`` stops every scan at 9 vertices (m = 2), so the
+    k rows fit in 64 bits; lifting the cap means widening the word.  ``entry`` reads back one stored code and its words (a
     listed parent's scores are in its table)."""
 
     def __init__(self, m: int, source: Iterator[tuple]):
@@ -187,15 +192,15 @@ def _spans(nbrs: int, v: int) -> bool:
     return nbrs == (1 << v) - 1
 
 
-def _extend(parents, k: int, m: int, highs, rule,
+def _extend(parents, k: int, m: int, rule,
             switch: int) -> Iterator[tuple[int, bytes, list]]:
     """Failing codes on k vertices, ascending, with their class scores and
     class words: ``low + high * m^pairs(k-1)`` with ``low`` a failing parent
     and ``high``'s digit u the colour of the pair (u, k-1).  Every predicate
     is hereditary, so no other code fails.  Only failing children get words,
-    each by ``_grow``: one OR per class with a constant of the ``high``.
-    ``highs`` starts at 0, so a high is also its position among them.
-    ``rule`` says how a child is decided (``_Rule``).
+    each by ``_grow``: one OR per class with a constant of the ``high``,
+    for every high in [0, m^(k-1)).  ``rule`` says how a child is decided
+    (``_Rule``).
 
     Below the high ``switch``, a child's class score is the parent's or,
     when larger, ``through(rows, nbrs, score)`` on the parent's class rows
@@ -204,7 +209,10 @@ def _extend(parents, k: int, m: int, highs, rule,
     stops once the child passes.  A clique class whose neighbours are all
     k-1 parent vertices (``_spans``) goes up by one with no kernel call: its
     score is the parent's class clique number, and any of its largest
-    cliques grows by the new vertex.
+    cliques grows by the new vertex.  Once the level is read on past a
+    child yielded there, ``switch`` drops to the next high: a search reads
+    a level's first code for its size, then extends the whole level for the
+    next size, which pays for tables as an inner level does.
 
     At the high ``switch`` each parent's ``_table`` is built on its visit,
     one parent at a time, from the end sets ``ends`` finds in its class
@@ -216,6 +224,7 @@ def _extend(parents, k: int, m: int, highs, rule,
     next one reads only partly lists no parent beyond the highs it reaches."""
     fails, through, spans, ends, passing = rule
     v = k - 1
+    highs = range(m ** v)
     base = m ** pair_count(v)
     new = 1 << v
     tables = {}  # parent index -> (failing, index, children), while children lie ahead
@@ -245,8 +254,9 @@ def _extend(parents, k: int, m: int, highs, rule,
                             break
                 else:
                     yield low + offset, child, _grow(words, joins)
+                    switch = min(switch, high + 1)
         elif high == switch:  # each parent's table is built on this visit
-            within = _within(v, m, len(highs))
+            within = _within(v, m)
             listed = [array("I") for _ in highs]
             for p, (low, per, words) in enumerate(parents):
                 f, levels = _table([w.to_bytes(v, "little") for w in words], per, ends,
@@ -349,17 +359,16 @@ def _subsets(v: int) -> tuple[list[int], list[int]]:
 
 
 @cache
-def _within(v: int, m: int, size: int) -> list[list[int]]:
-    """``within[d][c]`` is the highs h < size whose digit u is d for every u
+def _within(v: int, m: int) -> list[list[int]]:
+    """``within[d][c]`` is the highs h < m^v whose digit u is d for every u
     in the set c of parent vertices (an index in [0, 2^v)): the new vertices
-    whose class-d neighbourhood holds c.  ``size`` is m^v in inner levels
-    and m^(v-1) in the last, whose highs have top digit 0."""
-    every = (1 << size) - 1
+    whose class-d neighbourhood holds c."""
+    every = (1 << m ** v) - 1
     within = []
     for d in range(m):
         # digit u is d on a run of m^u highs in every m^(u+1)
-        digit = [((1 << m ** u) - 1 << d * m ** u) * ((1 << m ** v) - 1)
-                 // ((1 << m ** (u + 1)) - 1) & every for u in range(v)]
+        digit = [((1 << m ** u) - 1 << d * m ** u) * every // ((1 << m ** (u + 1)) - 1)
+                 for u in range(v)]
         w = [every] * (1 << v)
         for c in range(1, 1 << v):
             low = c & -c
@@ -550,17 +559,18 @@ def search(name: str, target: int, m: int = 2, j: int = 1, score: str = "clique"
     mode = MODES[name]
     result = {"kind": name, "target": target, **_keys(mode, m, j, score)}
     scan: Optional[Iterator[Optional[int]]] = None
-    last_fail: Optional[SearchCertificate] = None
+    last_fail: Optional[tuple[dict, int]] = None  # (params, code) of the last failing size
+    lower = lambda: last_fail and emit(mode, *last_fail)
     for size in count(1):
         params = mode.params(target, size, m, j, score, prune)
         try:
             _admit(mode, params, budget)
         except BudgetError:
             raise UndecidedError(name, result, size, mode.bound(target, m),
-                                 lower=last_fail) from None
+                                 lower=lower()) from None
         scan = scan or _scan(mode, params)
         found = next(scan)
         if found is None:
-            return SearchResult(name, result, size, lower=last_fail,
+            return SearchResult(name, result, size, lower=lower(),
                                 upper=emit(mode, params))
-        last_fail = emit(mode, params, found)
+        last_fail = params, found

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramseykit import (EdgeColoring, Graph, SearchCertificate, ScoreKind,
+                       UndecidedError,
                        check_universal, check_universal_ap_sum,
                        check_universal_score, cli, clique_number,
                        family_sum_value, independence_number,
@@ -32,7 +33,7 @@ import ramseykit
 from ramseykit import engine, graphs, scores, vdw
 from ramseykit.engine import MODES, check
 from ramseykit.exact import _has_clique, _omega
-from ramseykit.graphs import pair_count, pair_table
+from ramseykit.graphs import ENUMERATION_CAP, pair_count, pair_table
 
 
 _VALUES: dict = {}  # values of codes 0, 1, ... scored so far, per instance family
@@ -191,18 +192,57 @@ def test_each_failing_code_is_grown_once_and_none_is_decoded(monkeypatch):
     assert write_graph6(Graph.from_code(7, code)) == "F@Tc?"
 
 
-def test_a_search_grows_each_failing_code_once_across_its_probes(monkeypatch):
-    """A search keeps its levels from one probe to the next: it grows the
-    failing codes on 1..5 vertices once, as the passing check on 6 vertices
-    does, and each of the five probes grows its witness."""
-    grown = []
-    real_grow = engine._grow
-    monkeypatch.setattr(engine, "_grow", lambda *a: grown.append(a) or real_grow(*a))
-    assert check("rprime", 5, 6).ok
-    checked = len(grown)
-    grown.clear()
-    assert engine.search("rprime", 5).value == 6
-    assert len(grown) == checked + 5
+def _grown_and_tabled(run) -> tuple[list, int]:
+    """The class words of every child ``run()`` grows, sorted, and its count
+    of ``_table`` calls."""
+    grown, tables = [], []
+    real_grow, real_table = engine._grow, engine._table
+
+    def grow(*args):
+        words = real_grow(*args)
+        grown.append(tuple(words))
+        return words
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_grow", grow)
+        patch.setattr(engine, "_table", lambda *a: tables.append(a) or real_table(*a))
+        run()
+    return sorted(grown), len(tables)
+
+
+def test_a_search_grows_each_failing_code_once_across_its_probes():
+    """A search keeps its levels from one probe to the next, and reads each
+    failing size off the level that the next size extends: it grows exactly
+    the children that the passing check on 6 vertices grows, the failing
+    codes on 1..5 vertices, each once."""
+    checked, _ = _grown_and_tabled(lambda: check("rprime", 5, 6))
+    searched, _ = _grown_and_tabled(lambda: engine.search("rprime", 5))
+    assert len(checked) == 1 + 2 + 8 + 18 + 12
+    assert searched == checked
+
+
+def test_a_pair_search_tables_and_grows_as_the_passing_check_does():
+    """A cycle search tables each parent and grows each failing child once
+    over all its probes: exactly what the passing check at its threshold,
+    6, tables and grows."""
+    checked = _grown_and_tabled(lambda: check("score", 4, 6, 2, 1, "cycle"))
+    searched = _grown_and_tabled(lambda: engine.search("score", 4, m=2, j=1, score="cycle"))
+    assert searched == checked
+    assert (len(checked[0]), checked[1]) == (115, 115)
+
+
+def test_a_failing_size_on_nine_vertices_is_read_without_storing_it():
+    """A read level is stored only once the next size extends it.  So a
+    failing check or search on 9 vertices, the most ``ENUMERATION_CAP``
+    admits, reads its witness without storing 9-vertex rows, which do not
+    fit in the 64-bit class words."""
+    cert = check("ramsey", 9, 9, budget=ENUMERATION_CAP).certificate
+    assert cert.witness_graph6 == "H_?????"
+    with pytest.raises(UndecidedError) as raised:
+        engine.search("ramsey", 9, budget=ENUMERATION_CAP)
+    assert (raised.value.low, raised.value.lower) == (10, cert)
+    cert = check("score", 8, 9, 2, 1, "path", budget=ENUMERATION_CAP).certificate
+    assert cert.witness_coloring == "9:bbbbbbbbbbbbbbbaaaaaaaaaaaaaaaaaaaaa"
 
 
 @pytest.mark.parametrize("m, top, score, target", [
@@ -246,7 +286,7 @@ def test_tables_match_the_kernel_at_every_high(case):
     fails = lambda per: sum(sorted(per, reverse=True)[:j]) < target
     failing, levels = engine._table(rows, per, engine._cliques,
                                     lambda per, rises: engine._passing(per, rises, j, target),
-                                    engine._within(v, m, m ** v))
+                                    engine._within(v, m))
     assert all(len(reach) == 1 for reach in levels)
     gains = [reach[0] for reach in levels]
     assert failing >> m ** v == 0 and all(g >> m ** v == 0 for g in gains)
@@ -287,7 +327,7 @@ def test_path_and_cycle_tables_match_the_kernel_at_every_high(case):
     failing, levels = engine._table(
         rows, per, lambda rows, per, within: [scores._ends(r, s, cap, cycle, lift)
                                               for r, s, lift in zip(rows, per, within)],
-        lambda per, rises: engine._passing(per, rises, j, cap), engine._within(v, m, m ** v))
+        lambda per, rises: engine._passing(per, rises, j, cap), engine._within(v, m))
     assert failing >> m ** v == 0
     for high in range(m ** v):
         nbrs = [0] * m
@@ -378,7 +418,7 @@ def test_a_pair_table_fault_reaches_the_oracle(monkeypatch):
 
 def test_the_last_level_tables_and_grows_only_up_to_its_witness(monkeypatch):
     """rprime_m m=3 target 6 on 5 vertices has its witness (code 3195) at
-    high 4, where the last level switches to tables: tables are built one
+    high 4, where the read level switches to tables: tables are built one
     parent at a time up to the witness's parent, and only the witness is
     grown there."""
     base = 3 ** pair_count(4)
@@ -392,10 +432,27 @@ def test_the_last_level_tables_and_grows_only_up_to_its_witness(monkeypatch):
                         or real_table(rows, *a))
     monkeypatch.setattr(engine, "_grow", lambda *a: events.append("grow") or real_grow(*a))
     assert next(engine._labeled_scan(5, 3, 3, "clique", 6)) == 3195
-    last = events.index(4)  # the last level's first table: parents on 4 vertices
+    last = events.index(4)  # the read level's first table: parents on 4 vertices
     assert events[last:].count(4) == failing[4].index(low) + 1
     assert events[last:].count("grow") == 1
     assert events.count("grow") == sum(map(len, failing.values())) + 1
+
+
+def test_a_level_read_past_its_witness_tables_from_the_next_high(monkeypatch):
+    """``rprime`` t=6 has its witness on 7 vertices at high 1, below the
+    read level's table switch (high 4).  When size 8 extends level 7 in
+    full, the kernel scores the rest of high 1 only: from high 2 on, every
+    parent on 6 vertices is tabled, as in an inner level.  At m = 2 a
+    kernel call at high h has the new vertex's class neighbourhood h or its
+    complement."""
+    scan = engine._labeled_scan(7, 2, 2, "clique", 6)
+    assert next(scan) // 2 ** pair_count(6) == 1
+    nbrs = set()
+    real = engine._has_clique
+    monkeypatch.setattr(engine, "_has_clique", lambda rows, nb, s: (
+        len(rows) == 6 and nbrs.add(nb)) or real(rows, nb, s))
+    assert next(scan) // 2 ** pair_count(7) == 3
+    assert nbrs == {1, 62}
 
 
 @pytest.mark.parametrize("target, n, j, score", [(6, 7, 1, "path"), (5, 6, 1, "cycle")])
@@ -597,7 +654,8 @@ def test_registry_rows():
 def test_check_parses_no_witness_text_and_decodes_each_witness_once(monkeypatch, name,
                                                                     target, kwargs):
     """A witness stays a code until ``emit`` decodes it and writes its text:
-    a search decodes one instance per failing size and parses no text."""
+    a search decodes one instance, its witness at the size below its
+    threshold, and parses no text."""
     def parse(*args):
         raise AssertionError("check parsed witness text")
 
@@ -610,7 +668,22 @@ def test_check_parses_no_witness_text_and_decodes_each_witness_once(monkeypatch,
         mode, read=parse, decode=lambda *a: decoded.append(a) or mode.decode(*a)))
     result = engine.search(name, target, **kwargs)
     assert result.value > 2
-    assert [a[0] for a in decoded] == list(range(1, result.value))
+    assert [a[0] for a in decoded] == [result.value - 1]
+
+
+def test_an_undecided_search_decodes_its_lower_witness_once(monkeypatch):
+    """A search refused at a probe emits its last failing size's witness
+    once, as the error's ``lower``: ``rprime`` t=6 at the default budget
+    fails on 7 vertices and is refused at 8, and ``lower`` is the
+    certificate, byte for byte, that ``check`` at 7 emits."""
+    decoded = []
+    mode = MODES["rprime"]
+    monkeypatch.setitem(MODES, "rprime", dataclasses.replace(
+        mode, decode=lambda *a: decoded.append(a) or mode.decode(*a)))
+    with pytest.raises(UndecidedError) as raised:
+        engine.search("rprime", 6)
+    assert (raised.value.low, [a[0] for a in decoded]) == (8, [7])
+    assert raised.value.lower.to_json() == check("rprime", 6, 7).certificate.to_json()
 
 
 # --- revalidate on malformed certificates ---------------------------------------

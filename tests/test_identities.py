@@ -13,6 +13,18 @@ enumeration, so it is an oracle independent of the engine:
   threshold is R(P_t, P_t) = t + floor(t / 2) - 1 for t >= 2 (L. Gerencsér
   and A. Gyárfás, "On Ramsey-type problems", Ann. Univ. Sci. Budapest.
   Eötvös Sect. Math. 10 (1967) 167-170).
+* ``wprime``: by the same split, an m-colouring of [n] whose colours'
+  longest APs sum below t avoids an (a_i + 1)-term AP in every colour i,
+  so the threshold is the largest van der Waerden number w(a_1 + 1, ...,
+  a_m + 1) over the splits a_1 + ... + a_m = t - 1.  The rows pinned here
+  are w(4, 4) = 35 (m = 2, t = 7) and w(3, 4) = 18 (m = 3, t = 6), from
+  V. Chvátal, "Some unknown van der Waerden numbers", Combinatorial
+  Structures and their Applications (1970) 31-33.  The other splits are
+  smaller: w(3, 5) = 22 (Chvátal 1970), w(2, 3, 3) = 14 (T. C. Brown,
+  "Some new van der Waerden numbers", Notices AMS 21 (1974) A-432).  A
+  colour with a_i = 1 holds at most one integer, and trying each position
+  for it gives w(2, 5) = 10, w(2, 6) = 11 and w(2, 2, 4) = 11; a colour
+  with a_i = 0 is unused.
 
 The Ramsey numbers come from S. P. Radziszowski, "Small Ramsey Numbers",
 Electron. J. Combin., Dynamic Survey DS1: R(3, 3) = 6 and R(3, 4) = 9
@@ -94,3 +106,25 @@ def test_rprime_6_is_r_3_4_at_the_enumeration_cap():
     value = engine.search("rprime", 6, budget=ENUMERATION_CAP).value
     assert value == clique_sum_identity(6, 2) == ramsey_number(3, 4) == 9
     assert time.perf_counter() - start < 7.5
+
+
+def test_score_path_6_is_the_path_ramsey_number_at_the_enumeration_cap():
+    """``score`` path m=2 j=1 t=6 is R(P_6, P_6) = 8: a witness on 7
+    vertices and all 2^28 colourings on 8 accounted for, past the default
+    colouring budget (0.4 s on the host above)."""
+    start = time.perf_counter()
+    value = engine.search("score", 6, m=2, j=1, score="path", budget=ENUMERATION_CAP).value
+    assert value == path_ramsey_identity(6) == 8
+    assert time.perf_counter() - start < 1.5
+
+
+@pytest.mark.parametrize("m, t, w, seconds", [
+    (2, 7, 35, 0.25),  # w(4, 4); 0.06 s on the host above
+    (3, 6, 18, 0.1),   # w(3, 4); 5 ms, so 3x would sit inside timer noise
+])
+def test_wprime_is_the_largest_van_der_waerden_number_over_splits(m, t, w, seconds):
+    """``wprime`` at the enumeration cap: the least length at which every
+    m-colouring's colours have longest APs summing to t or more."""
+    start = time.perf_counter()
+    assert engine.search("wprime", t, m=m, budget=ENUMERATION_CAP).value == w
+    assert time.perf_counter() - start < seconds
