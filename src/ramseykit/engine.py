@@ -19,19 +19,14 @@ UndecidedError.
 Labeled scans (every mode but "wprime") extend failing codes one vertex at a
 time, and keep their levels from one size to the next.  Every labeled
 predicate is hereditary: a class's clique number, path or cycle score
-cannot grow when a vertex is dropped, and the first k-1
-vertices of a code on k vertices are the code ``low = code mod
-m^pairs(k-1)``.  So a code fails only if ``low`` fails, and level k is
+cannot grow when a vertex is dropped, and the first k-1 vertices of a code
+on k vertices are the code ``low = code mod m^pairs(k-1)``.  So a code
+fails only if ``low`` fails, and the failing codes on k vertices are
 exactly the failing ``low + high * m^pairs(k-1)``, where ``high``'s base-m
-digit u colours the pair (u, k-1).  Each level is produced in ascending code
-order (highs outer, the stored parent level inner; ``low`` is below
-m^pairs(k-1)), and only as far as it is read.  Size k reads the first code
-of level k, the least failing code, and size k + 1 extends that same
-level, so no level is scored twice and a check scores no code of its size
-above its witness.  Each code carries its class rows as one word per class, byte u
-being row u: a child's word is its parent's OR one constant per ``high``, so
-the replay for every ``high`` decodes nothing and a kernel reads a word's
-bytes.
+digit u colours the pair (u, k-1).  Each code carries its class rows as one
+word per class, byte u being row u: a child's word is its parent's OR one
+constant per ``high``, so the replay for every ``high`` decodes nothing and
+a kernel reads a word's bytes.
 
 Children are decided by per-parent tables.  A child's class-d score is its
 parent's, or more where the new vertex's class-d neighbourhood holds an end
@@ -44,20 +39,29 @@ One more int holds the highs whose scores leave the child failing, so a
 child costs one bit test and its scores are read off the same ints (the
 "feasible neighbourhood" view of one-vertex extension: McKay and
 Radziszowski, "R(4,5) = 25", J. Graph Theory 1995).  A parent's table is
-built once it has been visited often enough to pay (``_TABLE_SWITCH``,
-``_PAIR_SWITCH``), or, in a level read past its first code, from the next
-high on; the parent is then listed under its next failing high
-only, and a high visits just the parents listed under it.  Before the
-switch, each child is scored by ``_has_clique`` or ``_through`` on the new
-vertex, except a clique class whose new neighbourhood is the whole parent:
-its clique number goes up by one, so at high 0 (every digit 0) a clique
-child costs no kernel call.
+built on its visit at a switch high; the parent is then listed under its
+next failing high only, and a high visits just the parents listed under
+it.  Before the switch, each child is scored by ``_has_clique`` or
+``_through`` on the new vertex, except a clique class whose new
+neighbourhood is the whole parent: its clique number goes up by one, so at
+high 0 (every digit 0) a clique child costs no kernel call.
 
-Reading a size stops within the level's first m^(size-2) highs.  Each
-predicate is invariant under permuting colours (complementing, at m = 2),
-and swapping the top digit's colour with colour 0 lowers a code, so the
-level's first code, the least failing code, has top digit 0 when it exists.
-The certificate still accounts for all m^pairs instances; ``prune``, on the
+Every predicate is invariant under permuting the m colours, so the scan
+stores one code per colour orbit: a code is normal when its digits, read
+from pair (0, 1) up, use colours in first-use order (Read, "Every one a
+winner", 1978; McKay, "Isomorph-free exhaustive generation", 1998).  The
+parent of a normal code is normal, so the normal level on k vertices is the
+normal failing children of the normal level on k-1, tabled from high 0, on
+up to m! times fewer codes than the failing codes it stands for.  A size
+still reads its least failing code, so the bytes of a witness do not
+depend on this: size k reads the children, in ascending code order, of a
+``_View`` of the failing codes on k-1 vertices.  The view starts with the
+children at high 0 of the view below, read lazily as far as the next size
+needs them, and goes on with the colour images of the normal level's codes,
+sorted, which need that normal level in full.  A failing size whose witness
+is a child of the view's first codes therefore stores no level of its own
+size, and a size that passes scores every normal code once.  The
+certificate still accounts for all m^pairs instances; ``prune``, on the
 two graph modes only, changes just that recorded count, to the complement
 pairs of graphs.
 """
@@ -65,10 +69,12 @@ pairs of graphs.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, count, product
-from operator import add, mul, or_
+from itertools import chain, compress, count, groupby, permutations, product, repeat, tee
+from operator import add, getitem, mul, or_, sub
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from . import exact, scores, vdw
@@ -82,25 +88,27 @@ from .scores import ScoreKind, _through
 
 # --- the registry ------------------------------------------------------------
 
-# The high from which a clique scan decides children by parent tables
-# (``_extend``), in inner levels (below the first size read) and in read
-# levels (a size's own level, read up to its first code).  A table costs about
-# three kernel visits of its parent (m = 2, parents on 6 vertices: 5.1 us, and
-# 3 us more for ``_ups`` when the parent has failing children, against 1.9 us
-# for a visit at high 1, 2 or 3).  A visit at high 0 calls no kernel (class 0
-# spans the parent) and costs 0.9 us.  Inner levels are read to the end,
-# 2^(k-1) or more highs over each parent, unless the scan stops; a read
-# level stops at its first failing code, often within the first few highs,
-# and tables from the next high on if a search reads it further.
-_TABLE_SWITCH = (0, 4)
+# The high from which a read (a size's children of the labeled level below,
+# up to its first failing code) and the children at high 0 that each labeled
+# level starts with decide children by parent tables (``_extend``); normal
+# levels are read to the end, so they table every parent from high 0.  For
+# cliques a table costs about three kernel visits of its parent (m = 2,
+# parents on 6 vertices: 5.1 us, and 3 us more for ``_ups`` when the parent
+# has failing children, against 1.9 us for a visit at high 1, 2 or 3), and a
+# visit at high 0 calls no kernel (class 0 spans the parent).
+_TABLE_SWITCH = 4
 # The same for path and cycle scans.  A table there costs a few kernel
 # visits too (the pair walks of ``scores._ends``), but a visit at high 0
-# needs the kernel on class 0 alone, and a scan that stops early reads
-# mostly the high-0 children of each level: with tables from high 0, checks
-# whose witness is a low code ran 3 to 7 times slower than with the kernel
-# at high 0 (cycle m=2 j=2 t=7 on 7 vertices: 50 against 14 ms; path m=2
-# j=1 t=6 on 7 vertices: 114 against 14 ms), while full scans ran alike.
-_PAIR_SWITCH = (1, 1)
+# needs the kernel on class 0 alone, and a read that stops early reads
+# mostly high-0 children: with tables from high 0, checks whose witness is a
+# low code ran 3 to 7 times slower than with the kernel at high 0 (cycle
+# m=2 j=2 t=7 on 7 vertices: 50 against 14 ms; path m=2 j=1 t=6 on 7
+# vertices: 114 against 14 ms).
+_PAIR_SWITCH = 1
+# The images a view sorts and reads at a time: enough that the Python work per
+# batch is small beside the C-level maps and sorts, few enough that a view of
+# a million images (``rprime_m`` m=3 on 6 vertices) holds no large temporary list.
+_BATCH = 4096
 
 
 def _labeled_scan(first, m, top, score, target) -> Iterator[Optional[int]]:
@@ -109,12 +117,12 @@ def _labeled_scan(first, m, top, score, target) -> Iterator[Optional[int]]:
 
     A code is split into its m colour classes; it fails while its ``top``
     best class scores sum below ``target`` (top = 1: no class reaches it).
-    Levels of failing codes are built lazily, each produced only as far as
-    it is read and carrying its class rows, and kept from one size to the
-    next.  Size n reads the first code of level n, the level that size n+1
-    extends, and the level is stored only once size n+1 asks for it.
-    Levels below ``first`` table from the ``inner`` switch, read levels from
-    the ``last`` one."""
+    Size n reads the children of ``labeled``, the view of the failing codes
+    on n-1 vertices, in ascending code order up to the first failing one.
+    Its children at high 0 are shared with the view that size n+1 reads,
+    which stores them only when it is read.  Normal levels (one code per
+    colour orbit) are built in full from high 0 and only once a view reads
+    past its children at high 0; reads table from ``switch``."""
     if top == 1:
         fails = lambda per: max(per) < target
     elif top == m:
@@ -124,26 +132,28 @@ def _labeled_scan(first, m, top, score, target) -> Iterator[Optional[int]]:
     kind = ScoreKind(score)
     if kind is ScoreKind.CLIQUE:
         through = lambda rows, nbrs, s: s + _has_clique(rows, nbrs, s)
-        ends, (inner, last) = _cliques, _TABLE_SWITCH
+        ends, switch = _cliques, _TABLE_SWITCH
     else:  # capped: a class that reaches the target makes the child pass
         cycle = kind is ScoreKind.CYCLE
         through = lambda rows, nbrs, s: _through(rows, nbrs, target, cycle)
         ends = lambda rows, per, within: [scores._ends(r, s, target, cycle, lift)
                                           for r, s, lift in zip(rows, per, within)]
-        inner, last = _PAIR_SWITCH
+        switch = _PAIR_SWITCH
     rule = _Rule(fails, through, kind is ScoreKind.CLIQUE, ends,
                  lambda per, rises: _passing(bytes(per), rises, top, target))
     # the empty graph fails every target
-    level = _Level(m, iter([(0, bytes(m), [0] * m)]))
+    normal = labeled = _Level(m, iter([(0, bytes(m), [0] * m, 0)]))
     for n in count(1):
-        children = _extend(level, n, m, rule, last if n >= first else inner)
-        if n >= first:
-            found = next(children, None)
+        prefix = _extend(labeled, n, m, rule, switch, [1] * (m + 1))  # the children at high 0
+        if n >= first:  # the read shares them, and goes on to the other highs as far as it must
+            read, prefix = tee(prefix)
+            rest = [(1 << m ** (n - 1)) - 2] * (m + 1)
+            found = next(chain(read, _extend(labeled, n, m, rule, switch, rest)), None)
             yield None if found is None else found[0]
             if found is None:
                 return
-            children = chain([found], children)
-        level = _Level(m, children)
+        normal = _Level(m, _extend(normal, n, m, rule, 0, _first_use(n - 1, m)))
+        labeled = _View(_Level(m, prefix), normal, n)
 
 
 class _Rule(NamedTuple):
@@ -157,33 +167,196 @@ class _Rule(NamedTuple):
 
 
 class _Level:
-    """Replayable failing codes on k vertices with their class scores and
-    class rows.  Iterating replays the entries stored so far, then pulls
-    more from ``source`` and stores them compactly: codes in an array, m
-    score bytes each, and m words each in one array("Q"), the word of class
-    d holding row u of that class in byte u.  A stored level has at most 8
-    vertices, because a level is stored only as the next size extends it
-    and ``ENUMERATION_CAP`` stops every scan at 9 vertices (m = 2), so the
-    k rows fit in 64 bits; lifting the cap means widening the word.  ``entry`` reads back one stored code and its words (a
-    listed parent's scores are in its table)."""
+    """Replayable failing codes on k vertices with their class scores, class
+    rows and colour maps.  Iterating replays the entries stored so far,
+    then pulls more from ``source`` and stores them compactly: codes in an
+    array, m score bytes each, m words each in one array("Q"), the word of
+    class d holding row u of that class in byte u, and a map index g each:
+    class d of the entry holds colour ``_colour_maps(m)[g][d]`` (0 in a
+    normal level).  A stored level has at most 8 vertices, because a level
+    is stored only as the next size reads it and ``ENUMERATION_CAP`` stops
+    every scan at 9 vertices (m = 2), so the k rows fit in 64 bits; lifting
+    the cap means widening the word."""
 
     def __init__(self, m: int, source: Iterator[tuple]):
-        self.m, self.source = m, source
+        self.m, self.source, self.complete = m, source, False
         self.codes, self.scores, self.words = array("Q"), bytearray(), array("Q")
-
-    def entry(self, i: int) -> tuple[int, list]:
-        m = self.m
-        return self.codes[i], self.words[i * m:i * m + m]
+        self.maps = array("H")
 
     def __iter__(self) -> Iterator[tuple]:
-        m, scores, words = self.m, self.scores, self.words
-        for i, code in enumerate(self.codes):  # ``entry`` inlined, with the scores
-            yield code, scores[i * m:i * m + m], words[i * m:i * m + m]
-        for code, per, grown in self.source:
-            self.codes.append(code)
-            scores.extend(per)
-            words.extend(grown)
-            yield code, per, grown
+        m, scores, words, maps = self.m, self.scores, self.words, self.maps
+        for i, code in enumerate(self.codes):
+            yield code, scores[i * m:i * m + m], words[i * m:i * m + m], maps[i]
+        codes, per_, words_, maps_ = (self.codes.append, scores.extend, words.extend,
+                                      maps.append)
+        for entry in self.source:
+            code, per, grown, g = entry
+            codes(code)
+            per_(per)
+            words_(grown)
+            maps_(g)
+            yield entry
+        self.complete = True
+
+
+class _View:
+    """The failing codes on k vertices, ascending, as the next size reads
+    them: first ``prefix``, the children at high 0 of the view below, then
+    every colour image with a nonzero top high of the codes of the normal
+    ``level`` on k.  The image of a normal code under colour map g is the
+    same code with class d coloured ``_colour_maps(m)[g][d]``, so it keeps
+    the normal code's scores and words and is stored as its code, g, and the
+    normal code's offset in ``level``: a few thousand at a time, sorted, as
+    far as the view is read.  ``level`` is completed when the first image is
+    read."""
+
+    def __init__(self, prefix: _Level, level: _Level, k: int):
+        self.prefix, self.level, self.k, self.m = prefix, level, k, level.m
+        # per image: its code, its colour map's index and its normal code's offset
+        self.codes, self.maps, self.at = array("Q"), array("H"), array("I")
+        self.blocks: Any = None  # per top high, the runs sent there; () once all are stored
+        self.images: dict[int, array] = {}  # per colour map, every normal code's image
+
+    def __iter__(self) -> Iterator[tuple]:
+        yield from self.prefix
+        m, codes, maps, at = self.m, self.codes, self.maps, self.at
+        scores, words = self.level.scores, self.level.words
+        i = 0
+        while i < len(codes) or self.blocks != () and self._fill():
+            end = min(len(codes), i + _BATCH)  # slices copy, so read a few at a time
+            for code, g, a in zip(codes[i:end], maps[i:end], at[i:end]):
+                yield code, scores[a:a + m], words[a:a + m], g
+            i = end
+
+    def _fill(self) -> bool:
+        """Store the images under the next top highs, a few thousand at a
+        time; False when none is left."""
+        if self.blocks is None:
+            self._index()
+        m, least, images, at, gs = self.m, _least_used(self.m), [], [], []
+        for _, blocks in self.blocks:
+            for g, start, end in blocks:
+                used = self.words[least[g] - 1][start:end] if least[g] else None
+                if used is None or all(used):
+                    images += self._images(g)[start:end]
+                    at += range(start * m, end * m, m)
+                else:  # only the codes using colour least - 1 have this image
+                    codes = list(compress(range(start, end), used))
+                    images += map(self._images(g).__getitem__, codes)
+                    at += map(m.__mul__, codes)
+                gs += repeat(g, len(at) - len(gs))
+            if len(images) >= _BATCH:
+                break
+        if not images:
+            self.blocks = ()  # every image is stored
+            return False
+        order = sorted(range(len(images)), key=images.__getitem__)
+        codes = array("Q", map(images.__getitem__, order))
+        cut = bisect_left(codes, self.base)
+        if cut:
+            codes, order = codes[cut:], order[cut:]
+        self.codes += codes
+        self.maps += array("H", map(gs.__getitem__, order))
+        self.at += array("I", map(at.__getitem__, order))
+        return True
+
+    def _images(self, g: int) -> array:
+        """The image of every normal code under colour map g."""
+        if g not in self.images:
+            terms = [ds if t == 1 else map(t.__mul__, ds)
+                     for t, ds in zip(_colour_maps(self.m)[g], self.digits) if t]
+            self.images[g] = array("Q", terms[0] if len(terms) == 1 else map(sum, zip(*terms)))
+        return self.images[g]
+
+    def _index(self) -> None:
+        """Complete the normal level and list, per top high, the runs of
+        normal codes (one top high each) and colour maps that send them there:
+        all as one batch when one sort can take every image."""
+        level, k, m = self.level, self.k, self.m
+        if not level.complete:
+            deque(level, 0)
+        # a normal code uses colours 0..u-1, those with a nonzero word
+        self.words = [level.words[d::m] for d in range(m)]
+        # digits[d] has base-m digit p 1 where pair p has colour d: a code is
+        # the sum of d * digits[d], and its image under sigma the sum of sigma[d] * digits[d]
+        upper = [array("Q", map(_pair_digits(k, m), w)) for w in self.words[2:]]
+        one = level.codes
+        for d, ds in enumerate(upper, 2):
+            one = array("Q", map(sub, one, map(d.__mul__, ds)))
+        zero = array("Q", [(m ** pair_count(k) - 1) // (m - 1)]) * len(one)
+        for ds in [one] + upper:
+            zero = array("Q", map(sub, zero, ds))
+        self.digits = [zero, one] + upper
+        self.base = base = m ** pair_count(k - 1)  # the prefix holds the codes below
+        maps = _relabellings(m, sum(map(any, self.words)))
+        if len(level.codes) * len(maps) <= _BATCH:  # one sort takes every image
+            self.blocks = iter([(0, [(g, 0, len(level.codes)) for g in maps])])
+            return
+        blocks = {}  # top high -> (colour map, first, end) per run of normal codes sent there
+        start = 0
+        for _, run in groupby(map(base.__rfloordiv__, level.codes)):
+            end = start + sum(1 for _ in run)
+            for g in _relabellings(m, sum(map(any, [w[start:end] for w in self.words]))):
+                top = self._images(g)[start] // base
+                if top:
+                    blocks.setdefault(top, []).append((g, start, end))
+            start = end
+        self.blocks = iter(sorted(blocks.items()))
+
+
+@cache
+def _colour_maps(m: int) -> list[tuple[int, ...]]:
+    """Every permutation of the m colours, identity first: an entry's map
+    index g says its class d holds colour ``_colour_maps(m)[g][d]``."""
+    return list(permutations(range(m)))
+
+
+@cache
+def _least_used(m: int) -> list[int]:
+    """Per colour map, the fewest colours u a normal code must use for the
+    map to give one of its images: the map is increasing on [u, m), so it
+    sends the unused colours to the colours left over in order."""
+    least = []
+    for sigma in _colour_maps(m):
+        u = m - 1
+        while u and sigma[u - 1] < sigma[u]:
+            u -= 1
+        least.append(u)
+    return least
+
+
+@cache
+def _relabellings(m: int, used: int) -> list[int]:
+    """The colour maps that give the images of a normal code using colours
+    0..used-1, one map per image."""
+    return [g for g, u in enumerate(_least_used(m)) if u <= used]
+
+
+@cache
+def _first_use(v: int, m: int) -> list[int]:
+    """``keep[u]`` is the highs h < m^v that continue first-use order after a
+    parent whose colours are 0..u-1: each digit of h, from u = 0 up, is at
+    most one above every colour used before it."""
+    keep = [0] * (m + 1)
+    for high in range(m ** v):
+        need, top, h = 0, -1, high  # need: the fewest colours a parent must use
+        for _ in range(v):
+            h, d = divmod(h, m)
+            if d > top + 1:
+                need = max(need, d)
+            top = max(top, d)
+        for u in range(need, m + 1):
+            keep[u] |= 1 << high
+    return keep
+
+
+@cache
+def _pair_digits(k: int, m: int) -> Callable[[int], int]:
+    """Class word -> the number whose base-m digit p is 1 where the class
+    holds pair p, on k vertices: row u's bits below u are the pairs (i, u)."""
+    rows = [[sum(m ** (pair_count(u) + i) for i in range(u) if x >> i & 1)
+             for x in range(256)] for u in range(k)]
+    return lambda word: sum(map(getitem, rows, word.to_bytes(k, "little")))
 
 
 def _spans(nbrs: int, v: int) -> bool:
@@ -192,15 +365,19 @@ def _spans(nbrs: int, v: int) -> bool:
     return nbrs == (1 << v) - 1
 
 
-def _extend(parents, k: int, m: int, rule,
-            switch: int) -> Iterator[tuple[int, bytes, list]]:
-    """Failing codes on k vertices, ascending, with their class scores and
-    class words: ``low + high * m^pairs(k-1)`` with ``low`` a failing parent
-    and ``high``'s digit u the colour of the pair (u, k-1).  Every predicate
-    is hereditary, so no other code fails.  Only failing children get words,
-    each by ``_grow``: one OR per class with a constant of the ``high``,
-    for every high in [0, m^(k-1)).  ``rule`` says how a child is decided
-    (``_Rule``).
+def _extend(parents, k: int, m: int, rule, switch: int,
+            keep: list[int]) -> Iterator[tuple[int, bytes, list]]:
+    """Failing codes on k vertices, with their class scores, class words and
+    colour maps: ``low + high * m^pairs(k-1)`` with ``low`` a failing parent
+    and ``high``'s digit u the colour of the pair (u, k-1), ascending if the
+    parents are.  Every predicate is hereditary, so no other code fails.
+    Only failing children get words, each by ``_grow``: one OR per class
+    with a constant of the ``high``.  ``rule`` says how a child is decided
+    (``_Rule``).  ``keep[u]`` is the highs kept over a parent using u
+    colours (its nonzero class words): ``_first_use`` for a normal level,
+    the same mask for every u in a view's children.  A parent's class d
+    holds colour sigma[d] (sigma its colour map), so it reads the new
+    vertex's colour-sigma[d] neighbours, and its children keep its map.
 
     Below the high ``switch``, a child's class score is the parent's or,
     when larger, ``through(rows, nbrs, score)`` on the parent's class rows
@@ -209,10 +386,8 @@ def _extend(parents, k: int, m: int, rule,
     stops once the child passes.  A clique class whose neighbours are all
     k-1 parent vertices (``_spans``) goes up by one with no kernel call: its
     score is the parent's class clique number, and any of its largest
-    cliques grows by the new vertex.  Once the level is read on past a
-    child yielded there, ``switch`` drops to the next high: a search reads
-    a level's first code for its size, then extends the whole level for the
-    next size, which pays for tables as an inner level does.
+    cliques grows by the new vertex.  Past the first vertex, a class with no
+    new neighbour keeps its score, also with no kernel call.
 
     At the high ``switch`` each parent's ``_table`` is built on its visit,
     one parent at a time, from the end sets ``ends`` finds in its class
@@ -223,12 +398,16 @@ def _extend(parents, k: int, m: int, rule,
     its listed parents, sorted back into level order, and a level that the
     next one reads only partly lists no parent beyond the highs it reaches."""
     fails, through, spans, ends, passing = rule
+    maps = _colour_maps(m)
     v = k - 1
-    highs = range(m ** v)
+    highs = range(max(keep).bit_length())
     base = m ** pair_count(v)
     new = 1 << v
-    tables = {}  # parent index -> (failing, index, children), while children lie ahead
+    tables = {}  # parent index -> (failing, index, children, low, words, map), while
+    # children lie ahead
     listed = []  # per high, the parents whose next failing child is there
+    # a parent with colour map g reads its class d as colour sigma[d] of the high
+    turn = lambda g, *rows: [[row[e] for e in maps[g]] for row in rows]
     for high in highs:
         if high > switch and not listed[high]:
             continue
@@ -242,40 +421,55 @@ def _extend(parents, k: int, m: int, rule,
         offset = high * base
         if high < switch:
             full = [spans and _spans(nb, v) for nb in nbrs]
-            for low, per, words in parents:
+            # the fewest colours a parent must use to keep this high
+            need = next((u for u in range(m + 1) if keep[u] >> high & 1), None)
+            if need is None:
+                continue
+            turns = {0: (full, nbrs, joins, range(m))}
+            for low, per, words, g in parents:
+                if need and not words[need - 1]:
+                    continue
+                full_g, nbrs_g, joins_g, order = turns.get(g) or turns.setdefault(
+                    g, (*turn(g, full, nbrs, joins), sorted(range(m), key=maps[g].__getitem__)))
                 child = bytearray(per)
-                for d in range(m):
+                for d in order:  # in colour order
                     s = per[d]
-                    score = s + 1 if full[d] else through(words[d].to_bytes(v, "little"),
-                                                         nbrs[d], s)
+                    if full_g[d]:
+                        score = s + 1
+                    elif nbrs_g[d] or not v:
+                        score = through(words[d].to_bytes(v, "little"), nbrs_g[d], s)
+                    else:  # past the first vertex, one with no class neighbour lifts nothing
+                        continue
                     if score > s:
                         child[d] = score
                         if not fails(child):
                             break
                 else:
-                    yield low + offset, child, _grow(words, joins)
-                    switch = min(switch, high + 1)
+                    yield low + offset, child, _grow(words, joins_g), g
         elif high == switch:  # each parent's table is built on this visit
-            within = _within(v, m)
+            turns = {0: (_within(v, m), joins)}
             listed = [array("I") for _ in highs]
-            for p, (low, per, words) in enumerate(parents):
+            for p, (low, per, words, g) in enumerate(parents):
+                within, joins_g = turns.get(g) or turns.setdefault(
+                    g, turn(g, _within(v, m), joins))
                 f, levels = _table([w.to_bytes(v, "little") for w in words], per, ends,
                                    passing, within)
-                f = f >> high << high
+                f = f >> high << high & keep[m - words.count(0)]
                 if not f:
                     continue
-                index, children = _ups(per, levels, len(highs))
+                index, children = _ups(per, levels, m ** v)
                 if f >> high & 1:
-                    yield low + offset, children[index[high]], _grow(words, joins)
+                    yield low + offset, children[index[high]], _grow(words, joins_g), g
                 after = f >> high + 1
                 if after:
-                    tables[p] = f, index, children
+                    tables[p] = f, index, children, low, words, g
                     listed[high + (after & -after).bit_length()].append(p)
         else:
+            turns = {0: joins}
             for p in sorted(listed[high]):
-                f, index, children = tables[p]
-                low, words = parents.entry(p)
-                yield low + offset, children[index[high]], _grow(words, joins)
+                f, index, children, low, words, g = tables[p]
+                joins_g = turns.get(g) or turns.setdefault(g, turn(g, joins)[0])
+                yield low + offset, children[index[high]], _grow(words, joins_g), g
                 after = f >> high + 1
                 if after:
                     listed[high + (after & -after).bit_length()].append(p)

@@ -13,10 +13,13 @@ raising.
 from __future__ import annotations
 
 import dataclasses
+import math
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -140,55 +143,129 @@ FULL_LEVELS = {
     "path-m3-j2-7": ("score", 7, 6, 3, 2, "path", 3 ** 15),
     "cycle-m2-j1-4": ("score", 4, 6, 2, 1, "cycle", None),
     "rprime_m-m3-6": ("rprime_m", 6, 6, 3, 3, "clique", 3 ** 15),
+    "clique-m3-j2-4": ("score", 4, 6, 3, 2, "clique", 3 ** 15),
 }
 
 
-@pytest.mark.parametrize("case", sorted(FULL_LEVELS))
-def test_each_level_is_exactly_the_failing_codes(monkeypatch, case):
-    """Every level below the last size holds exactly the failing codes, in
-    ascending order, each with its class scores and the adjacency rows of
-    its colour classes (carried from parent to child as one word per class,
-    byte u being row u, never decoded)."""
+def _colors_used(code: int, k: int, m: int) -> Optional[int]:
+    """How many colours a code on k vertices uses when its base-m digits,
+    read from pair (0, 1) up, use colours in first-use order; else None."""
+    used = 0
+    for _ in range(pair_count(k)):
+        code, d = divmod(code, m)
+        if d > used:
+            return None
+        used = max(used, d + 1)
+    return used
+
+
+def _failing_entries(mode, target, k, m, j, score) -> list:
+    """(code, class scores, class rows) of every failing code on k vertices,
+    ascending, from the public value functions."""
+    entries = []
+    for code, value in enumerate(_values(mode, k, m, j, score)):
+        if value < target:
+            c = EdgeColoring.from_code(k, m, code)
+            entries.append((code, bytes(score_sum(c, ScoreKind(score), 1)[1].per_color),
+                            [list(c.color_class(d).adj) for d in range(m)]))
+    return entries
+
+
+def _labeled(m, per, words, g) -> tuple[bytes, list]:
+    """An entry's class scores and words by colour: its class d holds the
+    colour ``_colour_maps(m)[g][d]``."""
+    sigma = engine._colour_maps(m)[g]
+    by_color, rows = bytearray(m), [0] * m
+    for d, color in enumerate(sigma):
+        by_color[color], rows[color] = per[d], words[d]
+    return bytes(by_color), rows
+
+
+def _scanned_levels(monkeypatch, case) -> tuple[dict, list]:
+    """Run a FULL_LEVELS check; return the normal levels it stores, on
+    1..size-1 vertices, and the view the last size reads, each entry as
+    (code, class scores, class rows)."""
     mode, target, size, m, j, score, budget = FULL_LEVELS[case]
-    levels = {k: [] for k in range(1, size)}
+    levels, views = {k: [] for k in range(1, size)}, []
     real = engine._extend
 
-    def spy(parents, k, *args):
-        for code, per, rows in real(parents, k, *args):
-            if k < size:
+    def spy(parents, k, m, rule, switch, keep):
+        normal = keep is engine._first_use(k - 1, m)
+        if k == size and isinstance(parents, engine._View) and parents not in views:
+            views.append(parents)
+        for entry in real(parents, k, m, rule, switch, keep):
+            if normal:
+                code, per, words, g = entry
+                assert g == 0
                 levels[k].append((code, bytes(per),
-                                  [list(w.to_bytes(k, "little")) for w in rows]))
-            yield code, per, rows
+                                  [list(w.to_bytes(k, "little")) for w in words]))
+            yield entry
 
     monkeypatch.setattr(engine, "_extend", spy)
     cert = check(mode, target, size, m, j, score, budget).certificate
     text = cert.witness_graph6 or cert.witness_coloring
     if text is not None:
         assert MODES[mode].read(text, m).code >= m ** pair_count(size - 1)
-    kind = ScoreKind(score)
+    assert len(views) == 1
+    view = []
+    for code, per, words, g in views[0]:
+        per, words = _labeled(m, per, words, g)
+        view.append((code, per, [list(w.to_bytes(size - 1, "little")) for w in words]))
+    return levels, view
+
+
+@pytest.mark.parametrize("case", sorted(FULL_LEVELS))
+def test_each_level_is_exactly_the_failing_codes(monkeypatch, case):
+    """Every stored level below the last size holds exactly the normal
+    failing codes (colours in first-use order), in ascending order, each with
+    its class scores and the adjacency rows of its colour classes (carried
+    from parent to child as one word per class, byte u being row u, never
+    decoded)."""
+    mode, target, size, m, j, score, _ = FULL_LEVELS[case]
+    levels, _ = _scanned_levels(monkeypatch, case)
     for k, level in levels.items():
-        expected = []
-        for code, value in enumerate(_values(mode, k, m, j, score)):
-            if value < target:
-                c = EdgeColoring.from_code(k, m, code)
-                expected.append((code, bytes(score_sum(c, kind, 1)[1].per_color),
-                                 [list(c.color_class(d).adj) for d in range(m)]))
+        expected = [entry for entry in _failing_entries(mode, target, k, m, j, score)
+                    if _colors_used(entry[0], k, m) is not None]
         assert level == expected, (case, k)
     if case == "rprime-6":
-        assert [len(level) for level in levels.values()] == [1, 2, 8, 64, 632, 5624]
+        assert [len(level) for level in levels.values()] == [1, 1, 4, 32, 316, 2812]
+
+
+@pytest.mark.parametrize("case", sorted(FULL_LEVELS))
+def test_normal_orbits_count_every_failing_code(monkeypatch, case):
+    """A normal code using u colours stands for its m!/(m-u)! colour images,
+    and each failing code is the image of exactly one normal failing code:
+    over each stored level the orbit sizes sum to the count of failing codes."""
+    mode, target, size, m, j, score, _ = FULL_LEVELS[case]
+    levels, _ = _scanned_levels(monkeypatch, case)
+    for k, level in levels.items():
+        orbits = sum(math.perm(m, _colors_used(code, k, m)) for code, _, _ in level)
+        assert orbits == sum(v < target for v in _values(mode, k, m, j, score)), (case, k)
+
+
+@pytest.mark.parametrize("case", sorted(FULL_LEVELS))
+def test_the_view_is_the_labeled_level(monkeypatch, case):
+    """The last size extends a view of the normal level below it that is
+    exactly the failing codes there, ascending, with their class scores and
+    class rows."""
+    mode, target, size, m, j, score, _ = FULL_LEVELS[case]
+    _, view = _scanned_levels(monkeypatch, case)
+    assert view == _failing_entries(mode, target, size - 1, m, j, score), case
 
 
 def test_each_failing_code_is_grown_once_and_none_is_decoded(monkeypatch):
-    """Rows are built once per failing code, from its parent's rows: the
-    failing codes on 1..6 vertices (1 + 2 + 8 + 64 + 632 + 5,624) and the
-    witness.  The scan itself decodes no code."""
+    """Rows are built once per failing code a level stores, from its
+    parent's rows: the normal failing codes on 1..6 vertices (1 + 1 + 4 +
+    32 + 316 + 2,812), the failing codes at high 0 that each labeled level
+    on 1..6 vertices starts with (1 + 1 + 2 + 8 + 18 + 12), and the witness.
+    The scan itself decodes no code."""
     grown, decoded = [], []
     real_grow, real_decode = engine._grow, graphs._decode_adj
     monkeypatch.setattr(engine, "_grow", lambda *a: grown.append(a) or real_grow(*a))
     monkeypatch.setattr(graphs, "_decode_adj",
                         lambda *a: decoded.append(a) or real_decode(*a))
     code = next(engine._labeled_scan(7, 2, 2, "clique", 6))
-    assert (len(grown), len(decoded)) == (6331 + 1, 0)
+    assert (len(grown), len(decoded)) == (3166 + 42 + 1, 0)
     assert write_graph6(Graph.from_code(7, code)) == "F@Tc?"
 
 
@@ -210,25 +287,56 @@ def _grown_and_tabled(run) -> tuple[list, int]:
     return sorted(grown), len(tables)
 
 
+def _late_witnesses(name, target, sizes, **kwargs) -> list:
+    """The class words, as a sorted tuple, of each size's least failing code
+    whose top high is not 0 (the read grows it past the children at high 0,
+    which the next size's level keeps)."""
+    m = kwargs.get("m", 2)
+    words = []
+    for n in sizes:
+        cert = check(name, target, n, **kwargs).certificate
+        code = MODES[name].read(cert.witness_graph6 or cert.witness_coloring, m).code
+        if code >= m ** pair_count(n - 1):
+            c = EdgeColoring.from_code(n, m, code)
+            words.append(tuple(sorted(int.from_bytes(bytes(c.color_class(d).adj), "little")
+                                      for d in range(m))))
+    return words
+
+
+def _added(searched: list, checked: list) -> list:
+    """What a search grows beyond a check, each as a sorted tuple of words
+    (an entry's classes are in the order of its colour map)."""
+    extra = Counter(searched)
+    extra.subtract(Counter(checked))
+    assert all(n >= 0 for n in extra.values())
+    return sorted(tuple(sorted(words)) for words in extra.elements())
+
+
 def test_a_search_grows_each_failing_code_once_across_its_probes():
-    """A search keeps its levels from one probe to the next, and reads each
-    failing size off the level that the next size extends: it grows exactly
-    the children that the passing check on 6 vertices grows, the failing
-    codes on 1..5 vertices, each once."""
+    """A search keeps its levels from one probe to the next: it grows what
+    the passing check on 6 vertices grows, the normal failing codes on 1..5
+    vertices (1 + 1 + 4 + 9 + 6) and the failing codes at high 0 that the
+    labeled levels on 1..5 vertices start with (1 + 1 + 2), and beyond that
+    only the witnesses of sizes 4 and 5, which lie past high 0."""
     checked, _ = _grown_and_tabled(lambda: check("rprime", 5, 6))
     searched, _ = _grown_and_tabled(lambda: engine.search("rprime", 5))
-    assert len(checked) == 1 + 2 + 8 + 18 + 12
-    assert searched == checked
+    assert len(checked) == 1 + 1 + 4 + 9 + 6 + 1 + 1 + 2
+    late = _late_witnesses("rprime", 5, range(1, 6))
+    assert len(late) == 2 and _added(searched, checked) == sorted(late)
 
 
 def test_a_pair_search_tables_and_grows_as_the_passing_check_does():
-    """A cycle search tables each parent and grows each failing child once
-    over all its probes: exactly what the passing check at its threshold,
-    6, tables and grows."""
+    """A cycle search tables each normal parent and grows each normal failing
+    child once over all its probes, as the passing check at its threshold, 6,
+    does: the normal failing codes on 1..5 vertices and the failing codes at
+    high 0 that the labeled levels start with (1 + 1 + 2 + 4).  Beyond that
+    it grows the one witness past high 0 (size 5's), and its reads at sizes
+    1..5 table 16 parents of their views (past high 1)."""
     checked = _grown_and_tabled(lambda: check("score", 4, 6, 2, 1, "cycle"))
     searched = _grown_and_tabled(lambda: engine.search("score", 4, m=2, j=1, score="cycle"))
-    assert searched == checked
-    assert (len(checked[0]), checked[1]) == (115, 115)
+    late = _late_witnesses("score", 4, range(1, 6), m=2, j=1, score="cycle")
+    assert len(late) == 1 and _added(searched[0], checked[0]) == late
+    assert (len(checked[0]), checked[1], searched[1]) == (66, 89, 89 + 16)
 
 
 def test_a_failing_size_on_nine_vertices_is_read_without_storing_it():
@@ -403,7 +511,7 @@ def test_a_pair_table_fault_reaches_the_oracle(monkeypatch):
                 for i, h in enumerate(levels)]
 
     monkeypatch.setattr(scores, "_ends", long)
-    monkeypatch.setattr(engine, "_PAIR_SWITCH", (0, 0))
+    monkeypatch.setattr(engine, "_PAIR_SWITCH", 0)
     wrong = set()
     for score in ("path", "cycle"):
         for j in (1, 2):
@@ -418,14 +526,19 @@ def test_a_pair_table_fault_reaches_the_oracle(monkeypatch):
 
 def test_the_last_level_tables_and_grows_only_up_to_its_witness(monkeypatch):
     """rprime_m m=3 target 6 on 5 vertices has its witness (code 3195) at
-    high 4, where the read level switches to tables: tables are built one
+    high 4, where the read switches to tables: tables are built one view
     parent at a time up to the witness's parent, and only the witness is
-    grown there."""
+    grown there.  Below it, each normal failing code and each failing code
+    at high 0 (which the labeled levels start with) is grown once."""
     base = 3 ** pair_count(4)
     high, low = divmod(3195, base)
-    assert high == engine._TABLE_SWITCH[1]
+    assert high == engine._TABLE_SWITCH
     failing = {k: [c for c, v in enumerate(_values("rprime_m", k, 3)) if v < 6]
                for k in range(1, 5)}
+    normal = {k: [c for c in codes if _colors_used(c, k, 3) is not None]
+              for k, codes in failing.items()}
+    top_0 = {k: [c for c in codes if c < 3 ** pair_count(k - 1)]
+             for k, codes in failing.items()}
     events = []
     real_table, real_grow = engine._table, engine._grow
     monkeypatch.setattr(engine, "_table", lambda rows, *a: events.append(len(rows[0]))
@@ -435,24 +548,39 @@ def test_the_last_level_tables_and_grows_only_up_to_its_witness(monkeypatch):
     last = events.index(4)  # the read level's first table: parents on 4 vertices
     assert events[last:].count(4) == failing[4].index(low) + 1
     assert events[last:].count("grow") == 1
-    assert events.count("grow") == sum(map(len, failing.values())) + 1
+    assert [len(normal[k]) for k in normal] == [1, 1, 4, 9]
+    assert [len(top_0[k]) for k in top_0] == [1, 1, 3, 0]
+    assert events.count("grow") == 15 + 5 + 1
 
 
-def test_a_level_read_past_its_witness_tables_from_the_next_high(monkeypatch):
+def test_the_normal_level_the_next_size_extends_is_tabled_from_high_0(monkeypatch):
     """``rprime`` t=6 has its witness on 7 vertices at high 1, below the
-    read level's table switch (high 4).  When size 8 extends level 7 in
-    full, the kernel scores the rest of high 1 only: from high 2 on, every
-    parent on 6 vertices is tabled, as in an inner level.  At m = 2 a
-    kernel call at high h has the new vertex's class neighbourhood h or its
-    complement."""
+    read's table switch (high 4).  A search that reads on builds the normal
+    level on 7 vertices with tables from high 0, as every normal level is:
+    each of the 2,812 normal parents on 6 vertices is tabled once, and no
+    kernel call scores a child of one."""
     scan = engine._labeled_scan(7, 2, 2, "clique", 6)
     assert next(scan) // 2 ** pair_count(6) == 1
-    nbrs = set()
-    real = engine._has_clique
+    kernel, tabled = [], []
+    real_clique, real_table = engine._has_clique, engine._table
     monkeypatch.setattr(engine, "_has_clique", lambda rows, nb, s: (
-        len(rows) == 6 and nbrs.add(nb)) or real(rows, nb, s))
+        len(rows) == 6 and kernel.append(nb)) or real_clique(rows, nb, s))
+    monkeypatch.setattr(engine, "_table", lambda rows, *a: (
+        len(rows[0]) == 6 and tabled.append(rows)) or real_table(rows, *a))
     assert next(scan) // 2 ** pair_count(7) == 3
-    assert nbrs == {1, 62}
+    assert (len(kernel), len(tabled)) == (0, 2812)
+
+
+def test_a_cap_search_pins_its_kernel_calls(monkeypatch):
+    """``search("rprime", 6)`` at the cap budget makes 166,826
+    ``_has_clique`` calls: each read scores its children below the switch
+    with the kernel and is never resumed, and each normal level the next
+    size extends is tabled from high 0."""
+    calls = []
+    real = engine._has_clique
+    monkeypatch.setattr(engine, "_has_clique", lambda *a: calls.append(None) or real(*a))
+    assert engine.search("rprime", 6, budget=ENUMERATION_CAP).value == 9
+    assert len(calls) == 166826
 
 
 @pytest.mark.parametrize("target, n, j, score", [(6, 7, 1, "path"), (5, 6, 1, "cycle")])
