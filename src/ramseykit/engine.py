@@ -60,7 +60,11 @@ children at high 0 of the view below, read lazily as far as the next size
 needs them, and goes on with the colour images of the normal level's codes,
 sorted, which need that normal level in full.  A failing size whose witness
 is a child of the view's first codes therefore stores no level of its own
-size, and a size that passes scores every normal code once.  The
+size, and a size that passes scores every normal code once.  At high 0 a
+clique child's scores are its parent's with the class holding colour 0 one
+up, so a clique view chooses its images' children there by score class,
+one verdict per distinct score vector and class, selected in C; its first
+codes, and every path or cycle view, are read one entry at a time.  The
 certificate still accounts for all m^pairs instances; ``prune``, on the
 two graph modes only, changes just that recorded count, to the complement
 pairs of graphs.
@@ -68,13 +72,14 @@ pairs of graphs.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, compress, count, groupby, permutations, product, repeat, tee
-from operator import add, getitem, mul, or_, sub
+from operator import add, and_, getitem, mul, or_, sub
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from . import exact, scores, vdw
@@ -119,10 +124,12 @@ def _labeled_scan(first, m, top, score, target) -> Iterator[Optional[int]]:
     best class scores sum below ``target`` (top = 1: no class reaches it).
     Size n reads the children of ``labeled``, the view of the failing codes
     on n-1 vertices, in ascending code order up to the first failing one.
-    Its children at high 0 are shared with the view that size n+1 reads,
-    which stores them only when it is read.  Normal levels (one code per
-    colour orbit) are built in full from high 0 and only once a view reads
-    past its children at high 0; reads table from ``switch``."""
+    Its children at high 0 (by score class for a clique view's images,
+    ``_View.spanned``, one entry at a time otherwise) are shared with the
+    view that size n+1 reads, which stores them only when it is read.
+    Normal levels (one code per colour orbit) are built in full from high 0
+    and only once a view reads past its children at high 0; reads table
+    from ``switch``."""
     if top == 1:
         fails = lambda per: max(per) < target
     elif top == m:
@@ -143,8 +150,12 @@ def _labeled_scan(first, m, top, score, target) -> Iterator[Optional[int]]:
                  lambda per, rises: _passing(bytes(per), rises, top, target))
     # the empty graph fails every target
     normal = labeled = _Level(m, iter([(0, bytes(m), [0] * m, 0)]))
-    for n in count(1):
-        prefix = _extend(labeled, n, m, rule, switch, [1] * (m + 1))  # the children at high 0
+    for n in count(1):  # the children at high 0, by score class for a clique view's images
+        if rule.spans and isinstance(labeled, _View):
+            prefix = chain(_extend(labeled.prefix, n, m, rule, switch, [1] * (m + 1)),
+                           labeled.spanned(rule))
+        else:
+            prefix = _extend(labeled, n, m, rule, switch, [1] * (m + 1))
         if n >= first:  # the read shares them, and goes on to the other highs as far as it must
             read, prefix = tee(prefix)
             rest = [(1 << m ** (n - 1)) - 2] * (m + 1)
@@ -206,44 +217,90 @@ class _View:
     ``level`` on k.  The image of a normal code under colour map g is the
     same code with class d coloured ``_colour_maps(m)[g][d]``, so it keeps
     the normal code's scores and words and is stored as its code, g, and the
-    normal code's offset in ``level``: a few thousand at a time, sorted, as
+    normal code's index in ``level``: a few thousand at a time, sorted, as
     far as the view is read.  ``level`` is completed when the first image is
-    read."""
+    read.  In a clique scan the images' children at high 0 are chosen by
+    score class (``spanned``); other scans read them one entry at a time."""
 
     def __init__(self, prefix: _Level, level: _Level, k: int):
         self.prefix, self.level, self.k, self.m = prefix, level, k, level.m
-        # per image: its code, its colour map's index and its normal code's offset
+        # per image: its code, its colour map's index and its normal code's index
         self.codes, self.maps, self.at = array("Q"), array("H"), array("I")
         self.blocks: Any = None  # per top high, the runs sent there; () once all are stored
         self.images: dict[int, array] = {}  # per colour map, every normal code's image
 
     def __iter__(self) -> Iterator[tuple]:
         yield from self.prefix
-        m, codes, maps, at = self.m, self.codes, self.maps, self.at
-        scores, words = self.level.scores, self.level.words
-        i = 0
-        while i < len(codes) or self.blocks != () and self._fill():
-            end = min(len(codes), i + _BATCH)  # slices copy, so read a few at a time
-            for code, g, a in zip(codes[i:end], maps[i:end], at[i:end]):
+        m, scores, words = self.m, self.level.scores, self.level.words
+        for i, end in self._runs():
+            for code, g, a in zip(self.codes[i:end], self.maps[i:end],
+                                  map(m.__mul__, self.at[i:end])):
                 yield code, scores[a:a + m], words[a:a + m], g
+
+    def _runs(self) -> Iterator[tuple[int, int]]:
+        """The images as (first, end) runs, storing more as far as they are
+        read: slices copy, so a few thousand at a time."""
+        i, codes = 0, self.codes
+        while i < len(codes) or self.blocks != () and self._fill():
+            end = min(len(codes), i + _BATCH)
+            yield i, end
             i = end
+
+    def spanned(self, rule: _Rule) -> Iterator[tuple]:
+        """The failing children at high 0 of the images, as ``_extend``
+        yields them, in a clique scan: a child's scores are its parent's with
+        the class holding colour 0 one up (``_spans``), so each distinct
+        score vector a run reaches is decided once per class, the run is
+        selected in C, and only the failing children are built."""
+        m, scores, words, maps = self.m, self.level.scores, self.level.words, _colour_maps(self.m)
+        up = [sigma.index(0) for sigma in maps]  # per colour map, the class holding colour 0
+        bit = [1 << d for d in up]
+        joins = _joins(0, self.k, m)[1]
+        joins = [[joins[e] for e in sigma] for sigma in maps]
+        keys, bits = None, {}  # packed scores per normal code; failing classes per packed scores
+        for i, end in self._runs():
+            if keys is None:
+                keys = self._keys()  # the level is complete now
+            gs, at = self.maps[i:end], self.at[i:end]
+            run = list(map(keys.__getitem__, at))
+            for key in set(run).difference(bits):
+                per = key.to_bytes(keys.itemsize, sys.byteorder)[:m]
+                bits[key] = sum(rule.fails(per[:d] + bytes([per[d] + 1]) + per[d + 1:]) << d
+                                for d in range(m))
+            for code, g, a in compress(zip(self.codes[i:end], gs, at), map(
+                    and_, map(bits.__getitem__, run), map(bit.__getitem__, gs))):
+                a *= m
+                child = scores[a:a + m]
+                child[up[g]] += 1
+                yield code, child, _grow(words[a:a + m], joins[g]), g
+
+    def _keys(self) -> memoryview:
+        """Each normal code's class scores packed into one int, class d in
+        byte d, built in C with no object per code."""
+        m, scores = self.m, self.level.scores
+        size = (m - 1).bit_length()  # a 1-, 2-, 4- or 8-byte int per code
+        width = 1 << size
+        packed = bytearray(width * (len(scores) // m))
+        for d in range(m):
+            packed[d::width] = scores[d::m]
+        return memoryview(packed).cast("BHIQ"[size])
 
     def _fill(self) -> bool:
         """Store the images under the next top highs, a few thousand at a
         time; False when none is left."""
         if self.blocks is None:
             self._index()
-        m, least, images, at, gs = self.m, _least_used(self.m), [], [], []
+        least, images, at, gs = _least_used(self.m), [], [], []
         for _, blocks in self.blocks:
             for g, start, end in blocks:
                 used = self.words[least[g] - 1][start:end] if least[g] else None
                 if used is None or all(used):
                     images += self._images(g)[start:end]
-                    at += range(start * m, end * m, m)
+                    at += range(start, end)
                 else:  # only the codes using colour least - 1 have this image
                     codes = list(compress(range(start, end), used))
                     images += map(self._images(g).__getitem__, codes)
-                    at += map(m.__mul__, codes)
+                    at += codes
                 gs += repeat(g, len(at) - len(gs))
             if len(images) >= _BATCH:
                 break
@@ -365,6 +422,19 @@ def _spans(nbrs: int, v: int) -> bool:
     return nbrs == (1 << v) - 1
 
 
+@cache
+def _joins(high: int, v: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(nbrs, joins) of a new vertex after v parent vertices at ``high``:
+    ``nbrs[d]`` is the set of its colour-d neighbours, and ``joins[d]`` what
+    ``_grow`` ORs into the colour-d word."""
+    nbrs, joins = [0] * m, [0] * m
+    for u in range(v):
+        high, d = divmod(high, m)
+        nbrs[d] |= 1 << u
+        joins[d] |= 1 << v << 8 * u
+    return tuple(nbrs), tuple(j | nb << 8 * v for j, nb in zip(joins, nbrs))
+
+
 def _extend(parents, k: int, m: int, rule, switch: int,
             keep: list[int]) -> Iterator[tuple[int, bytes, list]]:
     """Failing codes on k vertices, with their class scores, class words and
@@ -402,7 +472,6 @@ def _extend(parents, k: int, m: int, rule, switch: int,
     v = k - 1
     highs = range(max(keep).bit_length())
     base = m ** pair_count(v)
-    new = 1 << v
     tables = {}  # parent index -> (failing, index, children, low, words, map), while
     # children lie ahead
     listed = []  # per high, the parents whose next failing child is there
@@ -411,13 +480,7 @@ def _extend(parents, k: int, m: int, rule, switch: int,
     for high in highs:
         if high > switch and not listed[high]:
             continue
-        nbrs, joins = [0] * m, [0] * m
-        h = high
-        for u in range(v):
-            h, d = divmod(h, m)
-            nbrs[d] |= 1 << u
-            joins[d] |= new << 8 * u
-        joins = [j | nb << 8 * v for j, nb in zip(joins, nbrs)]
+        nbrs, joins = _joins(high, v, m)
         offset = high * base
         if high < switch:
             full = [spans and _spans(nb, v) for nb in nbrs]

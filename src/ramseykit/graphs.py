@@ -18,7 +18,7 @@ import functools
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 MAX_VERTICES = 64
 MAX_COLORS = 8  # the letters a..h: edge and interval colourings alike
@@ -358,6 +358,13 @@ class Digits:
     def to_text(self) -> str:
         return bytes(self.colors).translate(_LETTERS).decode()
 
+    def _check_colors(self, place: Callable[[int], str]) -> None:
+        """Raise naming the first colour, at ``place(k)``, that is not an int
+        in 0..m-1."""
+        for k, c in enumerate(self.colors):
+            if not isinstance(c, int) or not 0 <= c < self.m:
+                raise ValueError(f"{place(k)} has colour {c} outside 0..{self.m - 1}")
+
 
 @dataclass(frozen=True)
 class EdgeColoring(Digits):
@@ -374,9 +381,7 @@ class EdgeColoring(Digits):
             raise ValueError(f"colour count {self.m} outside 2..{MAX_COLORS}")
         if len(self.colors) != pair_count(self.n):
             raise ValueError("colour vector length does not match the pair count")
-        for k, c in enumerate(self.colors):
-            if not isinstance(c, int) or not 0 <= c < self.m:
-                raise ValueError(f"pair {k} has colour {c} outside 0..{self.m - 1}")
+        self._check_colors(lambda k: f"pair {k}")
 
     @classmethod
     def from_code(cls, n: int, m: int, code: int) -> "EdgeColoring":

@@ -41,9 +41,7 @@ class IntervalColoring(Digits):
             raise ValueError(f"colour count {self.m} outside 1..{MAX_COLORS}")
         if not self.colors:
             raise ValueError("the interval must be nonempty")
-        for i, c in enumerate(self.colors):
-            if not isinstance(c, int) or not 0 <= c < self.m:
-                raise ValueError(f"position {i + 1} has colour {c} outside 0..{self.m - 1}")
+        self._check_colors(lambda i: f"position {i + 1}")
 
     @property
     def length(self) -> int:

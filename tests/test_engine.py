@@ -253,6 +253,65 @@ def test_the_view_is_the_labeled_level(monkeypatch, case):
     assert view == _failing_entries(mode, target, size - 1, m, j, score), case
 
 
+# The clique checks of FULL_LEVELS, and a score clique check with m = 3 and
+# j = 1, where the class holding colour 0 decides a child's verdict (no
+# FULL_LEVELS case: its witness lies at high 0).
+SPANNED = {case: FULL_LEVELS[case] for case in FULL_LEVELS if FULL_LEVELS[case][5] == "clique"}
+SPANNED["clique-m3-j1-3"] = ("score", 3, 6, 3, 1, "clique", 3 ** 15)
+
+
+@pytest.mark.parametrize("case", sorted(SPANNED))
+def test_clique_views_choose_their_children_at_high_0_by_score_class(monkeypatch, case):
+    """On every view a clique check builds, the images' children at high 0
+    chosen by score class (``_View.spanned``) are exactly the (code, scores,
+    words, colour map) tuples that ``_extend``'s loop over every entry
+    yields after the prefix's children.  At m = 3 a colour map sigma can
+    differ from its inverse, so the class holding colour 0, sigma^-1(0),
+    need not be class sigma[0]."""
+    mode, target, size, m, j, score, budget = SPANNED[case]
+    views, rules = [], []
+    real = engine._extend
+
+    class Kept(engine._View):
+        def __init__(self, *args):
+            super().__init__(*args)
+            views.append(self)
+
+    monkeypatch.setattr(engine, "_View", Kept)
+    monkeypatch.setattr(engine, "_extend", lambda parents, k, m, rule, *rest: (
+        rules.append(rule) or real(parents, k, m, rule, *rest)))
+    check(mode, target, size, m, j, score, budget)
+    assert [view.k for view in views] == list(range(1, size))
+    entries = lambda found: [(code, bytes(per), list(words), g) for code, per, words, g in found]
+    every = [1] * (m + 1)
+    for view in views:
+        k = view.k + 1
+        expected = entries(real(view, k, m, rules[0], engine._TABLE_SWITCH, every))
+        prefix = entries(real(view.prefix, k, m, rules[0], engine._TABLE_SWITCH, every))
+        spanned = entries(view.spanned(rules[0]))
+        assert prefix + spanned == expected, (case, k)
+    assert any(view.codes for view in views)  # the selection read images
+
+
+def test_a_clique_check_reads_no_image_at_high_0_per_entry(monkeypatch):
+    """``check("rprime", 6, 7)`` passes no view image through ``_extend``'s
+    loop at high 0: its parents there are the root level and the views'
+    prefixes (1 + 1 + 1 + 2 + 8 + 18 + 12), not the 6,332 failing codes on
+    0..6 vertices that the root and the views hold."""
+    visited = []
+    real = engine._extend
+
+    def spy(parents, k, m, rule, switch, keep):
+        if keep == [1] * (m + 1) and keep is not engine._first_use(k - 1, m):
+            assert not isinstance(parents, engine._View)
+            parents = (visited.append(entry) or entry for entry in parents)
+        return real(parents, k, m, rule, switch, keep)
+
+    monkeypatch.setattr(engine, "_extend", spy)
+    assert check("rprime", 6, 7).certificate.witness_graph6 == "F@Tc?"
+    assert len(visited) == 43
+
+
 def test_each_failing_code_is_grown_once_and_none_is_decoded(monkeypatch):
     """Rows are built once per failing code a level stores, from its
     parent's rows: the normal failing codes on 1..6 vertices (1 + 1 + 4 +

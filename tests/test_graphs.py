@@ -192,10 +192,14 @@ def test_graph6_truncated_long_form_size():
     (lambda: EdgeColoring(0, 2, ()), "vertex count 0 outside 1..64"),
     (lambda: EdgeColoring.from_code(3, 2, 8), "code 8 outside 0..2^3-1"),
     (lambda: EdgeColoring(3, 2, (0, 1.0, 0)), "pair 1 has colour 1.0 outside 0..1"),
+    (lambda: EdgeColoring(3, 2, (0, 1, 2)), "pair 2 has colour 2 outside 0..1"),
+    (lambda: EdgeColoring(3, 3, (0, -1, 2)), "pair 1 has colour -1 outside 0..2"),
+    (lambda: EdgeColoring(3, 2, (256, 0, 1.0)), "pair 0 has colour 256 outside 0..1"),
 ], ids=["graph n=0", "row count", "cycle n=2", "from_code n=0", "from_code n=65",
         "from_code code=8", "from_code code=-1", "is_independent outside",
         "pair_index loop", "coloring n=0", "coloring from_code code=8",
-        "coloring float colour"])
+        "coloring float colour", "coloring colour m", "coloring colour -1",
+        "coloring colour 256"])
 def test_constructors_reject_bad_input_with_a_message(call, message):
     with pytest.raises(ValueError) as e:
         call()

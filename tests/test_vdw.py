@@ -67,9 +67,13 @@ class TestIntervalColoring:
         (lambda: classical_ap_check(0, 3, 5), "colour count 0 outside 1..8"),
         (lambda: classical_ap_check(9, 3, 5), "colour count 9 outside 1..8"),
         (lambda: IntervalColoring(2, (0, 1.0)), "position 2 has colour 1.0 outside 0..1"),
+        (lambda: IntervalColoring(2, (0, 1, 2)), "position 3 has colour 2 outside 0..1"),
+        (lambda: IntervalColoring(3, (0, -1, 2)), "position 2 has colour -1 outside 0..2"),
+        (lambda: IntervalColoring(1, (256, 0, 1.0)), "position 1 has colour 256 outside 0..0"),
         (lambda: classical_ap_check(2, 3, 5, budget=-1), "budget -1 is negative"),
     ], ids=["from_code code=8", "positions of colour m", "classical m=0",
-            "classical m=9", "float colour", "classical budget=-1"])
+            "classical m=9", "float colour", "colour m", "colour -1", "colour 256",
+            "classical budget=-1"])
     def test_rejects_bad_input_with_a_message(self, call, message):
         with pytest.raises(ValueError) as e:
             call()
