@@ -11,6 +11,7 @@ from ramseykit import (
     ap_sum_threshold,
     classical_ap_check,
     longest_mono_ap,
+    search,
 )
 
 c = IntervalColoring.from_text("bbwbb", 2)  # b/w spelling also accepted
@@ -31,6 +32,8 @@ the classical question (one colour must hold a 3-term progression by
 itself) needs 9 integers for two colours:
 """)
 print("  N=9:", classical_ap_check(2, 3, 9), "  N=8:", classical_ap_check(2, 3, 8))
+w = search("vdw", 3, m=2)  # the same question as a certified threshold
+print(f"  W(2,3) = {w.value}, last counterexample {w.lower.witness_coloring}")
 
 print("""
 the search extends only prefixes that still miss the target, so it reaches

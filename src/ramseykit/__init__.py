@@ -28,10 +28,18 @@ from .greedy import (GreedyStep, GreedyTrace, disjoint_guarantee_floor,
                      overlap_guarantee_floor, pair_guarantee_sweep,
                      pick_highest_degree, pick_lowest, replay_family_trace,
                      replay_pair_trace, seeded_pick)
-from .scores import (ScoreKind, ScoreProfile, check_universal_score,
-                     score_color_class, score_sum, search_threshold_score)
-from .vdw import (IntervalColoring, ap_sum, ap_sum_threshold,
-                  check_universal_ap_sum, classical_ap_check, longest_mono_ap)
+from .scores import (ScoreKind, ScoreProfile, score_color_class, score_sum,
+                     search_threshold_score)
+from .vdw import (IntervalColoring, ap_sum, ap_sum_threshold, classical_ap_check,
+                  longest_mono_ap)
+
+
+def __getattr__(name: str):  # check and search load the engine on first use
+    if name in ("check", "search"):
+        from . import engine
+        return getattr(engine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",
@@ -40,8 +48,8 @@ __all__ = [
     "ScoreKind", "ScoreProfile", "SearchCertificate", "SearchResult",
     "UndecidedError", "WitnessFamily", "WitnessPair",
     "ap_sum", "ap_sum_threshold", "bits", "bound_formulas",
-    "canonical_json", "check_universal", "check_universal_ap_sum",
-    "check_universal_score", "classical_ap_check", "clique_indep_pair",
+    "canonical_json", "check", "check_universal", "classical_ap_check",
+    "clique_indep_pair",
     "clique_number", "disjoint_guarantee_floor", "family_guarantee_floor",
     "family_sum_bound", "family_sum_value", "greedy_family", "greedy_pair_disjoint",
     "greedy_pair_overlap", "independence_number", "labeled_graph_count",
@@ -50,7 +58,7 @@ __all__ = [
     "pair_count", "pair_guarantee_sweep", "pair_sum_bound",
     "pair_sum_bruteforce", "pair_sum_value", "parse_graph6",
     "pick_highest_degree", "pick_lowest", "replay_family_trace",
-    "replay_pair_trace", "revalidate", "score_color_class", "score_sum",
+    "replay_pair_trace", "revalidate", "score_color_class", "score_sum", "search",
     "search_threshold", "search_threshold_score", "seeded_pick",
     "two_color_ramsey_bound", "write_graph6",
 ]

@@ -302,8 +302,7 @@ def _inequalities(seed):
     versus = _threshold("ramsey", 3).value <= rp[5]
     rm = _rprime_m_thresholds()
     family = all(rm[m][k + 1] <= 2 + m * (rm[m][k] - 1) for m in (2, 3) for k in (0, 1))
-    interval = (vdw.classical_ap_check(2, 3, 9) and not vdw.classical_ap_check(2, 3, 8)
-                and 9 <= _threshold("wprime", 5, m=2).value)
+    interval = _threshold("vdw", 3, m=2).value == 9 <= _threshold("wprime", 5, m=2).value
     return (f"doubling={doubling} pair-vs-single={versus} family={family} interval={interval}",
             doubling and versus and family and interval)
 

@@ -16,11 +16,11 @@ would be (``graphs.admit``) before the scan runs on to that size:
 ``search`` turns the BudgetError of the first refused probe into an
 UndecidedError.
 
-Labeled scans (every mode but "wprime") extend failing codes one vertex at a
-time, and keep their levels from one size to the next.  Every labeled
-predicate is hereditary: a class's clique number, path or cycle score
-cannot grow when a vertex is dropped, and the first k-1 vertices of a code
-on k vertices are the code ``low = code mod m^pairs(k-1)``.  So a code
+Labeled scans (every mode but the interval rows) extend failing codes one
+vertex at a time, and keep their levels from one size to the next.  Every
+labeled predicate is hereditary: a class's clique number, path or cycle
+score cannot grow when a vertex is dropped, and the first k-1 vertices of a
+code on k vertices are the code ``low = code mod m^pairs(k-1)``.  So a code
 fails only if ``low`` fails, and the failing codes on k vertices are
 exactly the failing ``low + high * m^pairs(k-1)``, where ``high``'s base-m
 digit u colours the pair (u, k-1).  Each code carries its class rows as one
@@ -736,6 +736,14 @@ def _coloring_row(name, keys, value, bound=lambda target, m: None) -> Mode:
                 EdgeColoring.from_text, value, bound)
 
 
+def _interval_row(name, value, top=None) -> Mode:
+    return Mode(name, ("m",), range(1, MAX_COLORS + 1), vdw.DEFAULT_INTERVAL_BUDGET,
+                "witness_coloring",
+                lambda length, m, code: vdw.IntervalColoring.from_code(m, length, code),
+                vdw.IntervalColoring.to_text, vdw.IntervalColoring.from_text, value,
+                top=top, size_key="length", scan=vdw._least_failing)
+
+
 MODES = {mode.name: mode for mode in (
     _graph_row("rprime", lambda g, p: exact.pair_sum_value(g),
                lambda t, m: exact.pair_sum_bound(t) if t >= 2 else None),
@@ -747,12 +755,8 @@ MODES = {mode.name: mode for mode in (
                   lambda t, m: exact.family_sum_bound(m, t - m) if t >= m else None),
     _coloring_row("score", ("score", "j", "m"),
                   lambda c, p: scores.score_sum(c, p["score"], p["j"])[0]),
-    Mode("wprime", ("m",), range(1, MAX_COLORS + 1),
-         vdw.DEFAULT_INTERVAL_BUDGET, "witness_coloring",
-         lambda length, m, code: vdw.IntervalColoring.from_code(m, length, code),
-         vdw.IntervalColoring.to_text, vdw.IntervalColoring.from_text,
-         lambda c, p: vdw.ap_sum(c)[0], size_key="length",
-         scan=lambda first, m, top, score, target: vdw._least_failing(m, first, target, False)),
+    _interval_row("wprime", lambda c, p: vdw.ap_sum(c)[0]),
+    _interval_row("vdw", lambda c, p: max(vdw.ap_sum(c)[1]), top=1),
 )}
 
 

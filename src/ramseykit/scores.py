@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .certificates import SearchResult
-from .exact import CheckOutcome, _omega
+from .exact import _omega
 from .graphs import EdgeColoring, bits
 
 
@@ -220,15 +220,6 @@ def score_sum(c: EdgeColoring, kind: ScoreKind, j: int) -> tuple[int, ScoreProfi
     kind = ScoreKind(kind)
     profile = ScoreProfile(tuple(score_color_class(c, i, kind) for i in range(c.m)))
     return profile.aggregate(j), profile
-
-
-def check_universal_score(target: int, n_vertices: int, kind: ScoreKind,
-                          m: int = 2, j: int = 1, budget: Optional[int] = None
-                          ) -> CheckOutcome:
-    """Does every m-colouring on ``n_vertices`` reach ``target`` with its j
-    best class scores?  Failures report the minimum-code colouring."""
-    from .engine import check
-    return check("score", target, n_vertices, m=m, j=j, score=kind, budget=budget)
 
 
 def search_threshold_score(kind: ScoreKind, m: int, j: int, target: int,

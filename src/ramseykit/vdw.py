@@ -1,15 +1,15 @@
 """Monochromatic arithmetic progressions in colourings of {1, ..., N}.
 
 The quantity mirroring the clique/independent pair sum is the sum over
-colours of the longest monochromatic arithmetic progression.  Thresholds
-("from which interval length onward does every m-colouring have AP lengths
-summing to n?") are settled with certificates, alongside the classical
-single-colour check.  Both are decided by a prefix search that colours
-N, N-1, ... and extends only prefixes still missing the target, instead of
-enumerating all m^N colourings.  It places colours in first-use order (a
-colour only once every lower one is used), and one search yields the least
-failing colouring at every length in turn, so a threshold search scans
-once.
+colours of the longest monochromatic arithmetic progression, the ``wprime``
+row of ``engine.MODES``; the classical van der Waerden question (a k-term
+progression in one colour) is its ``vdw`` row, which counts the best
+colour only.  Both rows' thresholds are settled with certificates by one
+prefix search that colours N, N-1, ... and extends only prefixes still
+missing the target, instead of enumerating all m^N colourings.  It places
+colours in first-use order (a colour only once every lower one is used),
+and one search yields the least failing colouring at every length in turn,
+so a threshold search scans once.
 
 Positions are bitmasks, and an AP chain is grown by one term per step with
 ``cur &= cur >> d``: after k steps, set bits mark the starts of (k+1)-term
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .certificates import SearchResult
-from .exact import CheckOutcome
-from .graphs import MAX_COLORS, Digits, admit, code_digits, text_digits
+from .graphs import MAX_COLORS, Digits, code_digits, text_digits
 
 # A check at length N accounts for all m^N colourings of the interval.
 DEFAULT_INTERVAL_BUDGET = 1 << 26
@@ -91,12 +90,13 @@ def ap_sum(c: IntervalColoring) -> tuple[int, tuple[int, ...]]:
     return sum(per), per
 
 
-def _least_failing(m: int, first: int, target: int,
-                   single: bool) -> Iterator[Optional[int]]:
+def _least_failing(first: int, m: int, top: int, score: str,
+                   target: int) -> Iterator[Optional[int]]:
     """Codes of the least-code colourings of 1..N whose longest
-    monochromatic APs miss ``target`` (in every colour when ``single``, in
-    sum otherwise), for N = first, first + 1, ..., then None at the first N
-    where none does.  Callers validate and admit the scan.
+    monochromatic APs miss ``target`` (in every colour when ``top`` is 1,
+    in sum over all m otherwise), for N = first, first + 1, ..., then None
+    at the first N where none does: ``Mode.scan``'s signature, ``score``
+    unread.  Callers validate and admit the scan.
 
     One depth-first search serves every N.  The first position placed is
     position N, the most significant digit, so prefixes are visited in
@@ -116,7 +116,7 @@ def _least_failing(m: int, first: int, target: int,
         depth = len(stack)
         if c < m and (not c or masks[c - 1]):  # first use: colour c - 1 is placed
             grown = _longest_ap_mask(masks[c] | 1 << depth, depth + 1)
-            if (grown if single else total - best[c] + grown) >= target:
+            if (grown if top == 1 else total - best[c] + grown) >= target:
                 c += 1
                 continue
             stack.append((c, best[c]))
@@ -138,15 +138,6 @@ def _least_failing(m: int, first: int, target: int,
             return
 
 
-def check_universal_ap_sum(target: int, length: int, m: int,
-                           budget: Optional[int] = None) -> CheckOutcome:
-    """Does every m-colouring of 1..length have AP lengths summing to
-    ``target``?  Failures report the minimum-code colouring; a pass counts
-    all m^length colourings."""
-    from .engine import check
-    return check("wprime", target, length, m=m, budget=budget)
-
-
 def ap_sum_threshold(m: int, target: int, budget: Optional[int] = None) -> SearchResult:
     """Least interval length from which every m-colouring reaches an AP sum
     of ``target``; raises UndecidedError past the budget (no closed form)."""
@@ -158,9 +149,5 @@ def classical_ap_check(m: int, n: int, length: int,
                        budget: Optional[int] = None) -> bool:
     """True iff every m-colouring of 1..length has an n-term progression in
     a single colour (the classical van der Waerden property)."""
-    if n < 1 or length < 1:
-        raise ValueError("target and interval length must be positive")
-    if not 1 <= m <= MAX_COLORS:
-        raise ValueError(f"colour count {m} outside 1..{MAX_COLORS}")
-    admit(m**length, budget, DEFAULT_INTERVAL_BUDGET, f"length {length}")
-    return next(_least_failing(m, length, n, True)) is None
+    from .engine import check
+    return check("vdw", n, length, m=m, budget=budget).ok

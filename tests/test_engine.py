@@ -27,8 +27,7 @@ from hypothesis import strategies as st
 
 from ramseykit import (EdgeColoring, Graph, SearchCertificate, ScoreKind,
                        UndecidedError,
-                       check_universal, check_universal_ap_sum,
-                       check_universal_score, cli, clique_number,
+                       check_universal, cli, clique_number,
                        family_sum_value, independence_number,
                        pair_guarantee_sweep, pair_sum_value, revalidate,
                        score_sum, write_graph6)
@@ -109,7 +108,7 @@ def test_score_scan_matches_full_scan(score):
         for j in range(1, m + 1):
             for n in range(1, top + 1):
                 for target in range(1, 7):
-                    cert = check_universal_score(target, n, score, m=m, j=j).certificate
+                    cert = check("score", target, n, m=m, j=j, score=score).certificate
                     assert _as_triple(cert) == _full_scan("score", target, n, m, j, score), \
                         (m, j, n, target)
 
@@ -127,7 +126,7 @@ def test_extension_matches_full_scan_one_level_deeper():
         for j in (1, 2):
             for target in range(3, 8):
                 same(_full_scan("score", target, 5, 2, j, score),
-                     check_universal_score(target, 5, score, m=2, j=j))
+                     check("score", target, 5, m=2, j=j, score=score))
     oracle = _full_scan("rprime_m", 6, 5, 3)
     assert EdgeColoring.from_text(oracle[1], 3).code == 3195
     same(oracle, check_universal(6, 5, "rprime_m", m=3))
@@ -728,7 +727,8 @@ def test_labeled_scan_matches_full_scan(case):
 @st.composite
 def prefixed(draw):
     """A labeled mode, its parameters and a code on n >= 2 vertices."""
-    name = draw(st.sampled_from([name for name in sorted(MODES) if name != "wprime"]))
+    name = draw(st.sampled_from([name for name in sorted(MODES)
+                                 if MODES[name].size_key != "length"]))
     m = 2 if name in ("rprime", "ramsey") else draw(st.integers(2, 4))
     n = draw(st.integers(2, 7 if m == 2 else 5))
     params = {"m": m, "j": draw(st.integers(1, m)),
@@ -801,7 +801,7 @@ def test_labeled_scans_start_no_pool(monkeypatch, tmp_path):
 
     monkeypatch.setattr(ProcessPoolExecutor, "__init__", refuse)
     assert not check_universal(6, 6, "rprime").ok
-    assert check_universal_score(5, 4, "path", m=2, j=2).ok
+    assert check("score", 5, 4, m=2, j=2, score="path").ok
     assert cli.main(["search", "rprime", "--n", "5", "--threads", "8",
                      "--cache", str(tmp_path / "r.jsonl"), "--json"]) == 0
     assert pair_guarantee_sweep(5, threads=2) == (1024, None)
@@ -827,8 +827,9 @@ def test_star_import_binds_every_name_in_all():
 
 
 def test_registry_rows():
-    assert sorted(MODES) == sorted(["rprime", "ramsey", "rprime_m", "score", "wprime"])
-    assert MODES["wprime"].count(5, 3) == 3**5
+    assert list(MODES) == ["rprime", "ramsey", "rprime_m", "score", "wprime", "vdw"]
+    assert MODES["wprime"].count(5, 3) == MODES["vdw"].count(5, 3) == 3**5
+    assert [name for name, mode in MODES.items() if mode.top == 1] == ["ramsey", "vdw"]
     assert MODES["score"].count(4, 3) == 3**6
     assert MODES["rprime"].pruned(1, 2) == 1 and MODES["rprime"].pruned(4, 2) == 32
     assert [name for name, mode in MODES.items() if mode.pruned] == ["rprime", "ramsey"]
@@ -1082,9 +1083,8 @@ def emitted(draw):
     target = draw(st.integers(1, 7))
     if mode in ("rprime", "ramsey"):
         return check(mode, target, draw(st.integers(1, 5)), prune=draw(st.booleans()))
-    if mode == "wprime":
-        return check_universal_ap_sum(target, draw(st.integers(1, 8)),
-                                      draw(st.integers(1, 3)))
+    if mode in ("wprime", "vdw"):
+        return check(mode, target, draw(st.integers(1, 8)), m=draw(st.integers(1, 3)))
     m = draw(st.integers(2, 3))
     n = draw(st.integers(1, 4 if m == 2 else 3))
     if mode == "score":

@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from helpers import random_graph
-from ramseykit import cli, exact, greedy, scores, vdw
+from ramseykit import cli, engine, exact, greedy, scores, vdw
 from ramseykit.graphs import EdgeColoring, Graph, labeled_graph_count, pair_count
 from ramseykit.certificates import SearchResult, UndecidedError, canonical_json
 
@@ -99,17 +99,19 @@ def _check_cases():
                     for target in range(1, 7):
                         yield ("check_score", f"{kind} m={m} j={j} n={n} t={target}",
                                (lambda k=kind, n=n, m=m, j=j, tg=target:
-                                scores.check_universal_score(tg, n, k, m=m, j=j),))
+                                engine.check("score", tg, n, m=m, j=j, score=k),))
     for m, top in ((1, 12), (2, 12), (3, 8), (4, 6)):
         for length in range(1, top + 1):
             for target in range(1, 2 * m + 4):  # frozen names keep "prune=False"
                 yield ("check_interval", f"wprime m={m} len={length} t={target} prune=False",
                        (lambda m=m, ln=length, tg=target:
-                        vdw.check_universal_ap_sum(tg, ln, m),))
+                        engine.check("wprime", tg, ln, m=m),))
     for m, n, top in ((1, 3, 4), (2, 3, 10), (2, 4, 28), (3, 3, 12)):
         for length in range(1, top + 1):
             yield ("check_interval", f"classical m={m} n={n} len={length}",
                    (lambda m=m, n=n, ln=length: vdw.classical_ap_check(m, n, ln),))
+            yield ("check_interval", f"vdw m={m} n={n} len={length}",
+                   (lambda m=m, n=n, ln=length: engine.check("vdw", n, ln, m=m),))
 
 
 def _search_cases():
@@ -144,6 +146,10 @@ def _search_cases():
     for budget in (0, 1, 64, 1 << 10):
         yield ("search_interval", f"wprime m=2 t=6 budget={budget}",
                (lambda b=budget: vdw.ap_sum_threshold(2, 6, budget=b),))
+    for m in (1, 2, 3):
+        for target in range(1, 5):
+            yield ("search_interval", f"vdw m={m} t={target}",
+                   (lambda m=m, tg=target: engine.search("vdw", tg, m=m),))
 
 
 def _invalid_cases():
@@ -170,23 +176,26 @@ def _invalid_cases():
         "search rprime m=3": lambda: exact.search_threshold("rprime", 3, m=3),
         "search rprime_m m=9": lambda: exact.search_threshold("rprime_m", 3, m=9),
         "search ramsey t=0": lambda: exact.search_threshold("ramsey", 0),
-        "score kind bogus": lambda: scores.check_universal_score(3, 3, "bogus"),
-        "score j=0": lambda: scores.check_universal_score(3, 3, "clique", m=2, j=0),
-        "score j=3 m=2": lambda: scores.check_universal_score(3, 3, "clique", m=2, j=3),
-        "score m=1": lambda: scores.check_universal_score(3, 3, "path", m=1, j=1),
-        "score t=0": lambda: scores.check_universal_score(0, 3, "cycle"),
-        "score n=6 m=3": lambda: scores.check_universal_score(3, 6, "path", m=3),
+        "score kind bogus": lambda: engine.check("score", 3, 3, score="bogus"),
+        "score j=0": lambda: engine.check("score", 3, 3, m=2, j=0),
+        "score j=3 m=2": lambda: engine.check("score", 3, 3, m=2, j=3),
+        "score m=1": lambda: engine.check("score", 3, 3, m=1, j=1, score="path"),
+        "score t=0": lambda: engine.check("score", 0, 3, score="cycle"),
+        "score n=6 m=3": lambda: engine.check("score", 3, 6, m=3, score="path"),
         "score search j=5": lambda: scores.search_threshold_score("clique", 2, 5, 3),
         "score search j=5 budget=0":
             lambda: scores.search_threshold_score("clique", 2, 5, 3, budget=0),
-        "wprime t=0": lambda: vdw.check_universal_ap_sum(0, 3, 2),
-        "wprime len=0": lambda: vdw.check_universal_ap_sum(3, 0, 2),
-        "wprime m=9": lambda: vdw.check_universal_ap_sum(3, 3, 9),
-        "wprime len=27": lambda: vdw.check_universal_ap_sum(3, 27, 2),
+        "wprime t=0": lambda: engine.check("wprime", 0, 3, m=2),
+        "wprime len=0": lambda: engine.check("wprime", 3, 0, m=2),
+        "wprime m=9": lambda: engine.check("wprime", 3, 3, m=9),
+        "wprime len=27": lambda: engine.check("wprime", 3, 27, m=2),
         "wprime search m=9": lambda: vdw.ap_sum_threshold(9, 3),
         "wprime search m=0 budget=0": lambda: vdw.ap_sum_threshold(0, 3, budget=0),
         "wprime search t=0": lambda: vdw.ap_sum_threshold(2, 0),
         "classical len=0": lambda: vdw.classical_ap_check(2, 3, 0),
+        "vdw prune": lambda: engine.check("vdw", 3, 3, prune=True),
+        "vdw m=0": lambda: engine.check("vdw", 3, 3, m=0),
+        "vdw m=9": lambda: engine.check("vdw", 3, 3, m=9),
     }
     for name, call in calls.items():
         yield ("invalid", name, (call,))
@@ -202,7 +211,8 @@ def _cli_cases():
               for j in range(1, m + 1) for t in (2, 3, 4)]
     argvs += [["rprime", "--n", "6", "--budget", "1024"], ["score", "--n", "3"],
               ["wprime", "--n", "6", "--budget", "100"],
-              ["rprime_m", "--n", "4", "--m", "3", "--budget", "10"]]
+              ["rprime_m", "--n", "4", "--m", "3", "--budget", "10"],
+              ["vdw", "--n", "3", "--m", "2"]]
     for argv in argvs:
         if argv[:3] in (["rprime", "--n", "4"], ["rprime_m", "--n", "3"]):
             runs = _both_threads(lambda t, a=argv:

@@ -25,6 +25,11 @@ enumeration, so it is an oracle independent of the engine:
   colour with a_i = 1 holds at most one integer, and trying each position
   for it gives w(2, 5) = 10, w(2, 6) = 11 and w(2, 2, 4) = 11; a colour
   with a_i = 0 is unused.
+* ``vdw``: the classical van der Waerden number W(m, k), the least length
+  at which every m-colouring has a k-term AP in one colour.  One colour
+  holds every AP, so W(1, k) = k; a 2-term AP is any two integers of one
+  colour, so W(m, 2) = m + 1 by pigeonhole; and W(2, 3) = 9, W(2, 4) = 35
+  (Chvátal 1970, above).
 
 The Ramsey numbers come from S. P. Radziszowski, "Small Ramsey Numbers",
 Electron. J. Combin., Dynamic Survey DS1: R(3, 3) = 6 and R(3, 4) = 9
@@ -128,3 +133,26 @@ def test_wprime_is_the_largest_van_der_waerden_number_over_splits(m, t, w, secon
     start = time.perf_counter()
     assert engine.search("wprime", t, m=m, budget=ENUMERATION_CAP).value == w
     assert time.perf_counter() - start < seconds
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_vdw_in_one_colour_is_the_length_of_the_progression(k):
+    assert engine.search("vdw", k, m=1).value == k
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_vdw_for_two_terms_is_pigeonhole(m):
+    assert engine.search("vdw", 2, m=m).value == m + 1
+
+
+def test_vdw_2_3_is_9():
+    assert engine.search("vdw", 3, m=2).value == 9
+
+
+def test_vdw_2_4_is_35_at_the_enumeration_cap():
+    """W(2, 4) = 35: a witness at length 34 and all 2^35 colourings at 35
+    accounted for, past the default interval budget (0.04 s on the host
+    above)."""
+    start = time.perf_counter()
+    assert engine.search("vdw", 4, m=2, budget=ENUMERATION_CAP).value == 35
+    assert time.perf_counter() - start < 0.25

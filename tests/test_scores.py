@@ -13,7 +13,7 @@ from ramseykit import (
     UndecidedError,
     clique_number,
     family_sum_value,
-    check_universal_score,
+    check,
     score_color_class,
     score_sum,
     search_threshold,
@@ -189,7 +189,7 @@ class TestFrozenThresholds:
         assert search_threshold_score(ScoreKind.CYCLE, 2, 1, 3).value == 5
 
     def test_path_witness_is_minimum_code(self):
-        out = check_universal_score(4, 2, ScoreKind.PATH, m=2, j=2)
+        out = check("score", 4, 2, m=2, j=2, score=ScoreKind.PATH)
         assert not out.ok
         cert = out.certificate
         assert cert.witness_coloring == "2:a"
@@ -201,7 +201,7 @@ class TestFrozenThresholds:
 
 class TestCheckUniversalScore:
     def test_pass_certificate_counts_everything(self):
-        out = check_universal_score(4, 3, ScoreKind.PATH, m=2, j=2)
+        out = check("score", 4, 3, m=2, j=2, score=ScoreKind.PATH)
         assert out.ok
         assert out.certificate.scanned_count == 8
         params = out.certificate.parameters
@@ -210,13 +210,13 @@ class TestCheckUniversalScore:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            check_universal_score(3, 3, ScoreKind.PATH, m=2, j=3)
+            check("score", 3, 3, m=2, j=3, score=ScoreKind.PATH)
         with pytest.raises(ValueError):
-            check_universal_score(3, 3, ScoreKind.PATH, m=0)
+            check("score", 3, 3, m=0, score=ScoreKind.PATH)
         with pytest.raises(ValueError):
-            check_universal_score(0, 3, ScoreKind.PATH)
+            check("score", 0, 3, score=ScoreKind.PATH)
         with pytest.raises(ValueError):
-            check_universal_score(3, 0, ScoreKind.PATH)
+            check("score", 3, 0, score=ScoreKind.PATH)
 
     def test_threshold_budget_exhaustion(self):
         with pytest.raises(UndecidedError) as exc:

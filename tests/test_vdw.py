@@ -14,7 +14,7 @@ from ramseykit import (
     UndecidedError,
     ap_sum,
     ap_sum_threshold,
-    check_universal_ap_sum,
+    check,
     classical_ap_check,
     longest_mono_ap,
     revalidate,
@@ -64,16 +64,20 @@ class TestIntervalColoring:
     @pytest.mark.parametrize("call, message", [
         (lambda: IntervalColoring.from_code(2, 3, 8), "code 8 outside 0..2^3-1"),
         (lambda: IntervalColoring(2, (0, 1)).positions(2), "colour 2 outside 0..1"),
-        (lambda: classical_ap_check(0, 3, 5), "colour count 0 outside 1..8"),
-        (lambda: classical_ap_check(9, 3, 5), "colour count 9 outside 1..8"),
+        (lambda: classical_ap_check(0, 3, 5), "vdw takes 1..8 colours, not 0"),
+        (lambda: classical_ap_check(9, 3, 5), "vdw takes 1..8 colours, not 9"),
+        (lambda: classical_ap_check(True, 3, 9),
+         "target and size must be positive ints, m and j ints"),
+        (lambda: classical_ap_check(2, 3, 9.0),
+         "target and size must be positive ints, m and j ints"),
         (lambda: IntervalColoring(2, (0, 1.0)), "position 2 has colour 1.0 outside 0..1"),
         (lambda: IntervalColoring(2, (0, 1, 2)), "position 3 has colour 2 outside 0..1"),
         (lambda: IntervalColoring(3, (0, -1, 2)), "position 2 has colour -1 outside 0..2"),
         (lambda: IntervalColoring(1, (256, 0, 1.0)), "position 1 has colour 256 outside 0..0"),
         (lambda: classical_ap_check(2, 3, 5, budget=-1), "budget -1 is negative"),
     ], ids=["from_code code=8", "positions of colour m", "classical m=0",
-            "classical m=9", "float colour", "colour m", "colour -1", "colour 256",
-            "classical budget=-1"])
+            "classical m=9", "classical m=True", "classical length=9.0", "float colour",
+            "colour m", "colour -1", "colour 256", "classical budget=-1"])
     def test_rejects_bad_input_with_a_message(self, call, message):
         with pytest.raises(ValueError) as e:
             call()
@@ -184,7 +188,7 @@ class TestPairSumThresholds:
         assert ap_sum(IntervalColoring.from_text("bbaabbaa", 2))[0] == 4
 
     def test_check_reports_minimum_code_witness(self):
-        out = check_universal_ap_sum(4, 5, 2)
+        out = check("wprime", 4, 5, m=2)
         assert not out.ok
         cert = out.certificate
         assert cert.witness_coloring == "aabaa"
@@ -208,7 +212,7 @@ class TestPairSumThresholds:
         with pytest.raises(ValueError):
             ap_sum_threshold(2, 0)
         with pytest.raises(ValueError):
-            check_universal_ap_sum(3, 0, 2)
+            check("wprime", 3, 0, m=2)
 
 
 def _profiles(m, length):
@@ -239,7 +243,7 @@ class TestPrefixSearchAgainstEnumeration:
         for length in range(1, max_length + 1):
             profiles = _profiles(m, length)
             for target in range(1, m * 6 + 2):
-                got = check_universal_ap_sum(target, length, m)
+                got = check("wprime", target, length, m=m)
                 want = _ap_sum_oracle(target, length, m, profiles)
                 assert got.certificate.to_json() == want.to_json()
                 assert got.ok == (want.kind == "exhaustive")
@@ -254,7 +258,7 @@ class TestPrefixSearchAgainstEnumeration:
 
     def test_one_color_runs_past_the_recursion_limit(self):
         # m = 1 admits any length within the budget; the search is iterative
-        assert check_universal_ap_sum(1100, 1100, 1).ok
+        assert check("wprime", 1100, 1100, m=1).ok
 
     @pytest.mark.parametrize("m, max_length", [(3, 6), (4, 5)])
     def test_colors_are_placed_in_first_use_order(self, monkeypatch, m, max_length):
@@ -276,12 +280,12 @@ class TestPrefixSearchAgainstEnumeration:
             profiles = _profiles(m, length)
             for target in range(1, m * 6 + 2):
                 want = _ap_sum_oracle(target, length, m, profiles)
-                assert check_universal_ap_sum(target, length, m).certificate.to_json() \
+                assert check("wprime", target, length, m=m).certificate.to_json() \
                     == want.to_json()
             for n in range(2, length + 1):
                 want = next((code for code, profile in enumerate(profiles)
                              if max(profile) < n), None)
-                assert next(vdw._least_failing(m, length, n, True)) == want
+                assert next(vdw._least_failing(length, m, 1, "clique", n)) == want
                 third += want is not None and max(IntervalColoring.from_code(
                     m, length, want).colors) >= 2
         assert third
@@ -291,12 +295,14 @@ class TestPrefixSearchAgainstEnumeration:
                                                    (4, 2, True)])
     def test_one_dfs_yields_every_length_in_turn(self, m, target, single):
         """The scan from length 1 yields the code a scan started at each
-        length yields first, then None at the first length where none fails."""
-        codes = list(vdw._least_failing(m, 1, target, single))
+        length yields first, then None at the first length where none fails:
+        for the best colour alone (top 1) or for all m colours."""
+        top = 1 if single else m
+        codes = list(vdw._least_failing(1, m, top, "clique", target))
         assert codes[-1] is None and None not in codes[:-1]
-        assert codes == [next(vdw._least_failing(m, length, target, single))
+        assert codes == [next(vdw._least_failing(length, m, top, "clique", target))
                          for length in range(1, len(codes) + 1)]
-        assert list(vdw._least_failing(m, 3, target, single)) == codes[2:]
+        assert list(vdw._least_failing(3, m, top, "clique", target)) == codes[2:]
 
     def test_a_search_scores_as_the_passing_check_does(self, monkeypatch):
         """One DFS serves every probe of a search: ``ap_sum_threshold(2, 6)``
@@ -306,7 +312,7 @@ class TestPrefixSearchAgainstEnumeration:
         real = vdw._longest_ap_mask
         monkeypatch.setattr(vdw, "_longest_ap_mask",
                             lambda *a: calls.append(a) or real(*a))
-        assert check_universal_ap_sum(6, 18, 2).ok
+        assert check("wprime", 6, 18, m=2).ok
         checked = len(calls)
         calls.clear()
         assert ap_sum_threshold(2, 6).value == 18
@@ -338,3 +344,22 @@ class TestClassicalCheck:
         # 4-term progression, and some 2-colouring of 1..34 has none.
         assert classical_ap_check(2, 4, 35, budget=1 << 35) is True
         assert classical_ap_check(2, 4, 34, budget=1 << 34) is False
+
+    def test_a_witness_with_a_monochromatic_progression_is_rejected(self):
+        # "aaabbbaa" holds 1, 2, 3 in colour a: its longest AP reaches 3
+        cert = check("vdw", 3, 8, m=2).certificate
+        assert cert.witness_coloring == "bbaabbaa" and revalidate(cert, deep=True)
+        forged = SearchCertificate.from_json_dict(
+            dict(cert.to_json_dict(), witness_coloring="aaabbbaa"))
+        assert not revalidate(forged)
+        assert not revalidate(forged, deep=True)
+
+    def test_a_relabelled_pass_stands_shallow_but_not_deep(self):
+        """Every 2-colouring of 1..3 has AP lengths summing to 3, but not a
+        3-term AP in one colour.  The exhaustive certificate's bytes, mode
+        aside, are the same for both rows, so only a rerun tells them apart."""
+        d = check("wprime", 3, 3, 2).certificate.to_json_dict()
+        relabelled = SearchCertificate.from_json_dict(
+            dict(d, parameters=dict(d["parameters"], mode="vdw")))
+        assert revalidate(relabelled)
+        assert not revalidate(relabelled, deep=True)
