@@ -309,7 +309,7 @@ def _inequalities(seed):
 
 def _greedy_sweep(seed):
     total = 0
-    for n in range(2, 8):
+    for n in range(2, 9):
         checked, violation = greedy.pair_guarantee_sweep(n)
         if violation is not None or checked != labeled_graph_count(n):
             return f"violation at n={n} code={violation}", False
@@ -341,7 +341,7 @@ CLAIMS = [
     ("wprime", "thresholds 1,2,3,6; example sums 3", _wprime),
     ("bounds", "m=2 formulas coincide for n=2..10", _bounds),
     ("inequalities", "all inequalities hold", _inequalities),
-    ("greedy_sweep", "no violations on all graphs, n=2..7", _greedy_sweep),
+    ("greedy_sweep", "no violations on all graphs, n=2..8", _greedy_sweep),
     ("oracle", "solver matches oracle", _oracle),
 ]
 

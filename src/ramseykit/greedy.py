@@ -12,11 +12,12 @@ yields one monochromatic clique per colour.
 
 Every run records its steps as a trace; replay reruns the same core with the
 recorded pivots and rejects any step the rule would not take.  Every witness
-carries a guarantee floor that exhaustive sweeps (all graphs on up to 7
+carries a guarantee floor that exhaustive sweeps (all graphs on up to 10
 vertices) confirm is never violated.  A sweep runs in one process and
 splits the graphs into cubes on exactly the pairs the rule reads: on a
-pivot's whole open row at once, with each variant settled once per cube
-and not rerun inside it.  Its result is the least violating code.
+pivot's whole open row at once, where each sub-cube resumes the run, and
+each variant is settled once per cube and not rerun inside it.  Its
+result is the least violating code.
 """
 
 from __future__ import annotations
@@ -105,23 +106,30 @@ class GreedyTrace:
 # can skip Graph construction; replay reruns them on recorded pivots.
 
 
-def _pair_core(adj, n: int, pick: PickRule, record, overlap: bool):
+def _pair_core(adj, n: int, pick: PickRule, record, overlap: bool, start=None):
     """Halve while 4 or more vertices remain, then settle one edge or
     non-edge among the last two or three; with ``overlap``, ties go to the
     neighbour side, halving goes on down to one vertex, and that vertex
-    joins both sets.
+    joins both sets.  Returns (a, b).
+
+    A ``pick`` that returns None declines its pivot: the run stops and
+    returns its state (a, b, cur), ``cur`` the remaining set.  Passed as
+    ``start``, the state resumes the run, which then records the steps and
+    returns the result of one uninterrupted run (a decline at the disjoint
+    ending's second pick resumes at its first).  Public picks never decline.
 
     The sweep's cubes rely on this: row v is read only after ``pick`` has
     returned v, and only on the remaining set ``cur`` (as ``row & cur`` or
     ``~row & (cur ^ vb)``), so a cube can split on all of ``row & cur`` at
     once when ``pick`` sees open pairs there.  The disjoint ending reads one
     pair only, ``adj[v] >> w & 1`` for its two picks v and w."""
-    a = b = 0
-    cur = (1 << n) - 1
-    cnt = n
+    a, b, cur = start or (0, 0, (1 << n) - 1)
+    cnt = cur.bit_count()
     stop = 2 if overlap else 4
     while cnt >= stop:
         v = pick(cur, adj)
+        if v is None:
+            return a, b, cur
         vb = 1 << v
         row = adj[v]
         nbrs = row & cur
@@ -139,7 +147,9 @@ def _pair_core(adj, n: int, pick: PickRule, record, overlap: bool):
             record.append(GreedyStep(v, BASE_BOTH, 1))
         return a | (1 << v), b | (1 << v)
     v = pick(cur, adj)
-    w = pick(cur ^ (1 << v), adj)
+    w = None if v is None else pick(cur ^ (1 << v), adj)
+    if w is None:
+        return a, b, cur
     ends = (1 << v) | (1 << w)
     if adj[v] >> w & 1:
         branch, a = TERMINAL_CLIQUE, a | ends
@@ -296,37 +306,12 @@ def replay_family_trace(c: EdgeColoring, trace: GreedyTrace) -> WitnessFamily:
 # --- exhaustive guarantee sweep -------------------------------------------------
 
 
-class _Undecided(Exception):
-    """The sweep's pick rule or leaf check needs pairs the cube leaves free:
-    args (v, mask), the pairs (v, w) for every w in ``mask``."""
-
-
-def _sweep_fails(ones, free, n: int, overlap: bool, floor: int) -> bool:
-    """Run one pair variant on a cube and check its contract on the best and
-    the worst completion (free pairs inside A present or absent, inside B
-    absent or present).  True if every graph in the cube breaks it, False if
-    none does; _Undecided if the run reads a free pair or the two differ.
-    A pivot whose row meets free pairs in the remaining set raises all of
-    them at once, since the run reads the whole row there; the disjoint
-    ending reads only the pair of its two picks, which its first pick raises
-    and its second, taken on a pair already decided, does not.  A leaf check
-    that differs raises its first free pair only."""
-    ending = False  # set by the disjoint ending's first pick
-
-    def pick(cur: int, adj=None) -> int:
-        nonlocal ending
-        v = pick_lowest(cur)
-        if ending:
-            return v
-        reads = free[v] & cur
-        if not overlap and cur.bit_count() < 4:
-            ending = True
-            reads &= 1 << pick_lowest(cur ^ 1 << v)  # the pair (v, w) only
-        if reads:
-            raise _Undecided(v, reads)
-        return v
-
-    a, b = _pair_core(ones, n, pick, None, overlap)
+def _sweep_check(ones, free, a: int, b: int, overlap: bool, floor: int):
+    """Check a finished run's contract on a cube's best and worst completion
+    (free pairs inside A present or absent, inside B absent or present).
+    True if every graph in the cube breaks it, False if none does, and if
+    the two differ, the first free pair inside A or B as (v, one-bit mask)
+    to split on."""
     if (a & b).bit_count() > overlap or a.bit_count() + b.bit_count() < floor:
         return True
     if _mask_is_clique(ones, a) and not any((ones[v] | free[v]) & b for v in bits(b)):
@@ -335,12 +320,12 @@ def _sweep_fails(ones, free, n: int, overlap: bool, floor: int) -> bool:
     if not _mask_is_clique(some, a) or not _mask_is_independent(ones, b):
         return True
     v, s = next((v, s) for s in (a, b) for v in bits(s) if free[v] & s)
-    raise _Undecided(v, 1 << pick_lowest(free[v] & s))
+    return v, 1 << pick_lowest(free[v] & s)
 
 
 def pair_guarantee_sweep(n: int, threads: int = 1) -> tuple[int, Optional[int]]:
     """Exhaustively confirm both pair guarantees (lowest-index rule) over all
-    graphs on n <= 7 vertices; returns (graphs checked, least violating code
+    graphs on n <= 10 vertices; returns (graphs checked, least violating code
     or None), and on a violation at code c, (c + 1, c), the count a serial
     scan in code order stops at.  ``threads`` is ignored (the sweep is
     serial); it stays while perfbench/ still passes it (ROADMAP item 7).
@@ -349,51 +334,79 @@ def pair_guarantee_sweep(n: int, threads: int = 1) -> tuple[int, Optional[int]]:
     not a clique/independent set, disjointness broken, or an overlap of more
     than one vertex in the tie variant.  The sweep works on cubes: rows
     ``ones`` of pairs known present and ``free`` of pairs not decided yet,
-    the count ``open`` of free pairs, and the variants still to settle.
-    Each variant runs on ``ones`` until it reads free pairs; the cube then
-    splits on all of them at once (a pivot's whole free row in the
-    remaining set, or the one pair the disjoint ending reads) into its 2^k
-    sub-cubes.  A variant that passes on a cube passes on all of its
-    sub-cubes, so it does not run there again.  The leaves partition every
-    graph on n vertices, so their sizes must add up to
-    labeled_graph_count(n).
+    the count ``open`` of free pairs, the variant to settle and its run so
+    far.  Each variant runs on ``ones`` through ``_pair_core`` with a pick
+    that declines a pivot whose reads meet free pairs: the pivot's whole
+    free row in the remaining set, or for the disjoint ending's first pick
+    the one pair (v, w) it reads.  The cube then splits on all of them at
+    once into its 2^k sub-cubes, and each resumes the suspended run.  A
+    finished run is checked by ``_sweep_check``; where the best and worst
+    completion differ the cube splits on one pair inside A or B, and the
+    sub-cubes check the same (a, b) again, since the run never read that
+    pair.  A variant that passes on a cube passes on all of its sub-cubes,
+    so it does not run there again.  The leaves partition every graph on n
+    vertices, so their sizes must add up to labeled_graph_count(n).
     """
     if n < 2:
         raise ValueError("sweep needs n >= 2")
-    if n > 7:
-        raise BudgetError(f"sweep over {labeled_graph_count(n)} graphs exceeds the n <= 7 cap")
+    if n > 10:
+        raise BudgetError(f"sweep over {labeled_graph_count(n)} graphs exceeds the n <= 10 cap")
     floors = ((False, disjoint_guarantee_floor(n)), (True, overlap_guarantee_floor(n)))
     full = (1 << n) - 1
-    # (ones, free, open pairs, index of the first variant still to settle)
-    cubes = [([0] * n, [full ^ 1 << v for v in range(n)], n * (n - 1) // 2, 0)]
+
+    def pick(cur: int, adj=None) -> Optional[int]:  # pick_lowest, declining open reads
+        nonlocal ending, split
+        v = pick_lowest(cur)
+        if ending:
+            return v
+        reads = free[v] & cur
+        if not overlap and cur.bit_count() < 4:
+            ending = True
+            reads &= 1 << pick_lowest(cur ^ 1 << v)  # the pair (v, w) only
+        if reads:
+            split = v, reads
+            return None
+        return v
+
+    # (ones, free, open pairs, index of the variant to settle, its run: the
+    # state to resume, or the finished (a, b))
+    cubes = [([0] * n, [full ^ 1 << v for v in range(n)], n * (n - 1) // 2, 0, (0, 0, full))]
     checked = 0
     least = None
     while cubes:
-        ones, free, open_, i = cubes.pop()
-        try:
-            while i < len(floors) and not _sweep_fails(ones, free, n, *floors[i]):
-                i += 1
-        except _Undecided as pairs:
-            v, mask = pairs.args
-            free = list(free)
-            free[v] ^= mask
-            for w in bits(mask):
-                free[w] ^= 1 << v
-            open_ -= mask.bit_count()
-            sub = mask
-            while sub:  # each nonempty subset of the split pairs, present
-                joined = list(ones)
-                joined[v] |= sub
-                for w in bits(sub):
-                    joined[w] |= 1 << v
-                cubes.append((joined, free, open_, i))
-                sub = (sub - 1) & mask
-            cubes.append((ones, free, open_, i))
+        ones, free, open_, i, run = cubes.pop()
+        while i < len(floors):
+            overlap, floor = floors[i]
+            if len(run) == 3:
+                ending = False  # set by the disjoint ending's first pick
+                run = _pair_core(ones, n, pick, None, overlap, run)
+                if len(run) == 3:
+                    break  # declined: ``split`` holds the pairs it reads
+            split = _sweep_check(ones, free, *run, overlap, floor)
+            if split is not False:
+                break
+            i, run = i + 1, (0, 0, full)
+        if not isinstance(split, tuple):  # a leaf: every variant passed, or one failed
+            checked += 1 << open_
+            if split:  # failed: the cube's least code has every free pair absent
+                code = _upper_code(ones, n)
+                least = code if least is None else min(least, code)
             continue
-        checked += 1 << open_
-        if i < len(floors):  # failed: the cube's least code has every free pair absent
-            code = _upper_code(ones, n)
-            least = code if least is None else min(least, code)
+        v, mask = split
+        free = list(free)
+        free[v] ^= mask
+        for w in bits(mask):
+            free[w] ^= 1 << v
+        open_ -= mask.bit_count()
+        sub = mask
+        while sub:  # each nonempty subset of the split pairs, present
+            joined = list(ones)
+            joined[v] |= sub
+            for w in bits(sub):
+                joined[w] |= 1 << v
+            cubes.append((joined, free, open_, i, run))
+            sub = (sub - 1) & mask
+        cubes.append((ones, free, open_, i, run))
     if checked != labeled_graph_count(n):
         raise AssertionError(f"sweep cubes cover {checked} graphs, not {labeled_graph_count(n)}")
     return (checked, None) if least is None else (least + 1, least)

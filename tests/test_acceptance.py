@@ -144,15 +144,15 @@ def test_c08_inequality_suite():
 
 def test_c09_greedy_guarantees_hold_on_every_small_graph():
     """Both greedy constructions meet their floors on all labeled graphs
-    with 2 to 7 vertices (2 131 018 graphs); ``threads`` is ignored."""
+    with 2 to 8 vertices (270 566 474 graphs); ``threads`` is ignored."""
     def go():
         out = {}
-        for n in range(2, 8):
+        for n in range(2, 9):
             out[n] = pair_guarantee_sweep(n, threads=2)
         return out
 
     results = timed(60.0, go)
-    assert sum(checked for checked, _ in results.values()) == 2_131_018
+    assert sum(checked for checked, _ in results.values()) == 270_566_474
     assert all(violation is None for _, violation in results.values())
 
 

@@ -252,7 +252,56 @@ def test_sweep_counts_and_merging():
     with pytest.raises(ValueError):
         pair_guarantee_sweep(1)
     with pytest.raises(BudgetError):
-        pair_guarantee_sweep(8)
+        pair_guarantee_sweep(11)
+
+
+@pytest.mark.parametrize("floor_name, expected", [
+    (None, (268_435_456, None)),
+    ("disjoint_guarantee_floor", (12, 11)),
+    ("overlap_guarantee_floor", (80, 79)),
+])
+def test_sweep_at_eight_vertices(monkeypatch, floor_name, expected):
+    # Every graph on 8 vertices meets both floors, and a floor raised by one
+    # is still caught there, at the least code the per-code scan stops at.
+    if floor_name:
+        real = getattr(greedy, floor_name)
+        monkeypatch.setattr(greedy, floor_name, lambda n: real(n) + 1)
+    assert pair_guarantee_sweep(8) == expected
+    if floor_name:
+        assert _violates(8, expected[1])
+        assert not any(_violates(8, c) for c in range(expected[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+           st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))),
+       st.booleans(), st.sampled_from([pick_lowest, pick_highest_degree]))
+def test_a_suspended_run_resumes_to_the_uninterrupted_one(host, overlap, rule):
+    # Decline the k-th pick for every k the run makes, then resume from the
+    # state handed back: the steps and the result are the whole run's.
+    n, code = host
+    adj = _decode_adj(n, code)
+    whole = []
+    expected = greedy._pair_core(adj, n, rule, whole, overlap)
+    k = 0
+    while True:
+        calls = 0
+
+        def pick(mask, adj=None):
+            nonlocal calls
+            calls += 1
+            return None if calls == k + 1 else rule(mask, adj)
+
+        record = []
+        out = greedy._pair_core(adj, n, pick, record, overlap)
+        if calls <= k:  # the run made k picks or fewer, so none declined
+            assert out == expected and record == whole
+            break
+        state = out
+        assert len(state) == 3 and not state[2] & (state[0] | state[1])
+        assert greedy._pair_core(adj, n, rule, record, overlap, state) == expected
+        assert record == whole, k
+        k += 1
 
 
 def _violates(n: int, code: int) -> bool:
@@ -300,19 +349,23 @@ def test_sweep_catches_a_result_the_rule_did_not_earn(monkeypatch, side):
     # cubes must cover exactly the violating graphs, and the sweep must
     # report the least of them.
     core = greedy._pair_core
-    fails = greedy._sweep_fails
+    check = greedy._sweep_check
 
-    def mutant(adj, n, pick, record, overlap):
-        a, b = core(adj, n, pick, record, overlap)
+    def mutant(adj, n, pick, record, overlap, start=None):
+        out = core(adj, n, pick, record, overlap, start)
+        if len(out) == 3:  # suspended: pass its state through
+            return out
+        a, b = out
         rest = ((1 << n) - 1) & ~(a | b)
         top = 1 << rest.bit_length() - 1 if rest else 0
         return (a | top, b) if side == "a" else (a, b | top)
 
     failing = set()
 
-    def spy(ones, free, n, overlap, floor):
-        out = fails(ones, free, n, overlap, floor)
-        if out:  # every completion of the free pairs fails
+    def spy(ones, free, a, b, overlap, floor):
+        out = check(ones, free, a, b, overlap, floor)
+        if out is True:  # every completion of the free pairs fails
+            n = len(ones)
             base, open_ = _upper_code(ones, n), _upper_code(free, n)
             sub = open_
             while True:
@@ -323,7 +376,7 @@ def test_sweep_catches_a_result_the_rule_did_not_earn(monkeypatch, side):
         return out
 
     monkeypatch.setattr(greedy, "_pair_core", mutant)
-    monkeypatch.setattr(greedy, "_sweep_fails", spy)
+    monkeypatch.setattr(greedy, "_sweep_check", spy)
     for n in range(2, 7):
         failing.clear()
         got = pair_guarantee_sweep(n)
@@ -342,19 +395,26 @@ def test_sweep_splits_only_on_pairs_the_rule_reads(monkeypatch):
     # row splits at once, and the disjoint ending splits on the one pair it
     # reads, so there are fewer runs than rerunning both variants after each
     # single-pair split took (2,207 at n=6), or than splitting the ending on
-    # both picks' rows did (728 and 704 leaves, 1,889 runs at n=6).
+    # both picks' rows did (728 and 704 leaves, 1,889 runs at n=6).  A run
+    # is one _pair_core call, from the root or resumed where its cube split.
     leaves = []
     runs = 0
-    fails = greedy._sweep_fails
+    core = greedy._pair_core
+    check = greedy._sweep_check
 
-    def spy(ones, free, n, overlap, floor):
+    def run_spy(*args):
         nonlocal runs
         runs += 1
-        out = fails(ones, free, n, overlap, floor)
-        leaves.append(overlap)
+        return core(*args)
+
+    def check_spy(ones, free, a, b, overlap, floor):
+        out = check(ones, free, a, b, overlap, floor)
+        if isinstance(out, bool):  # settled, not split
+            leaves.append(overlap)
         return out
 
-    monkeypatch.setattr(greedy, "_sweep_fails", spy)
+    monkeypatch.setattr(greedy, "_pair_core", run_spy)
+    monkeypatch.setattr(greedy, "_sweep_check", check_spy)
     assert pair_guarantee_sweep(6) == (32_768, None)
     assert leaves.count(True) == 600
     assert leaves.count(False) == 320
