@@ -28,7 +28,7 @@ from typing import Callable, Optional, Union
 
 from .exact import WitnessFamily, WitnessPair
 from .graphs import (BudgetError, EdgeColoring, Graph, bits, labeled_graph_count,
-                     pair_index, _mask_is_clique, _mask_is_independent, _upper_code)
+                     _mask_is_clique, _mask_is_independent, _upper_code)
 
 NEIGHBOR_SIDE = "neighbor-side"
 NONNEIGHBOR_SIDE = "nonneighbor-side"
@@ -168,8 +168,13 @@ def _family_core(n: int, m: int, colors, pick: PickRule, record):
     while cnt >= 2:
         v = pick(cur, None)
         classes = [0] * m
-        for u in bits(cur ^ (1 << v)):
-            classes[colors[pair_index(u, v)]] |= 1 << u
+        row = v * (v - 1) // 2  # pair (u, v) is at row + u for u < v
+        rest = cur ^ 1 << v
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            classes[colors[row + u if u < v else u * (u - 1) // 2 + v]] |= low
         best = 0
         for i in range(1, m):
             if classes[i].bit_count() > classes[best].bit_count():
@@ -314,8 +319,16 @@ def _sweep_check(ones, free, a: int, b: int, overlap: bool, floor: int):
     to split on."""
     if (a & b).bit_count() > overlap or a.bit_count() + b.bit_count() < floor:
         return True
-    if _mask_is_clique(ones, a) and not any((ones[v] | free[v]) & b for v in bits(b)):
-        return False  # the common case: passes on every completion
+    if _mask_is_clique(ones, a):
+        rest = b
+        while rest:  # B has no pair present or free
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if (ones[v] | free[v]) & b:
+                break
+        else:
+            return False  # the common case: passes on every completion
     some = [row | f for row, f in zip(ones, free)]
     if not _mask_is_clique(some, a) or not _mask_is_independent(ones, b):
         return True
@@ -356,13 +369,14 @@ def pair_guarantee_sweep(n: int, threads: int = 1) -> tuple[int, Optional[int]]:
 
     def pick(cur: int, adj=None) -> Optional[int]:  # pick_lowest, declining open reads
         nonlocal ending, split
-        v = pick_lowest(cur)
+        v = (cur & -cur).bit_length() - 1
         if ending:
             return v
         reads = free[v] & cur
         if not overlap and cur.bit_count() < 4:
             ending = True
-            reads &= 1 << pick_lowest(cur ^ 1 << v)  # the pair (v, w) only
+            rest = cur ^ 1 << v
+            reads &= rest & -rest  # the pair (v, w) only
         if reads:
             split = v, reads
             return None
@@ -394,16 +408,23 @@ def pair_guarantee_sweep(n: int, threads: int = 1) -> tuple[int, Optional[int]]:
             continue
         v, mask = split
         free = list(free)
+        vb = 1 << v
         free[v] ^= mask
-        for w in bits(mask):
-            free[w] ^= 1 << v
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            free[low.bit_length() - 1] ^= vb
         open_ -= mask.bit_count()
         sub = mask
         while sub:  # each nonempty subset of the split pairs, present
             joined = list(ones)
             joined[v] |= sub
-            for w in bits(sub):
-                joined[w] |= 1 << v
+            rest = sub
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                joined[low.bit_length() - 1] |= vb
             cubes.append((joined, free, open_, i, run))
             sub = (sub - 1) & mask
         cubes.append((ones, free, open_, i, run))

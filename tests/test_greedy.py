@@ -1,5 +1,6 @@
 """Greedy extraction: guarantees, traces, replay, pick rules, sweeps."""
 
+import itertools
 import random
 import time
 
@@ -18,7 +19,7 @@ from ramseykit import (BudgetError, EdgeColoring, Graph, GreedyStep, GreedyTrace
                        WitnessFamily, WitnessPair)
 from ramseykit import greedy
 from ramseykit.graphs import (_decode_adj, _mask_is_clique, _mask_is_independent,
-                              _upper_code)
+                              _upper_code, pair_index)
 
 
 def test_disjoint_on_cycle5_frozen_trace():
@@ -198,6 +199,42 @@ def test_family_contract_random(c):
     assert replay_family_trace(c, trace) == fam
 
 
+def _reference_family_core(c: EdgeColoring, pick):
+    """The colour-class rule read one pair at a time: each pivot sorts the
+    remaining vertices by ``colors[pair_index(u, v)]`` and keeps its largest
+    class (ties to the lowest colour).  Returns (steps, parts)."""
+    steps, choices = [], []
+    cur = (1 << c.n) - 1
+    while cur.bit_count() >= 2:
+        v = pick(cur, None)
+        classes = [0] * c.m
+        for u in bits(cur & ~(1 << v)):
+            classes[c.colors[pair_index(u, v)]] |= 1 << u
+        best = max(range(c.m), key=lambda i: (classes[i].bit_count(), -i))
+        steps.append(GreedyStep(v, best, cur.bit_count()))
+        choices.append((v, best))
+        cur = classes[best]
+    v = pick(cur, None)
+    steps.append(GreedyStep(v, "base", 1))
+    parts = [1 << v] * c.m
+    for u, i in choices:
+        parts[i] |= 1 << u
+    return steps, tuple(parts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_colorings(max_n=16, max_m=4), st.none() | st.integers(0, 2**32 - 1))
+def test_family_core_matches_a_per_pair_reference(c, seed):
+    # pick_lowest when seed is None, else two seeded_pick rules with the same
+    # seed, so the core and the reference draw the same pivots.
+    rule = (lambda: pick_lowest) if seed is None else (lambda: seeded_pick(seed))
+    fam, trace = greedy_family(c, rule())
+    steps, parts = _reference_family_core(c, rule())
+    assert list(trace.steps) == steps
+    assert fam.parts == parts
+    assert replay_family_trace(c, trace) == fam
+
+
 def test_replay_rejects_wrong_graph():
     c5 = Graph.cycle(5)
     _, trace = greedy_pair_disjoint(c5)
@@ -339,6 +376,56 @@ def test_sweep_matches_per_code_decoding(monkeypatch, floor_name):
         assert (expected[1] is None) == (floor_name is None)
         for threads in (1, 2, 3):
             assert pair_guarantee_sweep(n, threads=threads) == expected, (n, threads)
+
+
+@st.composite
+def _cubes(draw):
+    """A cube on n <= 6 vertices with each pair present, absent or free, a
+    finished run's (a, b), its tie rule, and a floor around the real one."""
+    n = draw(st.integers(1, 6))
+    ones, free = [0] * n, [0] * n
+    for v in range(n):
+        for u in range(v):
+            state = draw(st.sampled_from(("present", "absent", "free")))
+            rows = ones if state == "present" else free if state == "free" else None
+            if rows is not None:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    a = draw(st.integers(0, (1 << n) - 1))
+    b = draw(st.integers(0, (1 << n) - 1))
+    overlap = draw(st.booleans())
+    floor = n.bit_length() + overlap + draw(st.integers(-2, 1))
+    return ones, free, a, b, overlap, floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cubes())
+def test_sweep_check_matches_every_completion_of_the_free_pairs(cube):
+    # True exactly when every completion breaks the contract, False exactly
+    # when none does, and otherwise a free pair inside A or inside B.
+    ones, free, a, b, overlap, floor = cube
+    n = len(ones)
+    present = {(u, v) for v in range(n) for u in range(v) if ones[v] >> u & 1}
+    open_ = [(u, v) for v in range(n) for u in range(v) if free[v] >> u & 1]
+    inside_a = list(itertools.combinations(bits(a), 2))
+    inside_b = list(itertools.combinations(bits(b), 2))
+    broken = set()
+    for chosen in itertools.product((False, True), repeat=len(open_)):
+        edges = present | {p for p, on in zip(open_, chosen) if on}
+        broken.add((a & b).bit_count() > overlap
+                   or a.bit_count() + b.bit_count() < floor
+                   or not all(p in edges for p in inside_a)
+                   or any(p in edges for p in inside_b))
+    got = greedy._sweep_check(ones, free, a, b, overlap, floor)
+    if broken == {True}:
+        assert got is True
+    elif broken == {False}:
+        assert got is False
+    else:
+        v, mask = got
+        assert mask.bit_count() == 1
+        pair = tuple(sorted((v, mask.bit_length() - 1)))
+        assert pair in open_ and (pair in inside_a or pair in inside_b)
 
 
 @pytest.mark.parametrize("side", ["a", "b"])

@@ -37,6 +37,11 @@ Electron. J. Combin., Dynamic Survey DS1: R(3, 3) = 6 and R(3, 4) = 9
 
 A row that decides a cell only above the default budgets carries a wall
 budget of about three times its time on a 2-core CPython 3.11 host.
+
+The ``score`` rows at the end are regression rows, not identities: path
+m = 2, j = 2 is t - 1, cycle m = 2, j = 2 is t + 1 and cycle m = 2, j = 1
+is t + 2 on every cell decided so far, but no reference proves these fits.
+They pin what the scan decides today and are no independent oracle.
 """
 
 import time
@@ -156,3 +161,28 @@ def test_vdw_2_4_is_35_at_the_enumeration_cap():
     start = time.perf_counter()
     assert engine.search("vdw", 4, m=2, budget=ENUMERATION_CAP).value == 35
     assert time.perf_counter() - start < 0.25
+
+
+# --- regression rows, not identities -----------------------------------------
+
+
+@pytest.mark.parametrize("t", range(3, 8))
+def test_score_path_in_two_classes_regression_row(t):
+    assert engine.search("score", t, m=2, j=2, score="path").value == t - 1
+
+
+@pytest.mark.parametrize("j, t, value, budget, seconds", [
+    (2, 5, 6, None, None),
+    (2, 6, 7, ENUMERATION_CAP, 0.25),  # 0.04-0.07 s on the host above
+    (2, 7, 8, ENUMERATION_CAP, 1.5),   # 0.32-0.54 s
+    (1, 3, 5, None, None),
+    (1, 4, 6, None, None),
+    (1, 5, 7, ENUMERATION_CAP, 0.5),   # 0.12-0.17 s
+])
+def test_score_cycle_regression_row(j, t, value, budget, seconds):
+    """Cycle m=2 is t + 1 with j = 2 classes and t + 2 with j = 1; the rows
+    past t = 5 (j = 2) and t = 4 (j = 1) need the enumeration cap."""
+    start = time.perf_counter()
+    kwargs = {} if budget is None else {"budget": budget}
+    assert engine.search("score", t, m=2, j=j, score="cycle", **kwargs).value == value
+    assert seconds is None or time.perf_counter() - start < seconds
