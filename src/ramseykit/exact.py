@@ -7,7 +7,14 @@ reach value n?" are settled by exhaustive scans that emit machine-checkable
 certificates; small closed-form upper bounds accompany them.  One clique
 kernel serves every score: a colour-ordered branch and bound (MCQ, Tomita &
 Seki 2003), as an optimisation (``_omega``) and as a decision
-(``_has_clique``).
+(``_has_clique``).  Each node colours its candidates greedily but lists only
+the vertices whose colour can still beat the bound, BBMC's colour threshold
+(San Segundo, Rodriguez-Losada & Jimenez 2011).  The whole-graph witness
+queries (``max_clique``, ``max_independent_set`` and the pair and family
+witnesses built on them) first relabel the graph by degree, highest first,
+which is MCQ's initial order; the scoring kernels keep index order, since
+they mostly score graphs on a handful of vertices, where the relabel costs
+about as much as the search.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .certificates import SearchCertificate, SearchResult
-from .graphs import EdgeColoring, Graph, bits, _mask_is_clique, _mask_is_independent
+from .graphs import (EdgeColoring, Graph, bits, _frame, _mask_is_clique, _mask_is_independent,
+                     _pack, _transpose, _unpack)
 
 # Per-probe instance budgets for the certified scans; the graph budget is the
 # full n=7 exhaustion, the colouring budget keeps a single probe near a
@@ -31,16 +39,23 @@ COLORING_MODES = ("rprime_m",)
 # --- exact solvers ---------------------------------------------------------
 
 
-def _color_order(adj, cand: int) -> list[tuple[int, int]]:
+def _color_order(adj, cand: int, kmin: int) -> list[tuple[int, int]]:
     """Greedy colouring of cand in index order, as (vertex, colour) pairs
     with colours ascending: a clique among the pairs up to colour c has at
-    most c vertices."""
+    most c vertices.  Classes below colour ``kmin`` are built but not listed:
+    a caller that needs ``kmin`` more vertices never branches on them."""
     order = []
     rest = cand
     c = 0
     while rest:
         c += 1
         avail = rest
+        if c < kmin:
+            while avail:
+                low = avail & -avail
+                rest ^= low
+                avail = (avail ^ low) & ~adj[low.bit_length() - 1]
+            continue
         while avail:
             low = avail & -avail
             v = low.bit_length() - 1
@@ -65,7 +80,7 @@ def _omega(adj, cand: int) -> int:
         nonlocal best
         if size > best:
             best = size
-        for v, c in reversed(_color_order(adj, cand)):
+        for v, c in reversed(_color_order(adj, cand, best - size + 1)):
             if size + c <= best:
                 return
             expand(size + 1, cand & adj[v])
@@ -77,8 +92,9 @@ def _omega(adj, cand: int) -> int:
 
 def _has_clique(adj, cand: int, k: int) -> bool:
     """Is there a clique of size k inside cand?  The same colour-ordered
-    walk as ``_omega`` (Tomita & Seki 2003), with the bound fixed at k: it
-    fails once the vertices left need fewer than k colours."""
+    walk as ``_omega`` (Tomita & Seki 2003), with the bound fixed at k: only
+    vertices of colour k or more are branched on, and once they are spent
+    what is left is coloured with fewer than k colours."""
     if k <= 1:
         return k <= 0 or cand != 0
     if k == 2:  # an edge inside cand
@@ -91,13 +107,16 @@ def _has_clique(adj, cand: int, k: int) -> bool:
         return False
     if cand.bit_count() < k:
         return False
-    for v, c in reversed(_color_order(adj, cand)):
-        if c < k:  # what is left is coloured with fewer than k colours
-            return False
+    for v, _ in reversed(_color_order(adj, cand, k)):
         if _has_clique(adj, cand & adj[v], k - 1):
             return True
         cand ^= 1 << v
     return False
+
+
+def _complement_rows(g: Graph) -> list[int]:
+    full = g.full_mask
+    return [full ^ row ^ 1 << v for v, row in enumerate(g.adj)]
 
 
 def clique_number(g: Graph) -> int:
@@ -105,7 +124,7 @@ def clique_number(g: Graph) -> int:
 
 
 def independence_number(g: Graph) -> int:
-    return _omega(g.complement().adj, g.full_mask)
+    return _omega(_complement_rows(g), g.full_mask)
 
 
 def max_clique(g: Graph) -> tuple[int, int]:
@@ -116,24 +135,54 @@ def max_clique(g: Graph) -> tuple[int, int]:
     ascending order and keep v whenever some maximum-size completion through
     v survives inside the remaining candidates.
     """
-    return _lex_min_clique(g.adj, g.full_mask)
+    return _lex_min_clique(g.adj)
 
 
 def max_independent_set(g: Graph) -> tuple[int, int]:
     """(size, mask) of the lexicographically least maximum independent set."""
-    return _lex_min_clique(g.complement().adj, g.full_mask)
+    return _lex_min_clique(_complement_rows(g))
 
 
-def _lex_min_clique(adj, full: int) -> tuple[int, int]:
-    size = _omega(adj, full)
+def _ordered(adj) -> tuple[list[int], list[int]]:
+    """Symmetric rows relabelled by degree, highest first (ties by index),
+    and each vertex's new index.  With P the permutation, P A P^T is
+    P (P A)^T for a symmetric A: one row shuffle, one frame transpose and
+    a second row shuffle, with no bit loop per vertex."""
+    n = len(adj)
+    order = sorted(range(n), key=[-row.bit_count() for row in adj].__getitem__)
+    frame = _frame(n)
+    cols = _unpack(_transpose(_pack([adj[v] for v in order], frame), frame[0]), n, frame)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return [cols[v] for v in order], pos
+
+
+def _lex_min_clique(adj) -> tuple[int, int]:
+    """(size, mask) of the lex-least maximum clique of the graph on rows adj.
+
+    The search runs on the rows relabelled by degree (``_ordered``); the
+    one ascending pass walks the original labels and reads rows through
+    their new indices, so the witness is the lex-least one in the original
+    labels.  A vertex refuted at some step, with no clique of the needed
+    size through it inside cand, leaves cand: each later cand is a subset
+    of this one and needs one vertex fewer per vertex kept since, so a clique
+    through it there would extend by those kept vertices to one here.
+    """
+    rows, pos = _ordered(adj)
+    cand = (1 << len(adj)) - 1
+    size = need = _omega(rows, cand)
     chosen = 0
-    cand = full
-    need = size
-    for v in bits(full):  # one pass: a vertex passed over stays out
-        if need and cand >> v & 1 and _has_clique(adj, cand & adj[v], need - 1):
-            chosen |= 1 << v
-            cand &= adj[v]
-            need -= 1
+    for v, p in enumerate(pos):
+        if not need:
+            break
+        if cand >> p & 1:
+            if _has_clique(rows, cand & rows[p], need - 1):
+                chosen |= 1 << v
+                cand &= rows[p]
+                need -= 1
+            else:
+                cand ^= 1 << p
     return size, chosen
 
 

@@ -19,7 +19,7 @@ from ramseykit import (BudgetError, EdgeColoring, Graph, SearchCertificate,
                        multicolor_ramsey_bound, pair_sum_bound,
                        pair_sum_bruteforce, pair_sum_value, parse_graph6,
                        revalidate, search_threshold, two_color_ramsey_bound)
-from ramseykit.exact import _has_clique, _omega
+from ramseykit.exact import _has_clique, _omega, _ordered
 
 
 def test_known_clique_numbers():
@@ -104,7 +104,11 @@ def paley(q: int) -> Graph:
                           if u // 3 != v // 3]), 3, 3),  # K_{3,3,3}
     (paley(13), 3, 3),
     (paley(17), 3, 3),
-], ids=["grotzsch", "petersen", "k333", "paley13", "paley17"])
+    (paley(37), 4, 4),
+    (paley(41), 5, 5),
+    (paley(61), 5, 5),
+], ids=["grotzsch", "petersen", "k333", "paley13", "paley17", "paley37", "paley41",
+        "paley61"])
 def test_clique_kernels_where_the_colouring_bound_is_loose(g, omega, alpha):
     for h, want in ((g, omega), (g.complement(), alpha)):
         assert _oracle_omega(h) == want
@@ -121,6 +125,59 @@ def test_clique_indep_pair_on_random_64_vertex_graphs(seed):
     g = random_graph(random.Random(seed), 64)
     a, b = (mask_of(max(ascending_cliques(h), key=len)) for h in (g, g.complement()))
     assert clique_indep_pair(g) == WitnessPair(a, b)
+
+
+def _assert_degree_relabel(g):
+    rows, pos = _ordered(g.adj)
+    assert sorted(pos) == list(range(g.n))
+    h = Graph(g.n, tuple(rows))  # rows in range, loop-free and symmetric
+    for u in range(g.n):
+        for v in range(g.n):
+            assert h.has_edge(pos[u], pos[v]) == g.has_edge(u, v)
+    degrees = [row.bit_count() for row in rows]
+    assert degrees == sorted(degrees, reverse=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 16, 17, 63, 64])  # each frame width and edge
+def test_degree_relabel_preserves_adjacency(n):
+    for seed in range(3):
+        _assert_degree_relabel(random_graph(random.Random(seed), n))
+    _assert_degree_relabel(Graph.complete(n))
+    _assert_degree_relabel(Graph.empty(n))
+
+
+@settings(max_examples=200)
+@given(graphs(max_n=64))
+def test_degree_relabel_preserves_adjacency_on_any_graph(g):
+    _assert_degree_relabel(g)
+
+
+def _lex_least_pair(g) -> WitnessPair:
+    return WitnessPair(*(mask_of(max(ascending_cliques(h), key=len))
+                         for h in (g, g.complement())))
+
+
+@pytest.mark.parametrize("parts", [(4, 4, 4, 4, 4), (2, 3, 4, 5, 6)])
+def test_witnesses_under_a_scrambled_labelling_with_degree_ties(parts):
+    # disjoint cliques and their complement, a complete multipartite graph,
+    # under a seeded scrambled labelling: degrees tie within a part, and with
+    # parts of unequal size degree order is not index order
+    part = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(part)
+    label = list(range(n))
+    random.Random(7).shuffle(label)
+    g = Graph.from_edges(n, [(label[u], label[v]) for u in range(n) for v in range(u + 1, n)
+                             if part[u] == part[v]])
+    for h, omega, alpha in ((g, max(parts), len(parts)), (g.complement(), len(parts), max(parts))):
+        pair = clique_indep_pair(h)
+        assert pair == _lex_least_pair(h)
+        assert (pair.a.bit_count(), pair.b.bit_count()) == (omega, alpha)
+        assert pair.validate(h)
+
+
+@given(graphs(max_n=14))
+def test_clique_indep_pair_matches_subset_oracle(g):
+    assert clique_indep_pair(g) == _lex_least_pair(g)
 
 
 @given(graphs(max_n=10))
