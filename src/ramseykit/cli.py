@@ -432,11 +432,27 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for the randomized oracle spot check")
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=cmd_verify)
+    p.subcommands = sub.choices
     return p
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the same output and exit on
+    bad input, but a request that starts with a subcommand goes straight to
+    that subcommand's parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:  # no argv, -h, --version or an unknown command
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:  # reported by the top parser, as its own pass would
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     return args.func(args)
 
 

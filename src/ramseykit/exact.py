@@ -19,12 +19,13 @@ about as much as the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .certificates import SearchCertificate, SearchResult
 from .graphs import (EdgeColoring, Graph, bits, _frame, _mask_is_clique, _mask_is_independent,
                      _pack, _transpose, _unpack)
+
+if TYPE_CHECKING:  # annotations only: a cold start need not load certificates
+    from .certificates import SearchCertificate, SearchResult
 
 # Per-probe instance budgets for the certified scans; the graph budget is the
 # full n=7 exhaustion, the colouring budget keeps a single probe near a
@@ -186,8 +187,7 @@ def _lex_min_clique(adj) -> tuple[int, int]:
     return size, chosen
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(NamedTuple):
     """A clique mask ``a`` and an independent-set mask ``b`` of one graph."""
 
     a: int
@@ -249,8 +249,7 @@ def pair_sum_bruteforce(g: Graph) -> int:
     return best_cl + best_ind
 
 
-@dataclass(frozen=True)
-class WitnessFamily:
+class WitnessFamily(NamedTuple):
     """One monochromatic clique mask per colour of an edge colouring."""
 
     parts: tuple[int, ...]
@@ -282,8 +281,7 @@ def family_sum_value(c: EdgeColoring) -> int:
 # --- certified exhaustive scans --------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     """Verdict of one exhaustive scan plus its certificate."""
 
     ok: bool
@@ -357,8 +355,7 @@ def family_sum_bound(m: int, k: int) -> int:
     return 1 + (m**k - 1) // (m - 1)
 
 
-@dataclass(frozen=True)
-class BoundSet:
+class BoundSet(NamedTuple):
     """The four closed-form bounds evaluated at one (n, m)."""
 
     clique_or_independent: int

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterable, Iterator, Optional
 
 MAX_VERTICES = 64
@@ -85,30 +85,30 @@ def pair_index(u: int, v: int) -> int:
     return v * (v - 1) // 2 + u
 
 
-@dataclass(frozen=True)
-class Graph:
+# The values a one-graph query builds, here and in ``exact``, are named tuples
+# rather than frozen dataclasses: a cold start then neither imports
+# ``dataclasses`` nor pays about a millisecond to build each class.
+class Graph(namedtuple("Graph", "n adj")):
     """Undirected simple graph; ``adj[v]`` is the neighbour mask of ``v``."""
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
-        if len(self.adj) != self.n:
+    def __new__(cls, n: int, adj: tuple[int, ...]):
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        if len(adj) != n:
             raise ValueError("adjacency row count does not match vertex count")
-        if _is_simple(self.adj, self.n):
-            return
-        # Only rejected rows get here: name their first fault.
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
-            if row & ~full:
-                raise ValueError(f"adjacency row {v} names vertices >= {self.n}")
-            if row >> v & 1:
-                raise ValueError(f"loop at vertex {v}")
-            for u in bits(row):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"edge {{{v},{u}}} is not symmetric")
+        if not _is_simple(adj, n):  # name the rejected rows' first fault
+            full = (1 << n) - 1
+            for v, row in enumerate(adj):
+                if row & ~full:
+                    raise ValueError(f"adjacency row {v} names vertices >= {n}")
+                if row >> v & 1:
+                    raise ValueError(f"loop at vertex {v}")
+                for u in bits(row):
+                    if not adj[u] >> v & 1:
+                        raise ValueError(f"edge {{{v},{u}}} is not symmetric")
+        return tuple.__new__(cls, (n, adj))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -361,27 +361,27 @@ class Digits:
     def _check_colors(self, place: Callable[[int], str]) -> None:
         """Raise naming the first colour, at ``place(k)``, that is not an int
         in 0..m-1."""
+        m = self.m
         for k, c in enumerate(self.colors):
-            if not isinstance(c, int) or not 0 <= c < self.m:
-                raise ValueError(f"{place(k)} has colour {c} outside 0..{self.m - 1}")
+            if not isinstance(c, int) or not 0 <= c < m:
+                raise ValueError(f"{place(k)} has colour {c} outside 0..{m - 1}")
 
 
-@dataclass(frozen=True)
-class EdgeColoring(Digits):
+class EdgeColoring(Digits, namedtuple("EdgeColoring", "n m colors")):
     """Colouring of all pairs of a complete graph; colors[k] colours pair k."""
 
-    n: int
-    m: int
-    colors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
-        if not 2 <= self.m <= MAX_COLORS:
-            raise ValueError(f"colour count {self.m} outside 2..{MAX_COLORS}")
-        if len(self.colors) != pair_count(self.n):
+    def __new__(cls, n: int, m: int, colors: tuple[int, ...]):
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        if not 2 <= m <= MAX_COLORS:
+            raise ValueError(f"colour count {m} outside 2..{MAX_COLORS}")
+        if len(colors) != pair_count(n):
             raise ValueError("colour vector length does not match the pair count")
+        self = tuple.__new__(cls, (n, m, colors))
         self._check_colors(lambda k: f"pair {k}")
+        return self
 
     @classmethod
     def from_code(cls, n: int, m: int, code: int) -> "EdgeColoring":

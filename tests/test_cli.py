@@ -328,6 +328,33 @@ class TestParserReuse:
             assert run(capsys, *argv)[0] == 0
         assert len(built) == 4  # the top parser and its three subcommands
 
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--version"], ["nope"], ["nope", "--n", "3"], ["--n", "3", "rho"],
+        ["rho", "--n", "x"], ["rho", "Dhc", "extra"], ["rho", "--version"], ["rho", "-h"],
+        ["search", "rprime", "--n", "x"], ["search", "nope", "--n", "3"], ["search", "rprime"],
+        ["search", "rprime", "--n", "3", "--bogus", "1"], ["search", "-h"],
+        ["verify", "--seed", "x"], ["verify", "extra"], ["verify", "-h"],
+        ["search", "--", "rprime", "--n", "3"],
+    ])
+    def test_direct_dispatch_exits_as_the_full_parser(self, capsys, argv):
+        # main sends a request to its subcommand's parser without the top
+        # parser's pass; each bad or help request must end exactly as before.
+        outcomes = []
+        for call in (cli.main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                call(list(argv))
+            outcomes.append((exc.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["rho", "Dhc"], ["rho", "--", "Dhc"], ["rho", "--edges", "0-1", "--n", "2", "--json"],
+        ["search", "score", "--n", "3", "--score", "path", "--m", "2", "--j", "2"],
+        ["search", "rprime", "--n", "5", "--resume", "--cache", "r.jsonl", "--threads", "2"],
+        ["verify"], ["verify", "--only", "c5", "--only", "bounds", "--seed", "3", "--json"],
+    ])
+    def test_direct_dispatch_parses_as_the_full_parser(self, argv):
+        assert vars(cli.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
     def test_import_builds_no_parser(self):
         # The parser is built by the first ``main``, so the import alone
         # (every command's cold start) does not pay for it.

@@ -807,16 +807,52 @@ def test_labeled_scans_start_no_pool(monkeypatch, tmp_path):
     assert pair_guarantee_sweep(5, threads=2) == (1024, None)
 
 
+def _fresh(probe: str) -> str:
+    """What ``probe`` prints in a fresh interpreter that imports this package."""
+    src = Path(ramseykit.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-I", "-c",
+                          "import sys; sys.path.insert(0, sys.argv[1]); " + probe, str(src)],
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_import_loads_no_pool_modules():
     # A fresh interpreter that imports the package leaves the process-pool
     # modules unloaded, which keeps every command's cold start short.
-    src = Path(ramseykit.__file__).resolve().parent.parent
-    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import ramseykit; "
-             "print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
-    out = subprocess.run([sys.executable, "-I", "-c", probe, str(src)],
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh("import ramseykit; print(sorted(m for m in sys.modules "
+                  "if m.split('.')[0] in ('multiprocessing', 'concurrent')))") == "[]"
+
+
+def test_cold_start_loads_only_what_its_query_uses():
+    # A bare import loads no submodule; the benchmark's cold-start query
+    # loads the graph and clique modules and nothing else of the package,
+    # and neither json nor dataclasses.
+    loaded = ("print(sorted(m for m in sys.modules if m.startswith('ramseykit.')), "
+              "[m for m in ('json', 'dataclasses') if m in sys.modules])")
+    assert _fresh("import ramseykit; " + loaded) == "[] []"
+    assert _fresh("import ramseykit; from ramseykit import Graph, clique_indep_pair; "
+                  "assert clique_indep_pair(Graph.cycle(5)).value == 4; "
+                  + loaded) == "['ramseykit.exact', 'ramseykit.graphs'] []"
+
+
+def test_every_exported_name_resolves_after_a_bare_import():
+    # dir() lists the names before any is loaded; each submodule name, then
+    # each name of __all__, resolves on first use to its defining module's object.
+    assert _fresh("""
+import ramseykit
+assert set(ramseykit.__all__) <= set(dir(ramseykit))
+for name in ("certificates", "engine", "exact", "graphs", "greedy", "scores", "vdw"):
+    assert getattr(ramseykit, name) is sys.modules["ramseykit." + name]
+for name in ramseykit.__all__[1:]:
+    obj = getattr(ramseykit, name)
+    assert getattr(sys.modules[obj.__module__], name) is obj, name
+print(ramseykit.__all__[0], len(ramseykit.__all__))
+""") == "__version__ 62"
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'ramseykit' has no attribute 'nope'$"):
+        ramseykit.nope  # noqa: B018
 
 
 def test_star_import_binds_every_name_in_all():

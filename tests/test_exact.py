@@ -206,6 +206,9 @@ def test_witness_pair_validate():
     assert not WitnessPair(0, mask_of([0, 1])).validate(c5)  # not independent
     assert WitnessPair(0, 0).value == 0
     assert pair.to_json_dict() == {"a": [0, 1], "b": [0, 2]}
+    assert pair == WitnessPair(0b11, 0b101) and repr(pair) == "WitnessPair(a=3, b=5)"
+    with pytest.raises(AttributeError):
+        pair.a = 0
     for a, b in ((1 << 10, 0), (0, 1 << 5), (-1, 0)):  # vertices outside c5
         assert not WitnessPair(a, b).validate(c5)
 

@@ -50,6 +50,18 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(65, [])
 
 
+def test_values_are_immutable_and_compare_by_their_fields():
+    g = Graph.cycle(5)
+    assert g == Graph(5, g.adj) and hash(g) == hash(Graph(5, g.adj)) and g != Graph.complete(5)
+    c = EdgeColoring.from_code(3, 2, 5)
+    assert c == EdgeColoring(3, 2, (1, 0, 1)) and c != EdgeColoring(3, 3, (1, 0, 1))
+    for value, field in ((g, "n"), (g, "adj"), (c, "m"), (c, "colors")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    assert repr(g) == "Graph(n=5, adj=(18, 5, 10, 20, 9))"
+    assert repr(c) == "EdgeColoring(n=3, m=2, colors=(1, 0, 1))"
+
+
 def test_adjacency_must_be_symmetric():
     with pytest.raises(ValueError):
         Graph(2, (0b10, 0b00))
