@@ -58,9 +58,16 @@ depend on this: size k reads the children, in ascending code order, of a
 ``_View`` of the failing codes on k-1 vertices.  The view starts with the
 children at high 0 of the view below, read lazily as far as the next size
 needs them, and goes on with the colour images of the normal level's codes,
-sorted, which need that normal level in full.  A failing size whose witness
-is a child of the view's first codes therefore stores no level of its own
-size, and a size that passes scores every normal code once.  At high 0 a
+sorted, which need that normal level in full.  A size whose children of the
+view's first codes pass is then decided on that normal level before any
+image is read: a labeled code fails exactly when its normal image does, so
+``_fails`` tables the normal codes on k-1 vertices one at a time, at every
+high that keeps first-use order, up to the first with a failing child.  If
+none has one, size k passes with no labeled code read past the first
+codes; else the read goes on to its least failing code.  A failing size
+whose witness is a child of the view's first codes therefore stores no
+level of its own size, and a size that passes builds each normal level
+below it once and tables the one on k-1 vertices once more.  At high 0 a
 clique child's scores are its parent's with the class holding colour 0 one
 up, so a clique view chooses its images' children there by score class,
 one verdict per distinct score vector and class, selected in C; its first
@@ -126,10 +133,53 @@ def _labeled_scan(first, m, top, score, target) -> Iterator[Optional[int]]:
     on n-1 vertices, in ascending code order up to the first failing one.
     Its children at high 0 (by score class for a clique view's images,
     ``_View.spanned``, one entry at a time otherwise) are shared with the
-    view that size n+1 reads, which stores them only when it is read.
-    Normal levels (one code per colour orbit) are built in full from high 0
-    and only once a view reads past its children at high 0; reads table
-    from ``switch``."""
+    view that size n+1 reads, which stores them only when it is read.  When
+    none of the children at high 0 of the view's first codes fails, size n
+    is decided on ``normal``, the normal level (one code per colour orbit)
+    on n-1 vertices: if no code there has a failing child (``_fails``), n
+    passes and nothing more is read.  Normal levels are built in full from
+    high 0 and only once a read gets past its view's first codes; reads
+    table from ``switch``."""
+    rule, switch = _rule(m, top, score, target)
+    # the empty graph fails every target
+    normal = labeled = _Level(m, iter([(0, bytes(m), [0] * m, 0)]))
+    zero = [1] * (m + 1)
+    for n in count(1):  # the children at high 0: the view's first codes', then its images'
+        if not isinstance(labeled, _View):
+            head, tail = _extend(labeled, n, m, rule, switch, zero), iter(())
+        else:  # by score class for a clique view's images
+            head = _extend(labeled.prefix, n, m, rule, switch, zero)
+            tail = (labeled.spanned(rule) if rule.spans
+                    else _extend(labeled.images(), n, m, rule, switch, zero))
+        if n >= first:  # the read shares them, and goes on as far as it must
+            read, head = tee(head)
+            found = next(read, None)  # the children of the view's first codes
+            if found is None and _fails(normal, n - 1, m, rule):  # the rest, if n fails
+                read, tail = tee(tail)
+                rest = [(1 << m ** (n - 1)) - 2] * (m + 1)
+                found = next(chain(read, _extend(labeled, n, m, rule, switch, rest)), None)
+            yield None if found is None else found[0]
+            if found is None:
+                return
+        normal = _Level(m, _extend(normal, n, m, rule, 0, _first_use(n - 1, m)))
+        labeled = _View(_Level(m, chain(head, tail)), normal, n)
+
+
+def _fails(level: _Level, v: int, m: int, rule: _Rule) -> bool:
+    """Has a code of the normal ``level`` on v vertices a failing child?
+    Some code on v + 1 vertices fails exactly when a normal one (its colour
+    image) does, and a normal failing code is a failing child of a normal
+    code on v vertices at a high that keeps first-use order (``_first_use``).
+    So this decides size v + 1: it tables the level one parent at a time, up
+    to the first parent with a failing child."""
+    keep, within = _first_use(v, m), _within(v, m)
+    return any(_table([w.to_bytes(v, "little") for w in words], per, rule.ends,
+                      rule.passing, within)[0] & keep[m - words.count(0)]
+               for _, per, words, _ in level)
+
+
+def _rule(m: int, top: int, score: str, target: int) -> tuple[_Rule, int]:
+    """The ``_Rule`` of a scan and the high its reads table from."""
     if top == 1:
         fails = lambda per: max(per) < target
     elif top == m:
@@ -146,25 +196,8 @@ def _labeled_scan(first, m, top, score, target) -> Iterator[Optional[int]]:
         ends = lambda rows, per, within: [scores._ends(r, s, target, cycle, lift)
                                           for r, s, lift in zip(rows, per, within)]
         switch = _PAIR_SWITCH
-    rule = _Rule(fails, through, kind is ScoreKind.CLIQUE, ends,
-                 lambda per, rises: _passing(bytes(per), rises, top, target))
-    # the empty graph fails every target
-    normal = labeled = _Level(m, iter([(0, bytes(m), [0] * m, 0)]))
-    for n in count(1):  # the children at high 0, by score class for a clique view's images
-        if rule.spans and isinstance(labeled, _View):
-            prefix = chain(_extend(labeled.prefix, n, m, rule, switch, [1] * (m + 1)),
-                           labeled.spanned(rule))
-        else:
-            prefix = _extend(labeled, n, m, rule, switch, [1] * (m + 1))
-        if n >= first:  # the read shares them, and goes on to the other highs as far as it must
-            read, prefix = tee(prefix)
-            rest = [(1 << m ** (n - 1)) - 2] * (m + 1)
-            found = next(chain(read, _extend(labeled, n, m, rule, switch, rest)), None)
-            yield None if found is None else found[0]
-            if found is None:
-                return
-        normal = _Level(m, _extend(normal, n, m, rule, 0, _first_use(n - 1, m)))
-        labeled = _View(_Level(m, prefix), normal, n)
+    return _Rule(fails, through, kind is ScoreKind.CLIQUE, ends,
+                 lambda per, rises: _passing(bytes(per), rises, top, target)), switch
 
 
 class _Rule(NamedTuple):
@@ -184,10 +217,11 @@ class _Level:
     array, m score bytes each, m words each in one array("Q"), the word of
     class d holding row u of that class in byte u, and a map index g each:
     class d of the entry holds colour ``_colour_maps(m)[g][d]`` (0 in a
-    normal level).  A stored level has at most 8 vertices, because a level
-    is stored only as the next size reads it and ``ENUMERATION_CAP`` stops
-    every scan at 9 vertices (m = 2), so the k rows fit in 64 bits; lifting
-    the cap means widening the word."""
+    normal level).  Iterators may interleave: one that resumes after others
+    stored entries yields those first, so none ends short.  A stored level
+    has at most 8 vertices, because a level is stored only as the next size
+    reads it and ``ENUMERATION_CAP`` stops every scan at 9 vertices (m = 2),
+    so the k rows fit in 64 bits; lifting the cap means widening the word."""
 
     def __init__(self, m: int, source: Iterator[tuple]):
         self.m, self.source, self.complete = m, source, False
@@ -195,19 +229,33 @@ class _Level:
         self.maps = array("H")
 
     def __iter__(self) -> Iterator[tuple]:
-        m, scores, words, maps = self.m, self.scores, self.words, self.maps
-        for i, code in enumerate(self.codes):
+        m, codes, scores, words, maps = self.m, self.codes, self.scores, self.words, self.maps
+        for i, code in enumerate(codes):
             yield code, scores[i * m:i * m + m], words[i * m:i * m + m], maps[i]
-        codes, per_, words_, maps_ = (self.codes.append, scores.extend, words.extend,
-                                      maps.append)
+        done = len(codes)  # the entries this iterator has yielded
+        codes_, per_, words_, maps_ = codes.append, scores.extend, words.extend, maps.append
         for entry in self.source:
             code, per, grown, g = entry
-            codes(code)
+            codes_(code)
             per_(per)
             words_(grown)
             maps_(g)
-            yield entry
+            if len(codes) == done + 1:
+                done += 1
+                yield entry
+            else:  # another iterator stored entries while this one waited: those first
+                yield from self._after(done)
+                done = len(codes)
+        yield from self._after(done)  # and those stored after this one's last pull
         self.complete = True
+
+    def _after(self, i: int) -> Iterator[tuple]:
+        """The stored entries from index i on, with any stored meanwhile."""
+        m = self.m
+        while i < len(self.codes):
+            yield (self.codes[i], self.scores[i * m:i * m + m], self.words[i * m:i * m + m],
+                   self.maps[i])
+            i += 1
 
 
 class _View:
@@ -227,10 +275,13 @@ class _View:
         # per image: its code, its colour map's index and its normal code's index
         self.codes, self.maps, self.at = array("Q"), array("H"), array("I")
         self.blocks: Any = None  # per top high, the runs sent there; () once all are stored
-        self.images: dict[int, array] = {}  # per colour map, every normal code's image
+        self.by_map: dict[int, array] = {}  # per colour map, every normal code's image
 
     def __iter__(self) -> Iterator[tuple]:
-        yield from self.prefix
+        return chain(self.prefix, self.images())
+
+    def images(self) -> Iterator[tuple]:
+        """The view past ``prefix``: the colour images, ascending."""
         m, scores, words = self.m, self.level.scores, self.level.words
         for i, end in self._runs():
             for code, g, a in zip(self.codes[i:end], self.maps[i:end],
@@ -319,11 +370,11 @@ class _View:
 
     def _images(self, g: int) -> array:
         """The image of every normal code under colour map g."""
-        if g not in self.images:
+        if g not in self.by_map:
             terms = [ds if t == 1 else map(t.__mul__, ds)
                      for t, ds in zip(_colour_maps(self.m)[g], self.digits) if t]
-            self.images[g] = array("Q", terms[0] if len(terms) == 1 else map(sum, zip(*terms)))
-        return self.images[g]
+            self.by_map[g] = array("Q", terms[0] if len(terms) == 1 else map(sum, zip(*terms)))
+        return self.by_map[g]
 
     def _index(self) -> None:
         """Complete the normal level and list, per top high, the runs of

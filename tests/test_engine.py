@@ -182,16 +182,15 @@ def _labeled(m, per, words, g) -> tuple[bytes, list]:
 
 def _scanned_levels(monkeypatch, case) -> tuple[dict, list]:
     """Run a FULL_LEVELS check; return the normal levels it stores, on
-    1..size-1 vertices, and the view the last size reads, each entry as
-    (code, class scores, class rows)."""
+    1..size-1 vertices, and the view on size-1 vertices that the last size
+    reads (iterated in full after the check), each entry as (code, class
+    scores, class rows)."""
     mode, target, size, m, j, score, budget = FULL_LEVELS[case]
     levels, views = {k: [] for k in range(1, size)}, []
     real = engine._extend
 
     def spy(parents, k, m, rule, switch, keep):
         normal = keep is engine._first_use(k - 1, m)
-        if k == size and isinstance(parents, engine._View) and parents not in views:
-            views.append(parents)
         for entry in real(parents, k, m, rule, switch, keep):
             if normal:
                 code, per, words, g = entry
@@ -200,14 +199,21 @@ def _scanned_levels(monkeypatch, case) -> tuple[dict, list]:
                                   [list(w.to_bytes(k, "little")) for w in words]))
             yield entry
 
+    class Kept(engine._View):
+        def __init__(self, *args):
+            super().__init__(*args)
+            views.append(self)
+
     monkeypatch.setattr(engine, "_extend", spy)
+    monkeypatch.setattr(engine, "_View", Kept)
     cert = check(mode, target, size, m, j, score, budget).certificate
     text = cert.witness_graph6 or cert.witness_coloring
     if text is not None:
         assert MODES[mode].read(text, m).code >= m ** pair_count(size - 1)
-    assert len(views) == 1
+    assert [view.k for view in views] == list(range(1, size))
+    levels = {k: list(level) for k, level in levels.items()}  # as the check stored them
     view = []
-    for code, per, words, g in views[0]:
+    for code, per, words, g in views[-1]:
         per, words = _labeled(m, per, words, g)
         view.append((code, per, [list(w.to_bytes(size - 1, "little")) for w in words]))
     return levels, view
@@ -250,6 +256,50 @@ def test_the_view_is_the_labeled_level(monkeypatch, case):
     mode, target, size, m, j, score, _ = FULL_LEVELS[case]
     _, view = _scanned_levels(monkeypatch, case)
     assert view == _failing_entries(mode, target, size - 1, m, j, score), case
+
+
+@pytest.mark.parametrize("case", sorted(FULL_LEVELS))
+def test_a_size_passes_exactly_when_no_code_fails(case):
+    """A size whose read finds no failing child at high 0 of its view's
+    first codes is decided on the normal level below (``engine._fails``):
+    for each FULL_LEVELS family, every size up to 6 vertices (m = 2) or 5
+    (m = 3) and every target 2..7, the check agrees with the loop over every
+    code, on the verdict and on the certificate."""
+    mode, _, _, m, j, score, budget = FULL_LEVELS[case]
+    for n in range(1, 9 - m):
+        for target in range(2, 8):
+            cert = check(mode, target, n, m, j, score, budget).certificate
+            assert _as_triple(cert) == _full_scan(mode, target, n, m, j, score), (n, target)
+
+
+@pytest.mark.parametrize("mode, target, m, top, score, most", [
+    ("score", 5, 2, 2, "path", 4), ("score", 5, 2, 1, "cycle", 4),
+    ("rprime", 5, 2, 2, "clique", 4), ("ramsey", 4, 2, 1, "clique", 4),
+    ("score", 4, 3, 2, "clique", 3), ("score", 6, 3, 3, "path", 3),
+])
+def test_the_size_test_finds_each_parents_normal_failing_children(mode, target, m, top,
+                                                                  score, most):
+    """``_fails`` on one normal failing parent on v <= ``most`` vertices
+    says whether the parent has a normal failing child, at every high that
+    keeps first-use order, high 0 included: for path scores with m = 2, j =
+    2 and target 5, the parent on 2 vertices with its one pair in colour 0
+    (class scores 2 and 1) fails only where the new vertex joins both
+    vertices in colour 0 (3 + 1), and passes at every other high (5)."""
+    rule, _ = engine._rule(m, top, score, target)
+    for v in range(1, most + 1):
+        base = m ** pair_count(v)
+        values = list(_values(mode, v + 1, m, top, score))
+        for code, per, rows in _failing_entries(mode, target, v, m, top, score):
+            if _colors_used(code, v, m) is None:
+                continue
+            entry = (code, per, [int.from_bytes(bytes(row), "little") for row in rows], 0)
+            children = [code + high * base for high in range(m ** v)]
+            expected = any(values[c] < target for c in children
+                           if _colors_used(c, v + 1, m) is not None)
+            assert engine._fails([entry], v, m, rule) == expected, (v, code)
+    if (score, m, top, target) == ("path", 2, 2, 5):  # code 0's children on 3 vertices
+        assert [value < 5 for value in list(_values(mode, 3, m, top, score))[::2]] == [
+            True, False, False, False]
 
 
 # The clique checks of FULL_LEVELS, and a score clique check with m = 3 and
@@ -327,11 +377,12 @@ def test_each_failing_code_is_grown_once_and_none_is_decoded(monkeypatch):
     assert write_graph6(Graph.from_code(7, code)) == "F@Tc?"
 
 
-def _grown_and_tabled(run) -> tuple[list, int]:
-    """The class words of every child ``run()`` grows, sorted, and its count
-    of ``_table`` calls."""
-    grown, tables = [], []
-    real_grow, real_table = engine._grow, engine._table
+def _grown_and_tabled(run) -> tuple[list, int, int]:
+    """The class words of every child ``run()`` grows, sorted; its count of
+    ``_table`` calls; and how many of those tabled the parents that the
+    test of whether a size passes (``_fails``) reads."""
+    grown, tables, tested = [], [], []
+    real_grow, real_table, real_fails = engine._grow, engine._table, engine._fails
 
     def grow(*args):
         words = real_grow(*args)
@@ -341,8 +392,10 @@ def _grown_and_tabled(run) -> tuple[list, int]:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_grow", grow)
         patch.setattr(engine, "_table", lambda *a: tables.append(a) or real_table(*a))
+        patch.setattr(engine, "_fails", lambda level, *a: real_fails(
+            (tested.append(entry) or entry for entry in level), *a))
         run()
-    return sorted(grown), len(tables)
+    return sorted(grown), len(tables), len(tested)
 
 
 def _late_witnesses(name, target, sizes, **kwargs) -> list:
@@ -376,8 +429,8 @@ def test_a_search_grows_each_failing_code_once_across_its_probes():
     vertices (1 + 1 + 4 + 9 + 6) and the failing codes at high 0 that the
     labeled levels on 1..5 vertices start with (1 + 1 + 2), and beyond that
     only the witnesses of sizes 4 and 5, which lie past high 0."""
-    checked, _ = _grown_and_tabled(lambda: check("rprime", 5, 6))
-    searched, _ = _grown_and_tabled(lambda: engine.search("rprime", 5))
+    checked = _grown_and_tabled(lambda: check("rprime", 5, 6))[0]
+    searched = _grown_and_tabled(lambda: engine.search("rprime", 5))[0]
     assert len(checked) == 1 + 1 + 4 + 9 + 6 + 1 + 1 + 2
     late = _late_witnesses("rprime", 5, range(1, 6))
     assert len(late) == 2 and _added(searched, checked) == sorted(late)
@@ -387,14 +440,19 @@ def test_a_pair_search_tables_and_grows_as_the_passing_check_does():
     """A cycle search tables each normal parent and grows each normal failing
     child once over all its probes, as the passing check at its threshold, 6,
     does: the normal failing codes on 1..5 vertices and the failing codes at
-    high 0 that the labeled levels start with (1 + 1 + 2 + 4).  Beyond that
-    it grows the one witness past high 0 (size 5's), and its reads at sizes
-    1..5 table 16 parents of their views (past high 1)."""
+    high 0 that the labeled levels start with (1 + 1 + 2 + 4).  Both build
+    the normal levels on 1..5 vertices from the 29 normal parents on 0..4
+    (1 + 1 + 1 + 4 + 22), and both decide that 6 passes by tabling the 30
+    normal parents on 5 vertices, none with a failing child.  Beyond that
+    the search grows the one witness past high 0 (size 5's), its read at
+    size 5 tables 16 parents of its view (past high 1), and the tests at
+    sizes 4 and 5 each table one normal parent, which has a failing child."""
     checked = _grown_and_tabled(lambda: check("score", 4, 6, 2, 1, "cycle"))
     searched = _grown_and_tabled(lambda: engine.search("score", 4, m=2, j=1, score="cycle"))
     late = _late_witnesses("score", 4, range(1, 6), m=2, j=1, score="cycle")
     assert len(late) == 1 and _added(searched[0], checked[0]) == late
-    assert (len(checked[0]), checked[1], searched[1]) == (66, 89, 89 + 16)
+    assert (len(checked[0]), checked[1:]) == (66, (29 + 30, 30))
+    assert searched[1:] == (29 + 30 + 16 + 1 + 1, 30 + 1 + 1)
 
 
 def test_a_failing_size_on_nine_vertices_is_read_without_storing_it():
@@ -423,6 +481,28 @@ def test_one_labeled_scan_yields_every_size_in_turn(m, top, score, target):
     assert codes == [next(engine._labeled_scan(n, m, top, score, target))
                      for n in range(1, len(codes) + 1)]
     assert list(engine._labeled_scan(3, m, top, score, target)) == codes[2:]
+
+
+def test_interleaved_iterators_of_a_level_each_yield_every_entry():
+    """An iterator of a ``_Level`` that waits while another pulls entries
+    from the source, or drains it, still yields every entry in order."""
+    entries = [(code, bytes([code, 1]), [code, 2 * code], 0) for code in range(5)]
+    level = engine._Level(2, iter(entries))
+    first = iter(level)
+    assert next(first)[0] == 0
+    assert [entry[0] for entry in level] == list(range(5))  # drains the source
+    assert [entry[0] for entry in first] == [1, 2, 3, 4]
+    level = engine._Level(2, iter(entries))
+    a, b = iter(level), iter(level)
+    seen = {a: [], b: []}
+    for it in (a, b, b, a, b, a, a, b, a, b):
+        entry = next(it, None)
+        if entry:
+            seen[it].append(entry)
+    for it in (a, b):
+        seen[it] += list(it)
+        assert [(c, bytes(p), list(w), g) for c, p, w, g in seen[it]] == [
+            (c, p, w, g) for c, p, w, g in entries]
 
 
 @st.composite
@@ -586,8 +666,11 @@ def test_the_last_level_tables_and_grows_only_up_to_its_witness(monkeypatch):
     """rprime_m m=3 target 6 on 5 vertices has its witness (code 3195) at
     high 4, where the read switches to tables: tables are built one view
     parent at a time up to the witness's parent, and only the witness is
-    grown there.  Below it, each normal failing code and each failing code
-    at high 0 (which the labeled levels start with) is grown once."""
+    grown there.  Before that, once no child at high 0 of the view's first
+    codes fails, the test of whether size 5 passes tables the normal parents
+    on 4 vertices up to the first with a failing child, the second.  Below
+    it, each normal failing code and each failing code at high 0 (which the
+    labeled levels start with) is grown once."""
     base = 3 ** pair_count(4)
     high, low = divmod(3195, base)
     assert high == engine._TABLE_SWITCH
@@ -597,13 +680,24 @@ def test_the_last_level_tables_and_grows_only_up_to_its_witness(monkeypatch):
               for k, codes in failing.items()}
     top_0 = {k: [c for c in codes if c < 3 ** pair_count(k - 1)]
              for k, codes in failing.items()}
-    events = []
-    real_table, real_grow = engine._table, engine._grow
+    events, tested = [], []
+    real_table, real_grow, real_fails = engine._table, engine._grow, engine._fails
     monkeypatch.setattr(engine, "_table", lambda rows, *a: events.append(len(rows[0]))
                         or real_table(rows, *a))
     monkeypatch.setattr(engine, "_grow", lambda *a: events.append("grow") or real_grow(*a))
+
+    def fails(level, *args):
+        found = real_fails((tested.append(entry[0]) or entry for entry in level), *args)
+        events.append("tested")
+        return found
+
+    monkeypatch.setattr(engine, "_fails", fails)
     assert next(engine._labeled_scan(5, 3, 3, "clique", 6)) == 3195
-    last = events.index(4)  # the read level's first table: parents on 4 vertices
+    # size 5 is tested on the normal parents on 4 vertices up to the second, which has a
+    # failing child
+    assert tested == normal[4][:2] and events.count("tested") == 1
+    assert events[:events.index("tested")].count(4) == 2
+    last = events.index(4, events.index("tested"))  # the read's first table on 4 vertices
     assert events[last:].count(4) == failing[4].index(low) + 1
     assert events[last:].count("grow") == 1
     assert [len(normal[k]) for k in normal] == [1, 1, 4, 9]
@@ -630,15 +724,49 @@ def test_the_normal_level_the_next_size_extends_is_tabled_from_high_0(monkeypatc
 
 
 def test_a_cap_search_pins_its_kernel_calls(monkeypatch):
-    """``search("rprime", 6)`` at the cap budget makes 166,826
+    """``search("rprime", 6)`` at the cap budget makes 60,986
     ``_has_clique`` calls: each read scores its children below the switch
-    with the kernel and is never resumed, and each normal level the next
-    size extends is tabled from high 0."""
+    with the kernel and is never resumed, each normal level the next size
+    extends is tabled from high 0, and the passing size, 9, is decided by
+    tables on its normal level below, with no kernel call past high 0."""
     calls = []
     real = engine._has_clique
     monkeypatch.setattr(engine, "_has_clique", lambda *a: calls.append(None) or real(*a))
     assert engine.search("rprime", 6, budget=ENUMERATION_CAP).value == 9
-    assert len(calls) == 166826
+    assert len(calls) == 60986
+
+
+def test_a_passing_size_tables_each_normal_parent_below_once(monkeypatch):
+    """``check("rprime", 6, 9)`` at the cap budget decides that 9 passes on
+    the 17,640 normal failing codes on 8 vertices, one table each, not on
+    the 35,280 labeled ones they stand for; no other table has a parent on
+    8 vertices."""
+    tabled = []
+    real = engine._table
+    monkeypatch.setattr(engine, "_table", lambda rows, *a: (
+        len(rows[0]) == 8 and tabled.append(None)) or real(rows, *a))
+    assert check("rprime", 6, 9, budget=ENUMERATION_CAP).ok
+    assert len(tabled) == 17640
+
+
+def test_an_undecided_search_stores_no_level_past_its_last_read(monkeypatch):
+    """``search("rprime", 6)`` at the default budget reads sizes 1..7 and
+    is refused at 8.  Size 7 fails past its view's first codes, so its test
+    reads the normal level on 6 vertices up to a parent with a failing
+    child; no normal code on 7 vertices is built."""
+    normal = Counter()
+    real = engine._extend
+
+    def spy(parents, k, m, rule, switch, keep):
+        for entry in real(parents, k, m, rule, switch, keep):
+            normal[k] += keep is engine._first_use(k - 1, m)
+            yield entry
+
+    monkeypatch.setattr(engine, "_extend", spy)
+    with pytest.raises(UndecidedError) as raised:
+        engine.search("rprime", 6)
+    assert (raised.value.low, raised.value.high) == (8, 16)
+    assert max(k for k in normal if normal[k]) == 6
 
 
 @pytest.mark.parametrize("target, n, j, score", [(6, 7, 1, "path"), (5, 6, 1, "cycle")])
