@@ -2,10 +2,11 @@
 
 Three subcommands: ``rho`` reports the clique/independent pair of one graph,
 ``search`` runs a certified threshold search and caches ResultRecords as JSON
-lines, and ``verify`` runs the claim table ``CLAIMS`` end to end.  Every
-threshold a claim states comes from ``engine.search`` and has passed a deep
-recheck of both its certificates (``revalidate(deep=True)``, which reruns
-the scans); a certificate that fails it fails the claim.
+lines, and ``verify`` runs the claim table ``CLAIMS`` end to end, stating
+its thresholds from ``CELLS``, the table of decided cells.  Every threshold
+a claim uses comes from ``engine.search`` and has passed a deep recheck of
+both its certificates (``revalidate(deep=True)``, which reruns the scans);
+a certificate that fails it fails the claim.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import os
 import random
 import sys
 import time
+from collections import namedtuple
 
-from . import __version__, engine, exact, greedy, scores, vdw
+from . import __version__, engine, exact, greedy, scores
 from .certificates import (EXHAUSTIVE, WITNESS, SearchCertificate,
                            SearchResult, UndecidedError, canonical_json,
                            revalidate)
-from .graphs import (Graph, Graph6ParseError, bits, labeled_graph_count,
-                     pair_count, parse_graph6, write_graph6)
+from .graphs import (ENUMERATION_CAP as CAP, Graph, Graph6ParseError, bits,
+                     labeled_graph_count, pair_count, parse_graph6, write_graph6)
 
 SCHEMA = 2
 ENGINE = f"ramseykit {__version__}"
@@ -229,64 +231,103 @@ def cmd_search(args) -> int:
 # --- verify ----------------------------------------------------------------------
 
 
+# Every decided threshold cell, one row each.  ``n`` is what ``verdict`` says: the
+# "value" a search finds, a check's "pass" or "fail" at size n, or the "low" end of
+# a search undecided at ``budget`` (None, the mode's default, or CAP).  Tier-1
+# allows ``wall`` seconds (None: a default budget bounds the row, or only
+# tools/frontier.py runs it), ``rss`` is the peak MB, and ``claim`` the ``verify``
+# claim that states the row, with its lower ``witness`` where the claim names one.
+Cell = namedtuple("Cell", "kind target keys verdict n budget cite wall rss claim witness",
+                  defaults=(None, "regression", None, None, None, None))
+CELLS = [
+    Cell("rprime", 4, {}, "value", 3, cite="DS1", claim="rprime4"),
+    Cell("rprime", 5, {}, "value", 6, cite="DS1", claim="rprime5", witness="DLo"),  # C5
+    Cell("rprime", 6, {}, "value", 9, CAP, "DS1", 7.5),
+    Cell("ramsey", 3, {}, "value", 6, cite="DS1", claim="ramsey3", witness="DLo"),  # C5
+    Cell("ramsey", 4, {}, "fail", 8, CAP, "DS1"),
+    Cell("rprime_m", 2, {"m": 2}, "value", 1, cite="DS1", claim="rprime_m"),
+    Cell("rprime_m", 3, {"m": 2}, "value", 2, cite="DS1", claim="rprime_m"),
+    Cell("rprime_m", 4, {"m": 2}, "value", 3, cite="DS1", claim="rprime_m"),
+    Cell("rprime_m", 3, {"m": 3}, "value", 1, cite="DS1", claim="rprime_m"),
+    Cell("rprime_m", 4, {"m": 3}, "value", 2, cite="DS1", claim="rprime_m"),
+    Cell("rprime_m", 5, {"m": 3}, "value", 3, cite="DS1", claim="rprime_m"),
+    Cell("rprime_m", 7, {"m": 3}, "fail", 7, CAP, "DS1"),
+    # RSS bound: a scan that tabled the whole normal level on 7 vertices took 2.5 GB.
+    Cell("score", 3, dict(m=3, j=1, score="clique"), "low", 8, CAP, "DS1", rss=256),
+    Cell("score", 6, dict(m=2, j=1, score="path"), "value", 8, CAP,
+         "Gerencsér-Gyárfás 1967", 1.5),
+    Cell("score", 3, dict(m=2, j=1, score="cycle"), "value", 5),
+    Cell("score", 4, dict(m=2, j=1, score="cycle"), "value", 6),
+    Cell("score", 5, dict(m=2, j=1, score="cycle"), "value", 7, CAP, wall=0.5),
+    Cell("score", 7, dict(m=2, j=1, score="cycle"), "fail", 9, CAP, wall=2.0),  # t + 2 breaks
+    Cell("score", 5, dict(m=2, j=2, score="cycle"), "value", 6),
+    Cell("score", 6, dict(m=2, j=2, score="cycle"), "value", 7, CAP, wall=0.25),
+    Cell("score", 7, dict(m=2, j=2, score="cycle"), "value", 8, CAP, wall=1.5),
+    Cell("score", 8, dict(m=2, j=2, score="cycle"), "pass", 9, CAP),
+    Cell("wprime", 1, {"m": 2}, "value", 1, cite="Chvátal 1970", claim="wprime"),
+    Cell("wprime", 2, {"m": 2}, "value", 2, cite="Chvátal 1970", claim="wprime"),
+    Cell("wprime", 3, {"m": 2}, "value", 3, cite="Chvátal 1970", claim="wprime"),
+    Cell("wprime", 4, {"m": 2}, "value", 6, cite="Chvátal 1970", claim="wprime", witness="aabaa"),
+    Cell("wprime", 7, {"m": 2}, "value", 35, CAP, "Chvátal 1970", 0.25),
+    Cell("wprime", 6, {"m": 3}, "value", 18, CAP, "Chvátal 1970", 0.1),
+    Cell("vdw", 3, {"m": 2}, "value", 9, cite="Chvátal 1970"),
+    Cell("vdw", 4, {"m": 2}, "value", 35, CAP, "Chvátal 1970", 0.25),
+]
+
+
 class _Unchecked(Exception):
     """A threshold search whose certificates fail their deep recheck."""
 
 
 def _threshold(kind: str, target: int, **keys) -> SearchResult:
     """``engine.search``'s result, once both its certificates pass
-    ``revalidate(deep=True)`` for this query: every threshold a claim states
-    comes from here."""
+    ``revalidate(deep=True)`` for this query: every threshold a claim uses
+    comes from here, through the cache ``cmd_verify`` makes for its run."""
     result = engine.search(kind, target, **keys)
     if not _stands({"kind": kind, "target": target, **keys}, result, deep=True):
         raise _Unchecked(f"{kind} target {target}: a certificate fails its deep recheck")
     return result
 
 
-def _rprime4(seed):
-    value = _threshold("rprime", 4).value
-    return f"threshold {value}", value == 3
+def _text(cells) -> str:
+    """Rows as ``verify`` prints them, such as "rprime t=5: 6, witness DLo"."""
+    parts = []
+    for c in cells:
+        keys = "".join(f" {k}={v}" for k, v in c.keys.items())
+        witness = f", witness {c.witness}" if c.witness else ""
+        parts.append(f"{c.kind}{keys} t={c.target}: {c.n}{witness}")
+    return "; ".join(parts)
 
 
-def _five_cycle_witness(kind: str, target: int):
-    r = _threshold(kind, target)
-    w = parse_graph6(r.lower.witness_graph6)
-    ok = r.value == 6 and w.n == 5 and all(w.degree(v) == 2 for v in range(5))
-    return f"threshold {r.value}, witness {r.lower.witness_graph6}", ok
+def _claim(name: str) -> tuple:
+    """The claim ``name``: each row that states it is what ``_threshold``
+    finds, with the lower witness where the row names one."""
+    rows = [c for c in CELLS if c.claim == name]
+
+    def run(seed, threshold):
+        found = []
+        for c in rows:
+            r = threshold(c.kind, c.target, **c.keys)
+            witness = c.witness and getattr(r.lower, engine.MODES[c.kind].field)
+            found.append(c._replace(n=r.value, witness=witness))
+        return _text(found), found == rows
+    return name, _text(rows), run
 
 
-def _c5(seed):
+def _c5(seed, threshold):
     pair = exact.clique_indep_pair(Graph.cycle(5))
     got = (pair.a.bit_count(), pair.b.bit_count(), pair.value)
     return "omega {}, alpha {}, value {}".format(*got), got == (2, 2, 4)
 
 
-def _threevertex(seed):
+def _threevertex(seed, threshold):
     graphs = [Graph.from_code(3, code) for code in (0, 1, 3, 7)]
     sizes = [exact.max_clique(g)[0] for g in graphs]
     ok = sizes == [1, 2, 2, 3] and all(exact.pair_sum_value(g) == 4 for g in graphs)
     return "clique sizes " + ",".join(map(str, sizes)), ok
 
 
-def _rprime_m_thresholds() -> dict:
-    """rprime_m thresholds at targets m, m + 1, m + 2, for m = 2 and 3."""
-    return {m: [_threshold("rprime_m", m + k, m=m).value for k in range(3)] for m in (2, 3)}
-
-
-def _rprime_m(seed):
-    got = _rprime_m_thresholds()
-    return f"m=2: {got[2]}, m=3: {got[3]}", got[2] == got[3] == [1, 2, 3]
-
-
-def _wprime(seed):
-    results = [_threshold("wprime", n, m=2) for n in (1, 2, 3, 4)]
-    vals = [r.value for r in results]
-    s = vdw.ap_sum(vdw.IntervalColoring.from_text("bbwbb", 2))[0]
-    ok = vals == [1, 2, 3, 6] and s == 3 and results[-1].lower.witness_coloring == "aabaa"
-    return f"thresholds {vals}; example sums {s}", ok
-
-
-def _bounds(seed):
+def _bounds(seed, threshold):
     coincide = all(exact.multicolor_ramsey_bound(n, 2) == exact.two_color_ramsey_bound(n)
                    for n in range(2, 11))
     spot = (exact.two_color_ramsey_bound(3) == 8
@@ -296,18 +337,20 @@ def _bounds(seed):
     return "coincide" if coincide else "differ", coincide and spot
 
 
-def _inequalities(seed):
-    rp = {n: _threshold("rprime", n).value for n in (2, 3, 4, 5)}
+def _inequalities(seed, threshold):
+    """Inequalities between thresholds; those the claims above found are read
+    from the run's cache, not searched again."""
+    rp = {n: threshold("rprime", n).value for n in (2, 3, 4, 5)}
     doubling = all(rp[n + 1] <= 2 * rp[n] for n in (2, 3, 4))
-    versus = _threshold("ramsey", 3).value <= rp[5]
-    rm = _rprime_m_thresholds()
+    versus = threshold("ramsey", 3).value <= rp[5]
+    rm = {m: [threshold("rprime_m", m + k, m=m).value for k in range(3)] for m in (2, 3)}
     family = all(rm[m][k + 1] <= 2 + m * (rm[m][k] - 1) for m in (2, 3) for k in (0, 1))
-    interval = _threshold("vdw", 3, m=2).value == 9 <= _threshold("wprime", 5, m=2).value
+    interval = threshold("vdw", 3, m=2).value <= threshold("wprime", 5, m=2).value
     return (f"doubling={doubling} pair-vs-single={versus} family={family} interval={interval}",
             doubling and versus and family and interval)
 
 
-def _greedy_sweep(seed):
+def _greedy_sweep(seed, threshold):
     total = 0
     for n in range(2, 9):
         checked, violation = greedy.pair_guarantee_sweep(n)
@@ -317,7 +360,7 @@ def _greedy_sweep(seed):
     return f"no violations over {total} graphs", True
 
 
-def _oracle(seed):
+def _oracle(seed, threshold):
     rng = random.Random(seed)
     sizes = (rng.randint(1, 16) for _ in range(1000))  # each drawn just before its code
     codes = [(n, code) for n in range(1, 6) for code in range(labeled_graph_count(n))]
@@ -329,16 +372,13 @@ def _oracle(seed):
     return f"exhaustive n<=5 + 1000 random (seed {seed})", True
 
 
-# (name, expected, run): ``run(seed)`` returns (computed, ok); names double as
-# --only filters.
+# (name, expected, run): ``run(seed, threshold)`` returns (computed, ok), with
+# ``threshold`` the run's cache of ``_threshold``; names double as --only filters.
 CLAIMS = [
-    ("rprime4", "threshold 3", _rprime4),
-    ("rprime5", "threshold 6, 5-cycle witness", lambda seed: _five_cycle_witness("rprime", 5)),
-    ("ramsey3", "threshold 6, 5-cycle witness", lambda seed: _five_cycle_witness("ramsey", 3)),
+    *map(_claim, ("rprime4", "rprime5", "ramsey3")),
     ("c5", "omega 2, alpha 2, value 4", _c5),
     ("threevertex", "clique sizes 1,2,2,3", _threevertex),
-    ("rprime_m", "thresholds 1,2,3 for m=2 and m=3", _rprime_m),
-    ("wprime", "thresholds 1,2,3,6; example sums 3", _wprime),
+    *map(_claim, ("rprime_m", "wprime")),
     ("bounds", "m=2 formulas coincide for n=2..10", _bounds),
     ("inequalities", "all inequalities hold", _inequalities),
     ("greedy_sweep", "no violations on all graphs, n=2..8", _greedy_sweep),
@@ -356,12 +396,13 @@ def cmd_verify(args) -> int:
                   else "--only names no check", file=sys.stderr)
             return 2
     rows = []
+    threshold = functools.cache(_threshold)  # each query searched once per run
     for name, expected, run in CLAIMS:
         if wanted is not None and name not in wanted:
             continue
         t0 = time.perf_counter()
         try:
-            computed, ok = run(args.seed)
+            computed, ok = run(args.seed, threshold)
         except _Unchecked as e:
             computed, ok = str(e), False
         ms = round((time.perf_counter() - t0) * 1000.0, 1)

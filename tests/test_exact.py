@@ -118,6 +118,9 @@ def test_clique_kernels_where_the_colouring_bound_is_loose(g, omega, alpha):
         size, mask = max_clique(h)
         assert size == want
         assert tuple(bits(mask)) == max(ascending_cliques(h), key=len)
+    pair = clique_indep_pair(g)
+    assert (pair.a.bit_count(), pair.b.bit_count()) == (omega, alpha)
+    assert pair.validate(g)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
